@@ -11,12 +11,11 @@ and the alternative closed form that disagrees with it.
 import argparse
 
 from ohb import (
+    ChainSymmetry,
     all_chain_symmetries,
     alt_chain_order_unit,
-    apply_chain,
     chain_order,
     decompose_chain,
-    make_triangular,
     random_chain,
 )
 from ohb.chains import chain_row_rank, chain_row_unrank, chain_space_size
@@ -31,10 +30,10 @@ def main():
     rows = [chain_row_unrank(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
 
     # level 1 swaps only above tail 1; level 2 always swaps
-    T = make_triangular(q, chain_pi, [[(0, 1), (1, 0)], [(1, 0)]])
+    T = ChainSymmetry(q, chain_pi, [[(0, 1), (1, 0)], [(1, 0)]])
     print("a hand-built triangular symmetry on the chain 1 < 2 over F_2:")
     for row in rows:
-        print(f"   {row} -> {apply_chain(T, row)}")
+        print(f"   {row} -> {T.apply(row)}")
 
     print()
     print(f"group order, product formula: {chain_order(q, chain_pi)}")
@@ -50,7 +49,7 @@ def main():
     i, j = rows.index((0, 0)), rows.index((1, 0))
     table[i], table[j] = table[j], table[i]
     R = decompose_chain(q, chain_pi, table)
-    print(f"   decomposed tables: {R.tables}")
+    print(f"   decomposed tables: {R.to_json()['tables']}")
 
     print("swapping across levels does not:")
     table = list(range(4))
@@ -66,11 +65,11 @@ def main():
     print(f"random triangular symmetry on pi=(2,1), seed {args.seed}:")
     some = [chain_row_unrank(2, (2, 1), r) for r in range(4)]
     for row in some:
-        print(f"   {row} -> {apply_chain(T, row)}")
+        print(f"   {row} -> {T.apply(row)}")
     rank_of = lambda row: chain_row_rank(2, (2, 1), row)
-    dense = [rank_of(apply_chain(T, chain_row_unrank(2, (2, 1), r))) for r in range(8)]
+    dense = [rank_of(T.apply(chain_row_unrank(2, (2, 1), r))) for r in range(8)]
     back = decompose_chain(2, (2, 1), dense)
-    print(f"   decompose recovers the same map: {back.tables == T.tables}")
+    print(f"   decompose recovers the same map: {back == T}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import argparse
 import time
 
 from ohb import Field, SpaceConfig, full_order
-from ohb.oracle import verify_against_formula
+from ohb.oracle import enumerate_isometries
 
 CASES = [
     ("one chain, n=2", 2, 1, 2, [[1, 1]]),
@@ -37,7 +37,7 @@ def main():
     for label, q, m, n, pi in CASES:
         cfg = SpaceConfig(Field(q), m, n, pi)
         t0 = time.perf_counter()
-        report = verify_against_formula(cfg, cap=args.cap)
+        report = enumerate_isometries(cfg, cap=args.cap)
         dt = time.perf_counter() - t0
         alts = ", ".join(
             f"{k}={v}{'' if report.matches[k] else ' (MISMATCH)'}"

@@ -8,20 +8,22 @@ are exactly the triangular maps
 
 where each F_j may read the tail (the levels above j) but must be a
 bijection of the level-j block for every fixed tail.  This module
-stores such maps as permutation tables indexed by (level, tail rank),
-and provides application, composition, inversion, decomposition of a
-raw bijection table, uniform sampling, and the group order.
+stores such a map as one integer array per level, indexed by (tail
+rank, block value), and provides application, composition, inversion,
+decomposition of a raw bijection table, uniform sampling, and the group
+order.
 
 Rows here are tuples of block ranks, one per level.  Ranks of whole
 rows are mixed radix with level 1 least significant, matching the
-canonical vector ordering.
+canonical vector ordering.  So the tail of level j in a row of rank r
+is r // place[j+1], and (tail, block value) flattened is r // place[j].
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .space import chain_distance
+from .space import bijection_array, distance_witness
 
 ENUM_CAP = 1 << 20
 
@@ -48,6 +50,24 @@ def _check_dims(q, chain_pi):
 
 def level_sizes(q, chain_pi):
     return tuple(q ** k for k in chain_pi)
+
+
+def level_places(q, chain_pi):
+    """Place value of each level in a row rank, then the space size:
+    place[j] = q^(k_1 + ... + k_j) for j = 0..n."""
+    place = [1]
+    for k in chain_pi:
+        place.append(place[-1] * q ** k)
+    return tuple(place)
+
+
+def level_shapes(q, chain_pi):
+    """Shape (tails, q^k_j) of each level's table: one row per rank of
+    the levels above, one column per block value."""
+    place = level_places(q, chain_pi)
+    return tuple(
+        (place[-1] // place[j + 1], place[j + 1] // place[j]) for j in range(len(chain_pi))
+    )
 
 
 def chain_space_size(q, chain_pi):
@@ -80,112 +100,83 @@ def chain_row_unrank(q, chain_pi, r) -> tuple:
 
 
 class ChainSymmetry:
-    """A triangular symmetry, stored as permutation tables.
+    """A triangular symmetry, stored as one integer array per level.
 
-    tables[j][t] is the permutation applied to the level j+1 block when
-    the tail (levels j+2..n) has rank t; level j+1 of the tail rank is
-    least significant.  The last level has a single entry (empty tail).
+    tables[j] is a read-only int64 array of shape (tails, q^k_{j+1}):
+    row t is the permutation applied to the level j+1 block when the
+    tail (levels j+2..n) has rank t, level j+2 least significant.  The
+    last level has a single row (empty tail).
     """
 
-    __slots__ = ("q", "chain_pi", "tables", "_sizes", "_tail_sizes")
+    __slots__ = ("q", "chain_pi", "tables", "_place")
 
     def __init__(self, q, chain_pi, tables):
         chain_pi = _check_dims(q, chain_pi)
-        n = len(chain_pi)
-        sizes = level_sizes(q, chain_pi)
-        tail_sizes = tuple(
-            int(np.prod([sizes[l] for l in range(j + 1, n)], dtype=object))
-            for j in range(n)
-        )
-        if len(tables) != n:
-            raise UsageError(f"need {n} table levels, got {len(tables)}")
+        shapes = level_shapes(q, chain_pi)
+        if len(tables) != len(shapes):
+            raise UsageError(f"need {len(shapes)} table levels, got {len(tables)}")
         clean = []
-        for j in range(n):
-            level = tables[j]
-            if len(level) != tail_sizes[j]:
-                raise UsageError(
-                    f"level {j + 1} needs {tail_sizes[j]} tail entries, got {len(level)}"
+        for j, ((tails, sz), level) in enumerate(zip(shapes, tables)):
+            if len(level) != tails:
+                raise UsageError(f"level {j + 1} needs {tails} tail entries, got {len(level)}")
+            try:
+                arr = np.array(level, dtype=np.int64)
+            except (OverflowError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (tails, sz):
+                raise ValidationError(f"level {j + 1}: entries are not permutations of [0, {sz})")
+            bad = np.nonzero((np.sort(arr, axis=1) != np.arange(sz)).any(axis=1))[0]
+            if len(bad):
+                raise ValidationError(
+                    f"level {j + 1}, tail {bad[0]}: entry is not a permutation of [0, {sz})"
                 )
-            sz = sizes[j]
-            rows = []
-            for t, perm in enumerate(level):
-                perm = tuple(int(x) for x in perm)
-                if len(perm) != sz or sorted(perm) != list(range(sz)):
-                    raise ValidationError(
-                        f"level {j + 1}, tail {t}: entry is not a permutation of [0, {sz})"
-                    )
-                rows.append(perm)
-            clean.append(tuple(rows))
+            arr.flags.writeable = False
+            clean.append(arr)
         self.q = q
         self.chain_pi = chain_pi
         self.tables = tuple(clean)
-        self._sizes = sizes
-        self._tail_sizes = tail_sizes
+        self._place = level_places(q, chain_pi)
 
     @property
     def n(self):
         return len(self.chain_pi)
 
-    def tail_rank(self, row, j) -> int:
-        """Rank of (row[j+1], ..., row[n-1]), level j+1 least significant."""
-        t = 0
-        place = 1
-        for l in range(j + 1, self.n):
-            t += row[l] * place
-            place *= self._sizes[l]
-        return t
-
     def apply(self, row) -> tuple:
         row = tuple(int(x) for x in row)
         if len(row) != self.n:
             raise UsageError(f"row has {len(row)} levels, expected {self.n}")
-        out = []
-        for j in range(self.n):
-            if not 0 <= row[j] < self._sizes[j]:
-                raise UsageError(f"level {j + 1}: block rank {row[j]} out of range")
-            out.append(self.tables[j][self.tail_rank(row, j)][row[j]])
-        return tuple(out)
-
-    def act_on_tail(self, j, t) -> int:
-        """Image of a level-j tail rank under the suffix of this map."""
-        vals = []
-        r = t
-        for l in range(j + 1, self.n):
-            vals.append(r % self._sizes[l])
-            r //= self._sizes[l]
-        out = []
-        for idx, l in enumerate(range(j + 1, self.n)):
-            tt = 0
-            place = 1
-            for l2 in range(l + 1, self.n):
-                tt += vals[l2 - (j + 1)] * place
-                place *= self._sizes[l2]
-            out.append(self.tables[l][tt][vals[idx]])
+        place = self._place
         r = 0
-        place = 1
-        for idx, l in enumerate(range(j + 1, self.n)):
-            r += out[idx] * place
-            place *= self._sizes[l]
-        return r
+        for j, x in enumerate(row):
+            if not 0 <= x * place[j] < place[j + 1]:
+                raise UsageError(f"level {j + 1}: block rank {x} out of range")
+            r += x * place[j]
+        return tuple([level.item(r // p) for level, p in zip(self.tables, place)])
 
-    def rank_table(self) -> list:
+    def rank_table(self) -> np.ndarray:
         """Dense table: image rank of every row rank."""
-        S = chain_space_size(self.q, self.chain_pi)
-        return [
-            chain_row_rank(self.q, self.chain_pi, self.apply(chain_row_unrank(self.q, self.chain_pi, r)))
-            for r in range(S)
-        ]
+        ranks = np.arange(self._place[-1])
+        out = np.zeros_like(ranks)
+        for level, p in zip(self.tables, self._place):
+            out += level.ravel()[ranks // p] * p
+        return out
+
+    def _tail_images(self) -> list:
+        """For each level, the image of every tail rank under this map
+        (levels above a tail depend only on that tail)."""
+        rt = self.rank_table()
+        return [rt[::p] // p for p in self._place[1:]]
 
     def __eq__(self, other):
         return (
             isinstance(other, ChainSymmetry)
             and self.q == other.q
             and self.chain_pi == other.chain_pi
-            and self.tables == other.tables
+            and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
         )
 
     def __hash__(self):
-        return hash((self.q, self.chain_pi, self.tables))
+        return hash((self.q, self.chain_pi, *(level.tobytes() for level in self.tables)))
 
     def __repr__(self):
         return f"ChainSymmetry(q={self.q}, pi={self.chain_pi})"
@@ -193,7 +184,7 @@ class ChainSymmetry:
     def to_json(self) -> dict:
         return {
             "pi": list(self.chain_pi),
-            "tables": [[list(p) for p in level] for level in self.tables],
+            "tables": [level.tolist() for level in self.tables],
         }
 
     @classmethod
@@ -204,53 +195,27 @@ class ChainSymmetry:
             raise UsageError(f"bad chain symmetry document: {exc}") from exc
 
 
-def make_triangular(q, chain_pi, tables) -> ChainSymmetry:
-    """Validate tables and build the triangular map they describe."""
-    return ChainSymmetry(q, chain_pi, tables)
-
-
 def identity_chain(q, chain_pi) -> ChainSymmetry:
     chain_pi = _check_dims(q, chain_pi)
-    sizes = level_sizes(q, chain_pi)
-    n = len(chain_pi)
-    tables = []
-    for j in range(n):
-        tails = 1
-        for l in range(j + 1, n):
-            tails *= sizes[l]
-        tables.append([tuple(range(sizes[j]))] * tails)
-    return ChainSymmetry(q, chain_pi, tables)
-
-
-def apply_chain(T: ChainSymmetry, row) -> tuple:
-    return T.apply(row)
+    shapes = level_shapes(q, chain_pi)
+    return ChainSymmetry(q, chain_pi, [np.broadcast_to(np.arange(sz), (t, sz)) for t, sz in shapes])
 
 
 def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
     """The map u -> A(B(u))."""
     if A.q != B.q or A.chain_pi != B.chain_pi:
         raise UsageError("cannot compose chain symmetries of different shapes")
-    tables = []
-    for j in range(A.n):
-        level = []
-        for t in range(A._tail_sizes[j]):
-            # A's level-j table is selected by B's image of the tail
-            pa = A.tables[j][B.act_on_tail(j, t)]
-            pb = B.tables[j][t]
-            level.append(tuple(pa[pb[x]] for x in range(A._sizes[j])))
-        tables.append(level)
+    # A's level-j row is selected by B's image of the tail
+    tables = [a[t[:, None], b] for a, b, t in zip(A.tables, B.tables, B._tail_images())]
     return ChainSymmetry(A.q, A.chain_pi, tables)
 
 
 def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
-    tables = [[None] * A._tail_sizes[j] for j in range(A.n)]
-    for j in range(A.n):
-        for ts in range(A._tail_sizes[j]):
-            src = A.tables[j][ts]
-            inv = [0] * len(src)
-            for x, y in enumerate(src):
-                inv[y] = x
-            tables[j][A.act_on_tail(j, ts)] = tuple(inv)
+    tables = []
+    for a, t in zip(A.tables, A._tail_images()):
+        inv = np.empty_like(a)
+        inv[t[:, None], a] = np.arange(a.shape[1])
+        tables.append(inv)
     return ChainSymmetry(A.q, A.chain_pi, tables)
 
 
@@ -258,11 +223,9 @@ def chain_order(q, chain_pi) -> int:
     """Number of triangular symmetries: prod over levels of
     (q^{k_j}!)^(q^{k_{j+1}+...+k_n})."""
     chain_pi = _check_dims(q, chain_pi)
-    n = len(chain_pi)
     total = 1
-    for j in range(n):
-        tail = sum(chain_pi[j + 1:])
-        total *= math.factorial(q ** chain_pi[j]) ** (q ** tail)
+    for tails, sz in level_shapes(q, chain_pi):
+        total *= math.factorial(sz) ** tails
     return total
 
 
@@ -285,18 +248,13 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chain_pi = _check_dims(q, chain_pi)
-    sizes = level_sizes(q, chain_pi)
-    n = len(chain_pi)
     tables = []
-    for j in range(n):
-        tails = 1
-        for l in range(j + 1, n):
-            tails *= sizes[l]
+    for tails, sz in level_shapes(q, chain_pi):
         level = []
         for _ in range(tails):
-            perm = list(range(sizes[j]))
+            perm = list(range(sz))
             rng.shuffle(perm)
-            level.append(tuple(perm))
+            level.append(perm)
         tables.append(level)
     return ChainSymmetry(q, chain_pi, tables)
 
@@ -307,71 +265,13 @@ def all_chain_symmetries(q, chain_pi, limit=ENUM_CAP):
     count = chain_order(q, chain_pi)
     if count > limit:
         raise CapExceeded(f"chain group has {count} elements, over the limit {limit}")
-    sizes = level_sizes(q, chain_pi)
-    n = len(chain_pi)
-    slots = []
-    for j in range(n):
-        tails = 1
-        for l in range(j + 1, n):
-            tails *= sizes[l]
-        slots.extend((j, sizes[j]) for _ in range(tails))
-
-    def rec(idx, acc):
-        if idx == len(slots):
-            tables = []
-            pos = 0
-            for j in range(n):
-                tails = 1
-                for l in range(j + 1, n):
-                    tails *= sizes[l]
-                tables.append(acc[pos:pos + tails])
-                pos += tails
-            yield ChainSymmetry(q, chain_pi, tables)
-            return
-        _, sz = slots[idx]
-        for perm in permutations(range(sz)):
-            acc.append(perm)
-            yield from rec(idx + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
-# decomposition of a raw bijection table
-
-
-def _chain_distance_matrix(q, chain_pi, S):
-    sizes = level_sizes(q, chain_pi)
-    ranks = np.arange(S, dtype=np.int64)
-    cd = np.zeros((S, S), dtype=np.int8)
-    place = 1
-    for j, sz in enumerate(sizes):
-        digit = (ranks // place) % sz
-        diff = digit[:, None] != digit[None, :]
-        cd = np.maximum(cd, np.int8(j + 1) * diff)
-        place *= sz
-    return cd
-
-def _distance_witness(q, chain_pi, table):
-    """A pair (u, v) of row ranks whose distance the table breaks, if
-    one can be found within the scan budget."""
-    S = len(table)
-    f = np.asarray(table, dtype=np.int64)
-    if S <= 4096:
-        cd = _chain_distance_matrix(q, chain_pi, S)
-        bad = np.argwhere(cd[np.ix_(table, table)] != cd)
-        if len(bad):
-            u, v = bad[0]
-            return int(u), int(v)
-        return None
-    # large space: scan rows against rank 0 only
-    rows = [chain_row_unrank(q, chain_pi, r) for r in range(S)]
-    base = rows[0]
-    fbase = rows[int(f[0])]
-    for r in range(1, S):
-        if chain_distance(base, rows[r]) != chain_distance(fbase, rows[int(f[r])]):
-            return 0, r
-    return None
+    # one pool of permutations per (level, tail) slot, levels ascending
+    pools, cuts = [], [0]
+    for tails, sz in level_shapes(q, chain_pi):
+        pools += [tuple(permutations(range(sz)))] * tails
+        cuts.append(len(pools))
+    for choice in product(*pools):
+        yield ChainSymmetry(q, chain_pi, [choice[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
@@ -380,33 +280,15 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
 
     Tables are extracted at the zero prefix, then the reconstruction is
     checked against f on every point; any mismatch is reported as a
-    distance violation with a witness pair when one exists.
+    distance violation with a witness pair when one exists.  The ranks
+    where the mismatch showed are tried first as witness anchors.
     """
     chain_pi = _check_dims(q, chain_pi)
-    sizes = level_sizes(q, chain_pi)
-    n = len(chain_pi)
-    S = chain_space_size(q, chain_pi)
-    table = [int(x) for x in table]
-    if len(table) != S:
-        raise UsageError(f"table has {len(table)} entries, space has {S}")
-    if any(not 0 <= x < S for x in table):
-        raise UsageError("table entry out of range")
-    seen = [-1] * S
-    for r, fr in enumerate(table):
-        if seen[fr] >= 0:
-            raise NotIsometryError(
-                f"not a bijection: ranks {seen[fr]} and {r} share the image {fr}",
-                witness=(seen[fr], r),
-            )
-        seen[fr] = r
+    place = level_places(q, chain_pi)
+    f = bijection_array(table, place[-1])
 
-    # place value of each level in the row rank
-    place = [1] * (n + 1)
-    for j in range(n):
-        place[j + 1] = place[j] * sizes[j]
-
-    def reject(context):
-        w = _distance_witness(q, chain_pi, table)
+    def reject(context, *anchors):
+        w = distance_witness(q, (chain_pi,), f, anchors)
         if w is not None:
             raise NotIsometryError(
                 f"distance not preserved for row ranks {w[0]} and {w[1]}",
@@ -415,23 +297,30 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
         raise StructureError(f"bijection has no triangular form: {context}")
 
     tables = []
-    for j in range(n):
-        tails = place[n] // place[j + 1]
-        level = []
-        for t in range(tails):
+    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
+        # row t, column x: the level-j digit of f at the rank with tail t,
+        # level-j digit x and zeros below
+        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
+        order = np.argsort(level, axis=1, kind="stable")
+        repeats = np.argwhere(np.diff(np.take_along_axis(level, order, axis=1), axis=1) == 0)
+        if len(repeats):
+            t, i = (int(x) for x in repeats[0])
             base = t * place[j + 1]
-            perm = [(table[base + x * place[j]] // place[j]) % sizes[j] for x in range(sizes[j])]
-            if sorted(perm) != list(range(sizes[j])):
-                reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation")
-            level.append(tuple(perm))
+            reject(
+                f"level {j + 1}, tail {t}: extracted entry is not a permutation",
+                base + int(order[t, i]) * place[j],
+                base + int(order[t, i + 1]) * place[j],
+            )
         tables.append(level)
 
     T = ChainSymmetry(q, chain_pi, tables)
     rt = T.rank_table()
-    for r in range(S):
-        if rt[r] != table[r]:
-            reject(
-                f"rank {r}: map disagrees with its zero-prefix extraction "
-                f"({table[r]} vs {rt[r]}), so some level reads a lower level"
-            )
+    bad = np.nonzero(rt != f)[0]
+    if len(bad):
+        r = int(bad[0])
+        reject(
+            f"rank {r}: map disagrees with its zero-prefix extraction "
+            f"({f[r]} vs {rt[r]}), so some level reads a lower level",
+            r,
+        )
     return T

@@ -19,7 +19,7 @@ from .automorphisms import aut_order_antichain, aut_report, gl_order
 from .chains import chain_order
 from .codes import equivalent, parse_code_json, parse_code_text
 from .errors import DomainError, NotIsometryError, StructureError, UsageError
-from .oracle import COUNT_CAP, enumerate_isometries, verify_against_formula
+from .oracle import COUNT_CAP, enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
     Symmetry,
@@ -377,9 +377,9 @@ def _cmd_order(args):
     if args.mode == "formula":
         doc["formula_order"] = full_order(cfg)
     elif args.mode == "oracle":
-        doc["oracle_count"] = verify_against_formula(cfg, cap=cap).isometry_count
+        doc["oracle_count"] = enumerate_isometries(cfg, cap=cap).isometry_count
     else:
-        rep = verify_against_formula(cfg, cap=cap)
+        rep = enumerate_isometries(cfg, cap=cap)
         doc["formula_order"] = rep.formula_count
         doc["oracle_count"] = rep.isometry_count
         doc["match"] = rep.matches["formula"]
@@ -429,7 +429,7 @@ def _cmd_report(args):
         "full_order": full_order(cfg),
     }
     if cfg.size <= cap:
-        rep = verify_against_formula(cfg, cap=cap)
+        rep = enumerate_isometries(cfg, cap=cap)
         doc["isometry_count"] = rep.isometry_count
         doc["alt_counts"] = rep.alt_counts
         doc["matches"] = rep.matches

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .chains import ChainSymmetry, level_sizes
+import numpy as np
+
+from .chains import ChainSymmetry, level_places, level_shapes
 from .errors import StructureError, UsageError
 from .fields import block_rank
 from .space import (
@@ -208,41 +210,29 @@ def chain_from_pairs(q, chain_pi, pairs) -> ChainSymmetry:
     untouched tails stay identity, so the result is deterministic.
     """
     n = len(chain_pi)
-    sizes = level_sizes(q, chain_pi)
+    place = level_places(q, chain_pi)
+    src = np.array([s for s, _ in pairs], dtype=np.int64).reshape(-1, n)
+    dst = np.array([d for _, d in pairs], dtype=np.int64).reshape(-1, n)
+    src_rank = src @ np.array(place[:-1], dtype=np.int64)
     tables = []
-    for j in range(n):
-        tails = 1
-        for l in range(j + 1, n):
-            tails *= sizes[l]
-        partial = {}
-        for src, dst in pairs:
-            t = 0
-            place = 1
-            for l in range(j + 1, n):
-                t += src[l] * place
-                place *= sizes[l]
-            entry = partial.setdefault(t, {})
-            if entry.get(src[j], dst[j]) != dst[j]:
-                raise StructureError(
-                    f"level {j + 1}, tail {t}: pairs assign two images to one point"
-                )
-            entry[src[j]] = dst[j]
-        level = []
-        for t in range(tails):
-            entry = partial.get(t, {})
-            if len(set(entry.values())) != len(entry):
-                raise StructureError(
-                    f"level {j + 1}, tail {t}: pairs collapse two points"
-                )
-            perm = [-1] * sizes[j]
-            for s, d in entry.items():
-                perm[s] = d
-            free = iter(sorted(set(range(sizes[j])) - set(entry.values())))
-            for x in range(sizes[j]):
-                if perm[x] < 0:
-                    perm[x] = next(free)
-            level.append(tuple(perm))
-        tables.append(level)
+    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
+        tail = src_rank // place[j + 1]
+        perm = np.full((tails, sz), -1, dtype=np.int64)
+        perm[tail, src[:, j]] = dst[:, j]
+        clash = np.nonzero(perm[tail, src[:, j]] != dst[:, j])[0]
+        if len(clash):
+            raise StructureError(
+                f"level {j + 1}, tail {tail[clash[0]]}: pairs assign two images to one point"
+            )
+        used = np.zeros((tails, sz), dtype=bool)
+        used[tail, dst[:, j]] = True
+        short = np.nonzero(used.sum(axis=1) != (perm >= 0).sum(axis=1))[0]
+        if len(short):
+            raise StructureError(f"level {j + 1}, tail {short[0]}: pairs collapse two points")
+        # row-major order pairs each row's free slots with its unused
+        # values, both ascending
+        perm[perm < 0] = np.nonzero(~used)[1]
+        tables.append(perm)
     return ChainSymmetry(q, chain_pi, tables)
 
 

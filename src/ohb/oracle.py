@@ -148,7 +148,3 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
         return report, maps
     return report
 
-
-def verify_against_formula(config: SpaceConfig, cap: int = COUNT_CAP) -> OracleReport:
-    """Run the oracle and compare against every stated closed form."""
-    return enumerate_isometries(config, cap=cap, want_list=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceeded, UsageError
+from .errors import CapExceeded, NotIsometryError, UsageError
 from .fields import Field, block_rank, block_unrank
 
 # Refuse to materialize spaces beyond this size unless told otherwise.
@@ -359,60 +359,97 @@ def scale_ranks(config: SpaceConfig, c: int, a) -> np.ndarray:
     return out
 
 
-def weight_array(config: SpaceConfig, override: bool = False) -> np.ndarray:
-    """Weights of every vector rank, as one vectorized pass per level."""
-    config.check_materialize(override)
-    ranks = np.arange(config.size, dtype=np.int64)
-    total = np.zeros(config.size, dtype=np.int64)
-    for i in range(config.m):
-        sub = (ranks // config.chain_place[i]) % config.chain_size[i]
-        level = np.zeros(config.size, dtype=np.int64)
-        place = 1
-        for j in range(config.n):
-            k = config.pi[i][j]
-            digit = (sub // place) % config.q ** k
-            level = np.where(digit != 0, j + 1, level)
-            place *= config.q ** k
+def rank_distance(q: int, pi, a, b, dtype=np.int64) -> np.ndarray:
+    """Distances between arrays of ranks (broadcast against each other)
+    in the space with chain rows pi over a field of size q.
+
+    Blocks are mixed-radix digits in canonical order; per chain, the
+    distance is the highest level whose digits differ."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
+    place = 1
+    for row in pi:
+        level = np.zeros_like(total)
+        for j, k in enumerate(row):
+            sz = q ** k
+            level[(a // place) % sz != (b // place) % sz] = j + 1
+            place *= sz
         total += level
     return total
+
+
+def weight_array(config: SpaceConfig, override: bool = False) -> np.ndarray:
+    """Weights of every vector rank: the distance of each rank to 0."""
+    config.check_materialize(override)
+    return rank_distance(config.q, config.pi, np.arange(config.size), 0)
 
 
 def dist_ranks(config: SpaceConfig, a, b) -> np.ndarray:
     """Pairwise distances between two equal-length arrays of vector ranks."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.int64))
-    total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    for i in range(config.m):
-        sub_a = (a // config.chain_place[i]) % config.chain_size[i]
-        sub_b = (b // config.chain_place[i]) % config.chain_size[i]
-        level = np.zeros_like(total)
-        place = 1
-        for j in range(config.n):
-            sz = config.q ** config.pi[i][j]
-            diff = (sub_a // place) % sz != (sub_b // place) % sz
-            level = np.where(diff, j + 1, level)
-            place *= sz
-        total += level
-    return total
+    return rank_distance(config.q, config.pi, np.atleast_1d(a), np.atleast_1d(b))
 
 
 def distance_matrix_array(config: SpaceConfig) -> np.ndarray:
     """Full q^N x q^N distance matrix under the canonical ranking."""
-    S = config.size
-    ranks = np.arange(S, dtype=np.int64)
-    D = np.zeros((S, S), dtype=np.int8)
-    for i in range(config.m):
-        sub = (ranks // config.chain_place[i]) % config.chain_size[i]
-        level = np.zeros((S, S), dtype=np.int8)
-        place = 1
-        for j in range(config.n):
-            sz = config.q ** config.pi[i][j]
-            digit = (sub // place) % sz
-            diff = digit[:, None] != digit[None, :]
-            level = np.maximum(level, np.int8(j + 1) * diff)
-            place *= sz
-        D += level
-    return D
+    ranks = np.arange(config.size)
+    return rank_distance(config.q, config.pi, ranks[:, None], ranks, dtype=np.int8)
+
+
+# checks of maps given as dense rank tables
+
+WITNESS_MATRIX_CAP = 1 << 12
+WITNESS_ANCHORS = 16
+
+
+def bijection_array(table, size: int) -> np.ndarray:
+    """The table as an int64 array, checked to be a bijection of [0, size).
+
+    A repeated image is reported at the first rank whose image repeats,
+    paired with the earlier rank that has the same image.
+    """
+    try:
+        f = np.asarray(table, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise UsageError(f"table entries must be integer ranks: {exc}") from exc
+    if f.shape != (size,):
+        raise UsageError(f"table has {f.size} entries, space has {size}")
+    if size and (f.min() < 0 or f.max() >= size):
+        raise UsageError("table entry out of range")
+    values, first = np.unique(f, return_index=True)
+    if len(values) < size:
+        owner = np.empty(size, dtype=np.int64)
+        owner[values] = first
+        r = int(np.nonzero(owner[f] != np.arange(size))[0][0])
+        u = int(owner[f[r]])
+        raise NotIsometryError(
+            f"not a bijection: ranks {u} and {r} share the image {int(f[r])}",
+            witness=(u, r),
+        )
+    return f
+
+
+def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
+    """A rank pair (u, v) with d(u, v) != d(f(u), f(v)), or None.
+
+    Up to WITNESS_MATRIX_CAP points this is the first such pair in
+    row-major order of the full distance matrix.  Beyond that, only the
+    rows of the given anchors and then of ranks 0..WITNESS_ANCHORS-1
+    are scanned, so a non-isometry can go unwitnessed.
+    """
+    S = len(f)
+    ranks = np.arange(S)
+    if S <= WITNESS_MATRIX_CAP:
+        bad = np.argwhere(
+            rank_distance(q, pi, f[:, None], f, np.int8)
+            != rank_distance(q, pi, ranks[:, None], ranks, np.int8)
+        )
+        return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
+    for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))]):
+        bad = np.nonzero(rank_distance(q, pi, u, ranks) != rank_distance(q, pi, f[u], f))[0]
+        if len(bad):
+            return int(u), int(bad[0])
+    return None
 
 
 # text and file formats

@@ -27,6 +27,7 @@ from .chains import (
     decompose_chain,
     identity_chain,
     invert_chain,
+    level_shapes,
     random_chain,
 )
 from .errors import (
@@ -40,8 +41,8 @@ from .fields import block_rank, block_unrank
 from .space import (
     BlockVector,
     SpaceConfig,
-    distance_matrix_array,
-    dist_ranks,
+    bijection_array,
+    distance_witness,
     sub_ranks,
 )
 
@@ -57,17 +58,28 @@ def is_admissible(sigma, config: SpaceConfig) -> bool:
 
 
 def admissible_permutations(config: SpaceConfig):
-    """All admissible permutations, as 0-based tuples, deterministic order."""
+    """All admissible permutations, as 0-based tuples, deterministic order.
+
+    Chains are grouped by width profile (first appearance first); the
+    permutation of the last group varies fastest.  Generated lazily, so
+    the first sigma costs no more than one permutation per group.
+    """
     classes = {}
     for i, row in enumerate(config.pi):
         classes.setdefault(row, []).append(i)
     groups = list(classes.values())
-    for images in product(*(permutations(g) for g in groups)):
-        sigma = [0] * config.m
-        for g, img in zip(groups, images):
-            for pos, i in enumerate(g):
-                sigma[i] = img[pos]
-        yield tuple(sigma)
+    sigma = [0] * config.m
+
+    def rec(g):
+        if g == len(groups):
+            yield tuple(sigma)
+            return
+        for images in permutations(groups[g]):
+            for i, img in zip(groups[g], images):
+                sigma[i] = img
+            yield from rec(g + 1)
+
+    return rec(0)
 
 
 def s_pi_order(config: SpaceConfig) -> int:
@@ -183,10 +195,6 @@ def identity_symmetry(config: SpaceConfig) -> Symmetry:
     )
 
 
-def apply_symmetry(T: Symmetry, v: BlockVector) -> BlockVector:
-    return T.apply(v)
-
-
 def compose_symmetry(A: Symmetry, B: Symmetry) -> Symmetry:
     """The symmetry v -> A(B(v)), in canonical form."""
     if A.config != B.config:
@@ -214,20 +222,15 @@ def make_translation(w: BlockVector) -> Symmetry:
     cfg = w.config
     f = cfg.field
     chains = []
-    for k in range(cfg.m):
+    for row, w_row in zip(cfg.pi, w.blocks):
         tables = []
-        for j in range(cfg.n):
-            kj = cfg.pi[k][j]
-            wb = w.blocks[k][j]
-            perm = tuple(
+        for (tails, sz), kj, wb in zip(level_shapes(cfg.q, row), row, w_row):
+            perm = [
                 block_rank(cfg.q, tuple(f.add(x, y) for x, y in zip(block_unrank(cfg.q, r, kj), wb)))
-                for r in range(cfg.q ** kj)
-            )
-            tails = 1
-            for l in range(j + 1, cfg.n):
-                tails *= cfg.q ** cfg.pi[k][l]
-            tables.append([perm] * tails)
-        chains.append(ChainSymmetry(cfg.q, cfg.pi[k], tables))
+                for r in range(sz)
+            ]
+            tables.append(np.broadcast_to(perm, (tails, sz)))
+        chains.append(ChainSymmetry(cfg.q, row, tables))
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 
 
@@ -264,34 +267,13 @@ def as_rank_table(T: Symmetry, override: bool = False) -> np.ndarray:
     out = np.zeros(cfg.size, dtype=np.int64)
     for i in range(cfg.m):
         k = T.sigma[i]
-        ct = np.asarray(T.chains[k].rank_table(), dtype=np.int64)
+        ct = T.chains[k].rank_table()
         sub = (ranks // cfg.chain_place[k]) % cfg.chain_size[k]
         out += ct[sub] * cfg.chain_place[i]
     return out
 
 
 # decomposition of a raw bijection table into canonical form
-
-
-def _isometry_witness(config: SpaceConfig, table):
-    """A rank pair whose distance the table breaks, if one is found."""
-    S = config.size
-    f = np.asarray(table, dtype=np.int64)
-    if S <= 4096:
-        D = distance_matrix_array(config)
-        bad = np.argwhere(D[np.ix_(table, table)] != D)
-        if len(bad):
-            u, v = bad[0]
-            return int(u), int(v)
-        return None
-    ranks = np.arange(S, dtype=np.int64)
-    for anchor in range(min(S, 16)):
-        du = dist_ranks(config, np.int64(anchor), ranks)
-        dfu = dist_ranks(config, f[anchor], f)
-        bad = np.nonzero(du != dfu)[0]
-        if len(bad):
-            return anchor, int(bad[0])
-    return None
 
 
 def decompose_full(config: SpaceConfig, table) -> Symmetry:
@@ -302,36 +284,21 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     the images of weight-1 vectors, and each chain map by restriction;
     the result is verified pointwise against the table.  A map that
     preserves no decomposition is rejected with a distance witness when
-    one can be found, otherwise with the chain index that failed.
+    one can be found (the ranks where the failure showed are tried
+    first), otherwise with the chain index that failed.
     """
-    S = config.size
-    table = [int(x) for x in table]
-    if len(table) != S:
-        raise UsageError(f"table has {len(table)} entries, space has {S}")
-    if any(not 0 <= x < S for x in table):
-        raise UsageError("table entry out of range")
-    seen = [-1] * S
-    for r, fr in enumerate(table):
-        if seen[fr] >= 0:
-            raise NotIsometryError(
-                f"not a bijection: ranks {seen[fr]} and {r} share the image {fr}",
-                witness=(seen[fr], r),
-            )
-        seen[fr] = r
+    f = bijection_array(table, config.size)
 
-    def reject(chain_index, context):
-        w = _isometry_witness(config, table)
+    def reject(chain_index, context, *anchors):
+        w = distance_witness(config.q, config.pi, f, anchors)
         if w is not None:
             raise NotIsometryError(
                 f"distance not preserved for ranks {w[0]} and {w[1]}", witness=w
             )
         raise StructureError(context, chain_index=chain_index)
 
-    w_rank = table[0]
-    if w_rank:
-        f0 = sub_ranks(config, np.asarray(table, dtype=np.int64), w_rank).tolist()
-    else:
-        f0 = table
+    w_rank = int(f[0])
+    f0 = sub_ranks(config, f, w_rank) if w_rank else f
 
     q = config.q
     m = config.m
@@ -341,41 +308,41 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     for k in range(m):
         target = None
         for x in range(1, q ** config.pi[k][0]):
-            img = f0[x * config.chain_place[k]]
+            r = x * config.chain_place[k]
+            img = int(f0[r])
             hit = [i for i in range(m) if config.chain_subrank(img, i) != 0]
             if len(hit) != 1:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1")
+                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1", r)
             j = hit[0]
             if config.chain_subrank(img, j) >= q ** config.pi[j][0]:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1")
+                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1", r)
             if target is None:
                 target = j
             elif target != j:
-                reject(k + 1, f"chain {k + 1} maps into two different chains")
+                reject(k + 1, f"chain {k + 1} maps into two different chains", r)
         tau[k] = target
     if sorted(tau) != list(range(m)):
         dup = next(j for j in range(m) if tau.count(j) > 1)
-        reject(dup + 1, f"two chains map into chain {dup + 1}")
+        second = [k for k in range(m) if tau[k] == dup][1]
+        reject(dup + 1, f"two chains map into chain {dup + 1}", config.chain_place[second])
     for k in range(m):
         if config.pi[k] != config.pi[tau[k]]:
             reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")
 
     chains = [None] * m
     for k in range(m):
-        sub_table = []
-        for rk in range(config.chain_size[k]):
-            img = f0[rk * config.chain_place[k]]
-            if img != config.chain_subrank(img, tau[k]) * config.chain_place[tau[k]]:
-                reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}")
-            sub_table.append(config.chain_subrank(img, tau[k]))
+        place, t_place = config.chain_place[k], config.chain_place[tau[k]]
+        img = f0[np.arange(config.chain_size[k]) * place]
+        sub = img // t_place
+        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != img)[0]
+        if len(off):
+            reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:
-            chains[k] = decompose_chain(q, config.pi[k], sub_table)
+            chains[k] = decompose_chain(q, config.pi[k], sub)
         except NotIsometryError as exc:
-            u, v = exc.witness
+            u, v = (x * place for x in exc.witness)
             raise NotIsometryError(
-                "distance not preserved for ranks "
-                f"{u * config.chain_place[k]} and {v * config.chain_place[k]}",
-                witness=(u * config.chain_place[k], v * config.chain_place[k]),
+                f"distance not preserved for ranks {u} and {v}", witness=(u, v)
             ) from exc
         except StructureError as exc:
             raise StructureError(str(exc), chain_index=k + 1) from exc
@@ -387,8 +354,8 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     if w_rank:
         cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
 
-    ct = as_rank_table(cand, override=True)
-    bad = np.nonzero(ct != np.asarray(table, dtype=np.int64))[0]
+    bad = np.nonzero(as_rank_table(cand, override=True) != f)[0]
     if len(bad):
-        reject(None, f"map disagrees with its chain decomposition at rank {int(bad[0])}")
+        r = int(bad[0])
+        reject(None, f"map disagrees with its chain decomposition at rank {r}", r)
     return cand

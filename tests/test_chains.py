@@ -11,14 +11,12 @@ from ohb import (
     ValidationError,
     all_chain_symmetries,
     alt_chain_order_unit,
-    apply_chain,
     chain_distance,
     chain_order,
     compose_chain,
     decompose_chain,
     identity_chain,
     invert_chain,
-    make_triangular,
     random_chain,
 )
 from ohb.chains import chain_row_rank, chain_row_unrank, chain_space_size
@@ -30,11 +28,11 @@ def enumerate_rows(q, chain_pi):
 
 def test_worked_example():
     # level 1 swaps exactly when the level-2 entry is 1; level 2 always swaps
-    T = make_triangular(2, (1, 1), [[(0, 1), (1, 0)], [(1, 0)]])
-    assert apply_chain(T, (0, 0)) == (0, 1)
-    assert apply_chain(T, (1, 0)) == (1, 1)
-    assert apply_chain(T, (0, 1)) == (1, 0)
-    assert apply_chain(T, (1, 1)) == (0, 0)
+    T = ChainSymmetry(2, (1, 1), [[(0, 1), (1, 0)], [(1, 0)]])
+    assert T.apply((0, 0)) == (0, 1)
+    assert T.apply((1, 0)) == (1, 1)
+    assert T.apply((0, 1)) == (1, 0)
+    assert T.apply((1, 1)) == (0, 0)
 
 
 def test_sections_read_the_input_tail():
@@ -44,24 +42,24 @@ def test_sections_read_the_input_tail():
         T = random_chain(2, (1, 1), rng.randrange(10**6))
         for v1 in (0, 1):
             for v2 in (0, 1):
-                out = apply_chain(T, (v1, v2))
-                out2 = apply_chain(T, (1 - v1, v2))
+                out = T.apply((v1, v2))
+                out2 = T.apply((1 - v1, v2))
                 assert out[1] == out2[1]
                 assert out[0] != out2[0]
 
 
 def test_tables_validation():
     with pytest.raises(ValidationError):
-        make_triangular(2, (1, 1), [[(0, 0), (1, 0)], [(1, 0)]])
+        ChainSymmetry(2, (1, 1), [[(0, 0), (1, 0)], [(1, 0)]])
     with pytest.raises(UsageError):
-        make_triangular(2, (1, 1), [[(0, 1)], [(1, 0)]])  # one table per tail
+        ChainSymmetry(2, (1, 1), [[(0, 1)], [(1, 0)]])  # one table per tail
     with pytest.raises(UsageError):
-        make_triangular(2, (1, 1), [[(0, 1), (1, 0)]])  # one row per level
+        ChainSymmetry(2, (1, 1), [[(0, 1), (1, 0)]])  # one row per level
 
 
 def test_validation_message_names_level_and_tail():
     with pytest.raises(ValidationError) as exc:
-        make_triangular(2, (1, 1), [[(0, 1), (1, 1)], [(1, 0)]])
+        ChainSymmetry(2, (1, 1), [[(0, 1), (1, 1)], [(1, 0)]])
     assert "level 1" in str(exc.value)
     assert "tail 1" in str(exc.value)
 
@@ -70,7 +68,7 @@ def test_identity_chain():
     for q, chain_pi in [(2, (1, 1)), (3, (1,)), (2, (2, 1))]:
         E = identity_chain(q, chain_pi)
         for row in enumerate_rows(q, chain_pi):
-            assert apply_chain(E, row) == row
+            assert E.apply(row) == row
 
 
 def test_chain_is_bijective_and_distance_preserving():
@@ -79,11 +77,11 @@ def test_chain_is_bijective_and_distance_preserving():
         rows = enumerate_rows(q, chain_pi)
         for _ in range(20):
             T = random_chain(q, chain_pi, rng.randrange(10**6))
-            images = [apply_chain(T, row) for row in rows]
+            images = [T.apply(row) for row in rows]
             assert sorted(images) == sorted(rows)
             for a in rows:
                 for b in rows:
-                    assert chain_distance(apply_chain(T, a), apply_chain(T, b)) == chain_distance(a, b)
+                    assert chain_distance(T.apply(a), T.apply(b)) == chain_distance(a, b)
 
 
 def test_compose_apply_contract():
@@ -94,7 +92,7 @@ def test_compose_apply_contract():
         B = random_chain(2, (2, 1), seed_b)
         C = compose_chain(A, B)
         for row in enumerate_rows(2, (2, 1)):
-            assert apply_chain(C, row) == apply_chain(A, apply_chain(B, row))
+            assert C.apply(row) == A.apply(B.apply(row))
 
 
 def test_invert_round_trip():
@@ -104,9 +102,17 @@ def test_invert_round_trip():
         A = random_chain(3, (1, 1), rng.randrange(10**6))
         Ainv = invert_chain(A)
         for row in rows:
-            assert apply_chain(Ainv, apply_chain(A, row)) == row
-            assert apply_chain(A, apply_chain(Ainv, row)) == row
+            assert Ainv.apply(A.apply(row)) == row
+            assert A.apply(Ainv.apply(row)) == row
 
+
+
+def test_rank_table_matches_apply():
+    rng = random.Random(9)
+    for q, chain_pi in [(2, (1, 1, 1)), (3, (1, 2)), (2, (2, 1, 3))]:
+        T = random_chain(q, chain_pi, rng.randrange(10**6))
+        rows = enumerate_rows(q, chain_pi)
+        assert T.rank_table().tolist() == [chain_row_rank(q, chain_pi, T.apply(r)) for r in rows]
 
 def test_chain_order_values():
     assert chain_order(2, (1,)) == 2
@@ -122,7 +128,7 @@ def test_enumeration_matches_chain_order():
         assert len(syms) == chain_order(q, chain_pi)
         # all distinct as maps
         rows = enumerate_rows(q, chain_pi)
-        tables = {tuple(apply_chain(T, row) for row in rows) for T in syms}
+        tables = {tuple(T.apply(row) for row in rows) for T in syms}
         assert len(tables) == len(syms)
 
 
@@ -140,11 +146,11 @@ def test_decompose_round_trip():
         rows = enumerate_rows(q, chain_pi)
         for _ in range(20):
             T = random_chain(q, chain_pi, rng.randrange(10**6))
-            table = {chain_row_rank(q, chain_pi, row): chain_row_rank(q, chain_pi, apply_chain(T, row)) for row in rows}
+            table = {chain_row_rank(q, chain_pi, row): chain_row_rank(q, chain_pi, T.apply(row)) for row in rows}
             dense = [table[r] for r in range(len(rows))]
             R = decompose_chain(q, chain_pi, dense)
             for row in rows:
-                assert apply_chain(R, row) == apply_chain(T, row)
+                assert R.apply(row) == T.apply(row)
 
 
 def test_decompose_completeness_small():
@@ -165,7 +171,7 @@ def test_decompose_completeness_small():
             continue
         T = decompose_chain(q, chain_pi, list(perm))
         for a in range(S):
-            assert apply_chain(T, rows[a]) == rows[perm[a]]
+            assert T.apply(rows[a]) == rows[perm[a]]
         found += 1
     assert found == chain_order(q, chain_pi)
 
@@ -179,8 +185,8 @@ def test_bottom_level_swap_is_triangular():
     i, j = rows.index((0, 0)), rows.index((1, 0))
     table[i], table[j] = table[j], table[i]
     T = decompose_chain(q, chain_pi, table)
-    assert apply_chain(T, (0, 0)) == (1, 0)
-    assert apply_chain(T, (0, 1)) == (0, 1)
+    assert T.apply((0, 0)) == (1, 0)
+    assert T.apply((0, 1)) == (0, 1)
 
 
 def test_top_level_swap_is_rejected_with_witness():
@@ -207,8 +213,8 @@ def test_random_chain_is_deterministic():
     a = random_chain(2, (2, 1), 123)
     b = random_chain(2, (2, 1), 123)
     c = random_chain(2, (2, 1), 124)
-    assert a.tables == b.tables
-    assert a.tables != c.tables
+    assert a.to_json() == b.to_json()
+    assert a.to_json() != c.to_json()
 
 
 def test_random_chain_golden_seed():
@@ -224,5 +230,6 @@ def test_json_round_trip():
     for _ in range(10):
         T = random_chain(2, (2, 1), rng.randrange(10**6))
         again = ChainSymmetry.from_json(T.to_json(), 2)
-        assert again.tables == T.tables
+        assert again.to_json() == T.to_json()
+        assert again == T
         assert again.chain_pi == T.chain_pi

@@ -10,7 +10,7 @@ from ohb import (
     StructureError,
     UsageError,
     apply_to_code,
-    apply_symmetry,
+    chain_from_pairs,
     code_invariants,
     equivalent,
     identity_symmetry,
@@ -159,15 +159,15 @@ def test_round_trip_search():
             assert apply_to_code(res.witness, c) == img
 
 
-def test_inequivalent_same_distribution():
-    # same pairwise distances can still fail to align with any symmetry;
-    # distance-2 pairs joined differently across the two chains
+def test_translates_with_same_distribution_are_equivalent():
+    # two distance-2 pairs joined differently across the two chains look
+    # unrelated, but they are translates of each other
     cfg = make_config(2, 2, 1, [[1], [1]])
     c1 = code_of(cfg, "0;0", "1;1")
     c2 = code_of(cfg, "1;0", "0;1")
     res = equivalent(c1, c2)
-    # these are translates of each other, so a witness must exist
     assert res.verdict == "equivalent"
+    assert apply_to_code(res.witness, c1) == c2
 
 
 def test_budget_inconclusive():
@@ -190,6 +190,17 @@ def test_budget_fallback_on_tiny_space():
     assert res.verdict == "equivalent"
     assert apply_to_code(res.witness, c1) == c2
 
+
+
+def test_chain_from_pairs_fill_rule():
+    # constrained entries come from the pairs, free entries are filled in
+    # ascending order, and untouched tails stay identity
+    T = chain_from_pairs(3, (1, 1), [((0, 0), (2, 1)), ((1, 2), (1, 0))])
+    assert T.to_json()["tables"] == [[[2, 0, 1], [0, 1, 2], [0, 1, 2]], [[1, 2, 0]]]
+    with pytest.raises(StructureError, match="two images"):
+        chain_from_pairs(2, (1, 1), [((0, 1), (0, 0)), ((0, 1), (1, 0))])
+    with pytest.raises(StructureError, match="collapse"):
+        chain_from_pairs(2, (1, 1), [((0, 1), (1, 1)), ((1, 1), (1, 0))])
 
 def test_parse_code_text():
     text = "# header\n0;0\n\n1;1  # trailing\n"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_config
 from ohb import CapExceeded, all_symmetries, as_rank_table
-from ohb.oracle import distance_matrix, enumerate_isometries, verify_against_formula
+from ohb.oracle import distance_matrix, enumerate_isometries
 
 
 def test_distance_matrix_two_points():
@@ -87,7 +87,7 @@ def test_cap_refusal_mentions_search_size():
 
 
 def test_report_fields_and_alternates():
-    report = verify_against_formula(make_config(2, 1, 2, [[1, 1]]))
+    report = enumerate_isometries(make_config(2, 1, 2, [[1, 1]]))
     assert report.isometry_count == 8
     assert report.formula_count == 8
     assert report.alt_counts == {"unit_chain": 16, "unit_product": 16}
@@ -99,12 +99,12 @@ def test_report_fields_and_alternates():
     json.dumps(doc)  # serializable as-is
 
     # alternates are only stated for all-unit-width configs
-    blocky = verify_against_formula(make_config(2, 1, 2, [[2, 1]]))
+    blocky = enumerate_isometries(make_config(2, 1, 2, [[2, 1]]))
     assert blocky.alt_counts == {}
     assert not blocky.discrepant
 
 
 def test_unit_chain_alternate_only_for_single_chain():
-    report = verify_against_formula(make_config(2, 2, 1, [[1], [1]]))
+    report = enumerate_isometries(make_config(2, 2, 1, [[1], [1]]))
     assert "unit_chain" not in report.alt_counts
     assert "unit_product" in report.alt_counts

@@ -1,7 +1,10 @@
 """Full symmetry group: admissible permutations, composition, decomposition."""
 
 import random
+import tracemalloc
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from conftest import make_config, random_vector
@@ -13,7 +16,6 @@ from ohb import (
     all_symmetries,
     alt_full_order_unit,
     admissible_permutations,
-    apply_symmetry,
     as_rank_table,
     compose_symmetry,
     decompose_full,
@@ -28,9 +30,38 @@ from ohb import (
     s_pi_order,
     weight,
 )
+from ohb.space import dist_ranks
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
 
+
+
+def test_admissible_permutations_order_is_the_product_order():
+    # chains 1, 3, 5 share widths, and so do chains 2, 4; the last
+    # class varies fastest, each class in permutations() order
+    cfg = make_config(2, 5, 2, [[1, 2], [2, 1], [1, 2], [2, 1], [1, 2]])
+    groups = [[0, 2, 4], [1, 3]]
+    expected = []
+    for images in product(*(permutations(g) for g in groups)):
+        sigma = [0] * cfg.m
+        for g, img in zip(groups, images):
+            for i, x in zip(g, img):
+                sigma[i] = x
+        expected.append(tuple(sigma))
+    assert list(admissible_permutations(cfg)) == expected
+
+
+def test_first_admissible_permutation_is_cheap():
+    # 10! sigmas in one class: the first must come without listing them
+    cfg = make_config(2, 10, 1, [[1]] * 10)
+    tracemalloc.start()
+    try:
+        first = next(admissible_permutations(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(10))
+    assert peak < 1 << 20
 
 def test_is_admissible():
     assert is_admissible((0, 1, 2), MIXED)
@@ -79,7 +110,7 @@ def test_identity():
     rng = random.Random(20)
     for _ in range(20):
         v = random_vector(MIXED, rng)
-        assert apply_symmetry(E, v) == v
+        assert E.apply(v) == v
 
 
 def test_apply_preserves_distance():
@@ -88,7 +119,7 @@ def test_apply_preserves_distance():
         T = random_symmetry(MIXED, rng.randrange(10**9))
         u = random_vector(MIXED, rng)
         v = random_vector(MIXED, rng)
-        assert distance(apply_symmetry(T, u), apply_symmetry(T, v)) == distance(u, v)
+        assert distance(T.apply(u), T.apply(v)) == distance(u, v)
 
 
 def test_compose_and_invert_contracts():
@@ -98,9 +129,9 @@ def test_compose_and_invert_contracts():
         B = random_symmetry(MIXED, rng.randrange(10**9))
         C = compose_symmetry(A, B)
         v = random_vector(MIXED, rng)
-        assert apply_symmetry(C, v) == apply_symmetry(A, apply_symmetry(B, v))
+        assert C.apply(v) == A.apply(B.apply(v))
         Ainv = invert_symmetry(A)
-        assert apply_symmetry(Ainv, apply_symmetry(A, v)) == v
+        assert Ainv.apply(A.apply(v)) == v
         assert compose_symmetry(A, Ainv).is_identity()
         assert compose_symmetry(Ainv, A).is_identity()
 
@@ -113,7 +144,7 @@ def test_row_swap_symmetry():
     from ohb import parse_vector, format_vector
 
     v = parse_vector(cfg, "1;0")
-    assert format_vector(apply_symmetry(T, v)) == "0;1"
+    assert format_vector(T.apply(v)) == "0;1"
 
 
 def test_translation_decomposes_back():
@@ -122,8 +153,8 @@ def test_translation_decomposes_back():
         w = random_vector(MIXED, rng)
         T = make_translation(w)
         v = random_vector(MIXED, rng)
-        assert apply_symmetry(T, v) == v + w
-        assert apply_symmetry(T, MIXED.zero()) == w
+        assert T.apply(v) == v + w
+        assert T.apply(MIXED.zero()) == w
 
 
 def test_as_rank_table_matches_apply():
@@ -134,7 +165,7 @@ def test_as_rank_table_matches_apply():
         table = as_rank_table(T)
         for r in range(cfg.size):
             v = cfg.unrank(r)
-            assert cfg.rank(apply_symmetry(T, v)) == int(table[r])
+            assert cfg.rank(T.apply(v)) == int(table[r])
 
 
 def test_decompose_full_round_trip():
@@ -168,6 +199,31 @@ def test_decompose_rejects_non_isometry():
     dm = [[distance(cfg.unrank(x), cfg.unrank(y)) for y in range(4)] for x in range(4)]
     assert dm[a][b] != dm[table[a]][table[b]]
 
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(2, 1, 13, [[1] * 13]), make_config(2, 4, 2, [[1, 1]] * 4, e=2)],
+    ids=["q2-chain13", "gf4-m4-n2"],
+)
+def test_large_swap_rejections_name_a_witness(cfg):
+    # beyond 4096 points only some rows are scanned for a witness; the
+    # ranks where the decomposition failed are scanned first, which finds
+    # one for every swap of two images that breaks distance
+    rng = random.Random(29)
+    every = np.arange(cfg.size)
+    for _ in range(12):
+        table = as_rank_table(random_symmetry(cfg, rng.randrange(10**9)))
+        u, v = rng.sample(range(cfg.size), 2)
+        breaks = dist_ranks(cfg, u, every) != dist_ranks(cfg, v, every)
+        breaks[[u, v]] = False
+        if not breaks.any():
+            continue
+        table[[u, v]] = table[[v, u]]
+        with pytest.raises(NotIsometryError) as exc:
+            decompose_full(cfg, table)
+        a, b = exc.value.witness
+        assert dist_ranks(cfg, a, b) != dist_ranks(cfg, table[a], table[b])
 
 def test_enumeration_matches_full_order():
     for cfg in [make_config(2, 1, 2, [[1, 1]]), make_config(2, 2, 1, [[1], [1]])]:
