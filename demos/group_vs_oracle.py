@@ -2,14 +2,15 @@
 """
 group_vs_oracle.py
 
-Compare the closed-form symmetry group order against a brute-force
-enumeration of all distance-preserving bijections, for every
-configuration small enough to check on a desk.  The two alternative
-closed forms quoted for all-unit-width configurations are printed and
-flagged wherever they disagree with the enumeration.
+Compare the closed-form symmetry group order against the oracle's
+count of all distance-preserving bijections, read off the distance
+matrix alone, for every configuration small enough to check on a desk.
+The two alternative closed forms quoted for all-unit-width
+configurations are printed and flagged wherever they disagree with the
+oracle.
 
-The enumeration visits every isometry it counts, so wall time scales
-with the group order, not just the point count.
+The oracle counts with a stabilizer chain, so wall time follows the
+point count and the orbit sizes, not the group order.
 """
 
 import argparse

@@ -4,16 +4,21 @@ An automorphism is an isometry that is also F_q-linear.  For a single
 antichain level (n = 1) the group order has a closed form: a product of
 general linear group orders, one per block, times the number of
 admissible chain permutations.  For n > 1 no closed form is evaluated
-here; enumeration over basis images with weight pruning is the
-authority.
+here; the count from basis images with weight pruning is the
+authority.  It multiplies orbit sizes along a stabilizer chain, so its
+cost follows the number of basis slots and orbit points, not the group
+order; only listing every automorphism visits each one.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapExceeded, DomainError, UsageError
-from .space import SpaceConfig, add_ranks, scale_ranks, weight_array
+from .oracle import stabilizer_orbits
+from .space import SpaceConfig, add_ranks, rank_distance, scale_ranks, weight_array
 from .symmetry import s_pi_order
 
 ENUM_CAP = 1 << 12
@@ -77,51 +82,61 @@ def is_linear(config: SpaceConfig, table) -> bool:
 def enumerate_automorphisms(config: SpaceConfig, cap: int = ENUM_CAP, want_list: bool = False):
     """Count (and optionally list) every linear isometry.
 
-    Images are assigned one standard basis slot at a time; a partial
-    assignment dies as soon as any vector in the span it determines
-    would change weight.  Returns (count, tables or None).
+    A linear map is fixed by the images of the standard basis slots
+    e_t = q^t, assigned in order; a partial assignment keeps a candidate
+    image w of e_t only if every vector x + c*e_t of the span it
+    extends keeps its weight under x + c*e_t -> f(x) + c*w.  The count
+    is the product of orbit sizes along the stabilizer chain with the
+    e_t as base (see oracle.stabilizer_orbits), each orbit point proven
+    by one completed backtrack, so the cost follows the number of basis
+    slots and orbit points, not the group order.  Listing is the
+    exhaustive backtrack.  Returns (count, tables or None).
     """
     S = config.size
     if S > cap:
         raise CapExceeded(f"space has q^N = {S} points, over the cap {cap}")
-    q = config.q
+    q, f = config.q, config.field
     weights = weight_array(config)
-    tables = [] if want_list else None
-    count = 0
+    ranks = np.arange(S, dtype=np.int64)
+    scaled = [scale_ranks(config, c, ranks) for c in range(q)]
+    negated = [scaled[f.neg(c)] for c in range(q)]
 
-    span_x = np.array([0], dtype=np.int64)
-    span_y = np.array([0], dtype=np.int64)
-
-    def rec(t, span_x, span_y):
-        nonlocal count
-        if t == config.N:
-            count += 1
-            if tables is not None:
-                full = np.empty(S, dtype=np.int64)
-                full[span_x] = span_y
-                tables.append(full.tolist())
-            return
-        e_t = q ** t
-        we = weights[e_t]
-        for w in range(S):
-            if weights[w] != we:
-                continue
-            new_x = [span_x]
-            new_y = [span_y]
-            ok = True
+    def candidates(span):
+        """Ascending images of e_t that keep the weights over span + c*e_t,
+        where span holds the images of ranks 0..q^t - 1."""
+        e_t = len(span)
+        ws = np.flatnonzero(weights == weights[e_t])
+        # weight(y + c*w) is the distance from y to -c*w; each block of
+        # candidates against the span holds about 2^16 distances
+        rows = max(1, (1 << 16) // e_t)
+        keep = []
+        for lo in range(0, len(ws), rows):
+            w = ws[lo:lo + rows]
             for c in range(1, q):
-                xs = add_ranks(config, span_x, scale_ranks(config, c, e_t)[0])
-                ys = add_ranks(config, span_y, scale_ranks(config, c, w)[0])
-                if not np.array_equal(weights[xs], weights[ys]):
-                    ok = False
-                    break
-                new_x.append(xs)
-                new_y.append(ys)
-            if ok:
-                rec(t + 1, np.concatenate(new_x), np.concatenate(new_y))
+                target = weights[c * e_t:(c + 1) * e_t]
+                got = rank_distance(q, config.pi, span, negated[c][w][:, None], np.int8)
+                w = w[(got == target).all(1)]
+            keep.append(w)
+        return np.concatenate(keep)
 
-    rec(0, span_x, span_y)
-    return count, tables
+    def grow(span, w):
+        return np.concatenate([add_ranks(config, span, scaled[c][w]) for c in range(q)])
+
+    def extend(span):
+        """Every completion of the assignment ranks[:len(span)] -> span."""
+        if len(span) == S:
+            yield span
+            return
+        for w in candidates(span):
+            yield from extend(grow(span, w))
+
+    def complete(t, y):
+        return next(extend(grow(ranks[:q ** t], y)), None)
+
+    base = [q ** t for t in range(config.N)]
+    sizes = stabilizer_orbits(base, lambda t: candidates(ranks[:q ** t]), complete)
+    tables = [table.tolist() for table in extend(ranks[:1])] if want_list else None
+    return math.prod(sizes), tables
 
 
 class AutReport:

@@ -102,10 +102,13 @@ def chain_row_unrank(q, chain_pi, r) -> tuple:
 class ChainSymmetry:
     """A triangular symmetry, stored as one integer array per level.
 
-    tables[j] is a read-only int64 array of shape (tails, q^k_{j+1}):
+    tables[j] is a read-only integer array of shape (tails, q^k_{j+1}):
     row t is the permutation applied to the level j+1 block when the
     tail (levels j+2..n) has rank t, level j+2 least significant.  The
-    last level has a single row (empty tail).
+    last level has a single row (empty tail).  Entries are stored in the
+    narrowest unsigned type that holds them (uint8 up to 256 block
+    values), so a map costs a byte per entry where int64 would cost
+    eight; arithmetic on them goes through int64.
     """
 
     __slots__ = ("q", "chain_pi", "tables", "_place")
@@ -130,6 +133,7 @@ class ChainSymmetry:
                 raise ValidationError(
                     f"level {j + 1}, tail {bad[0]}: entry is not a permutation of [0, {sz})"
                 )
+            arr = arr.astype(np.uint8 if sz <= 1 << 8 else np.uint16 if sz <= 1 << 16 else np.int64)
             arr.flags.writeable = False
             clean.append(arr)
         self.q = q
@@ -158,7 +162,7 @@ class ChainSymmetry:
         ranks = np.arange(self._place[-1])
         out = np.zeros_like(ranks)
         for level, p in zip(self.tables, self._place):
-            out += level.ravel()[ranks // p] * p
+            out += level.ravel()[ranks // p].astype(np.int64) * p
         return out
 
     def _tail_images(self) -> list:

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .automorphisms import aut_order_antichain, aut_report, gl_order
+from .automorphisms import ENUM_CAP, aut_order_antichain, aut_report, gl_order
 from .chains import chain_order
 from .codes import equivalent, parse_code_json, parse_code_text
 from .errors import DomainError, NotIsometryError, StructureError, UsageError
@@ -401,7 +401,7 @@ def _cmd_aut(args):
             "discrepant": None,
         }
         return doc, "aut"
-    cap = args.cap if args.cap is not None else 1 << 12
+    cap = args.cap if args.cap is not None else ENUM_CAP
     rep = aut_report(cfg, enumerate_count=True, cap=cap)
     doc = rep.to_json()
     doc["op"] = "aut"

@@ -114,6 +114,21 @@ def test_rank_table_matches_apply():
         rows = enumerate_rows(q, chain_pi)
         assert T.rank_table().tolist() == [chain_row_rank(q, chain_pi, T.apply(r)) for r in rows]
 
+
+def test_narrow_levels_keep_exact_arithmetic():
+    # one byte per entry up to 256 block values, two beyond; the rank
+    # table, compose and invert still reach places far above 255
+    T = random_chain(2, (1, 9, 1), 5)
+    assert [level.dtype.itemsize for level in T.tables] == [1, 2, 1]
+    rows = enumerate_rows(2, (1, 9, 1))
+    assert T.rank_table().tolist() == [chain_row_rank(2, (1, 9, 1), T.apply(r)) for r in rows]
+    U = compose_chain(T, invert_chain(T))
+    assert U == identity_chain(2, (1, 9, 1))
+    assert U.rank_table().tolist() == list(range(2 ** 11))
+    with pytest.raises(ValidationError):
+        ChainSymmetry(2, (1,), [[[256, 1]]])
+
+
 def test_chain_order_values():
     assert chain_order(2, (1,)) == 2
     assert chain_order(2, (2,)) == 24

@@ -1,6 +1,7 @@
 """Brute-force ground truth and its agreement with the closed forms."""
 
 import json
+import math
 
 import pytest
 
@@ -68,8 +69,8 @@ def test_constructed_group_equals_oracle_set():
 
 
 def test_count_invariant_under_chain_relabeling():
-    # isometric configs give equal counts; small on purpose, the search
-    # visits every isometry it counts
+    # isometric configs give equal counts, though the two stabilizer
+    # chains take their base points in different rank orders
     a = enumerate_isometries(make_config(2, 2, 1, [[1], [2]])).isometry_count
     b = enumerate_isometries(make_config(2, 2, 1, [[2], [1]])).isometry_count
     assert a == b == 48
@@ -102,6 +103,15 @@ def test_report_fields_and_alternates():
     blocky = enumerate_isometries(make_config(2, 1, 2, [[2, 1]]))
     assert blocky.alt_counts == {}
     assert not blocky.discrepant
+
+
+def test_orbit_sizes_multiply_to_the_count_and_stay_out_of_json():
+    for cfg in [make_config(2, 2, 2, [[1, 1], [1, 1]]), make_config(3, 1, 2, [[1, 1]])]:
+        report = enumerate_isometries(cfg)
+        assert len(report.orbit_sizes) == cfg.size
+        assert report.orbit_sizes[0] == cfg.size  # translations move 0 anywhere
+        assert math.prod(report.orbit_sizes) == report.isometry_count
+        assert "orbit_sizes" not in report.to_json()
 
 
 def test_unit_chain_alternate_only_for_single_chain():

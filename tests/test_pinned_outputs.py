@@ -2,16 +2,20 @@
 
 Each case runs one `ohb ... --format json` call and compares its exit
 code and stdout with bytes recorded from ohb 0.1.0.  A mismatch means
-the JSON format, the order of the seeded draws, or the choice of a
-rejection witness changed.
+the JSON format, the order of the seeded draws, the choice of a
+rejection witness, or a group count or cap refusal changed.  The order
+in which the isometry and automorphism listings come out is pinned by
+digest too: code equivalence takes its fallback witness from it.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from ohb import SpaceConfig, Symmetry, as_rank_table
+from ohb import Field, SpaceConfig, Symmetry, as_rank_table, enumerate_automorphisms
 from ohb.cli import main
+from ohb.oracle import enumerate_isometries
 
 SPACES = {
     "chain": {"field": {"p": 2}, "m": 1, "n": 4, "pi": [[1, 1, 1, 1]]},
@@ -90,3 +94,97 @@ def test_cli_outputs_are_pinned(space, tmp_path, capsys):
     # the good map decomposes back to the composite it was built from
     assert got[4][2] == got[2][2]
     assert all(code == 1 for _, code, _ in got[5:])
+
+
+# the counting commands; every label is also the command line
+COUNT_SPACES = {
+    "chain3": {"field": {"p": 2}, "m": 1, "n": 3, "pi": [[1, 1, 1]]},
+    "blocks": {"field": {"p": 2}, "m": 2, "n": 2, "pi": [[1, 1], [1, 1]]},
+    "gf3": {"field": {"p": 3}, "m": 2, "n": 1, "pi": [[1], [1]]},
+    "gf4": {"field": {"p": 2, "e": 2}, "m": 2, "n": 1, "pi": [[1], [1]]},
+    "gf3aut": {"field": {"p": 3}, "m": 2, "n": 1, "pi": [[1], [2]]},
+    "big": {"field": {"p": 2}, "m": 2, "n": 2, "pi": [[2, 2], [2, 2]]},
+}
+
+PINNED_COUNTS = {
+    'chain3': [
+        ('order --oracle', 0, '{"mode":"oracle","op":"order","oracle_count":128}\n'),
+        ('order --both', 0, '{"alt_counts":{"unit_chain":256,"unit_product":256},"discrepant":true,"formula_order":128,"match":true,"matches":{"formula":true,"unit_chain":false,"unit_product":false},"mode":"both","op":"order","oracle_count":128}\n'),
+        ('report', 0, '{"alt_counts":{"unit_chain":256,"unit_product":256},"chain_orders":[128],"discrepant":true,"full_order":128,"isometry_count":128,"matches":{"formula":true,"unit_chain":false,"unit_product":false},"op":"report","s_pi_order":1,"space":{"field":{"e":1,"p":2},"m":1,"n":3,"pi":[[1,1,1]]}}\n'),
+        ('aut --enumerate', 0, '{"discrepant":false,"enumerated_order":8,"formula_order":null,"op":"aut","per_block_gl_orders":[[1,1,1]],"space":{"field":{"e":1,"p":2},"m":1,"n":3,"pi":[[1,1,1]]}}\n'),
+        ('aut --formula', 1, '{"chain_index":null,"error":"closed form requires a single level, this space has n = 3; use enumeration instead","op":"aut","witness":null}\n'),
+    ],
+    'blocks': [
+        ('order --oracle', 0, '{"mode":"oracle","op":"order","oracle_count":128}\n'),
+        ('order --both', 0, '{"alt_counts":{"unit_product":512},"discrepant":true,"formula_order":128,"match":true,"matches":{"formula":true,"unit_product":false},"mode":"both","op":"order","oracle_count":128}\n'),
+        ('report', 0, '{"alt_counts":{"unit_product":512},"chain_orders":[8,8],"discrepant":true,"full_order":128,"isometry_count":128,"matches":{"formula":true,"unit_product":false},"op":"report","s_pi_order":2,"space":{"field":{"e":1,"p":2},"m":2,"n":2,"pi":[[1,1],[1,1]]}}\n'),
+        ('aut --enumerate', 0, '{"discrepant":false,"enumerated_order":8,"formula_order":null,"op":"aut","per_block_gl_orders":[[1,1],[1,1]],"space":{"field":{"e":1,"p":2},"m":2,"n":2,"pi":[[1,1],[1,1]]}}\n'),
+        ('aut --formula', 1, '{"chain_index":null,"error":"closed form requires a single level, this space has n = 2; use enumeration instead","op":"aut","witness":null}\n'),
+    ],
+    'gf3': [
+        ('order --oracle', 0, '{"mode":"oracle","op":"order","oracle_count":72}\n'),
+        ('order --both', 0, '{"alt_counts":{"unit_product":2592},"discrepant":true,"formula_order":72,"match":true,"matches":{"formula":true,"unit_product":false},"mode":"both","op":"order","oracle_count":72}\n'),
+        ('report', 0, '{"alt_counts":{"unit_product":2592},"chain_orders":[6,6],"discrepant":true,"full_order":72,"isometry_count":72,"matches":{"formula":true,"unit_product":false},"op":"report","s_pi_order":2,"space":{"field":{"e":1,"p":3},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+        ('aut --enumerate', 0, '{"discrepant":false,"enumerated_order":8,"formula_order":8,"op":"aut","per_block_gl_orders":[[2],[2]],"space":{"field":{"e":1,"p":3},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+        ('aut --formula', 0, '{"discrepant":null,"enumerated_order":null,"formula_order":8,"op":"aut","per_block_gl_orders":[[2],[2]],"space":{"field":{"e":1,"p":3},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+    ],
+    'gf4': [
+        ('order --oracle', 0, '{"mode":"oracle","op":"order","oracle_count":1152}\n'),
+        ('order --both', 0, '{"alt_counts":{"unit_product":663552},"discrepant":true,"formula_order":1152,"match":true,"matches":{"formula":true,"unit_product":false},"mode":"both","op":"order","oracle_count":1152}\n'),
+        ('report', 0, '{"alt_counts":{"unit_product":663552},"chain_orders":[24,24],"discrepant":true,"full_order":1152,"isometry_count":1152,"matches":{"formula":true,"unit_product":false},"op":"report","s_pi_order":2,"space":{"field":{"e":2,"modulus":[1,1,1],"p":2},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+        ('aut --enumerate', 0, '{"discrepant":false,"enumerated_order":18,"formula_order":18,"op":"aut","per_block_gl_orders":[[3],[3]],"space":{"field":{"e":2,"modulus":[1,1,1],"p":2},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+        ('aut --formula', 0, '{"discrepant":null,"enumerated_order":null,"formula_order":18,"op":"aut","per_block_gl_orders":[[3],[3]],"space":{"field":{"e":2,"modulus":[1,1,1],"p":2},"m":2,"n":1,"pi":[[1],[1]]}}\n'),
+    ],
+    'gf3aut': [
+        ('aut --enumerate', 0, '{"discrepant":false,"enumerated_order":96,"formula_order":96,"op":"aut","per_block_gl_orders":[[2],[48]],"space":{"field":{"e":1,"p":3},"m":2,"n":1,"pi":[[1],[2]]}}\n'),
+        ('aut --formula', 0, '{"discrepant":null,"enumerated_order":null,"formula_order":96,"op":"aut","per_block_gl_orders":[[2],[48]],"space":{"field":{"e":1,"p":3},"m":2,"n":1,"pi":[[1],[2]]}}\n'),
+    ],
+    'big': [
+        ('order --oracle', 1, '{"chain_index":null,"error":"space has q^N = 256 points, over the cap 64; a full search would face 256! (about 10^507) candidate bijections before pruning","op":"order","witness":null}\n'),
+        ('order --both', 1, '{"chain_index":null,"error":"space has q^N = 256 points, over the cap 64; a full search would face 256! (about 10^507) candidate bijections before pruning","op":"order","witness":null}\n'),
+        ('report', 0, '{"chain_orders":[7962624,7962624],"full_order":126806761930752,"op":"report","oracle_skipped":"q^N = 256 exceeds the oracle cap 64","s_pi_order":2,"space":{"field":{"e":1,"p":2},"m":2,"n":2,"pi":[[2,2],[2,2]]}}\n'),
+        ('aut --formula', 1, '{"chain_index":null,"error":"closed form requires a single level, this space has n = 2; use enumeration instead","op":"aut","witness":null}\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("space", sorted(COUNT_SPACES))
+def test_count_outputs_are_pinned(space, tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(COUNT_SPACES[space]))
+    got = []
+    for label, _, _ in PINNED_COUNTS[space]:
+        code = main([*label.split(), "--space", str(space_file), "--format", "json"])
+        got.append((label, code, capsys.readouterr().out))
+    assert got == PINNED_COUNTS[space]
+
+
+def _listing_digest(tables):
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+
+
+# (p, e, pi): (length, sha256 of the JSON of the listing, in listing order)
+PINNED_ISOMETRY_LISTINGS = {
+    (2, 1, ((1,), (2,))): (48, '3b3b4342a903a37b47821adb93522f03ac054f728d2ab3c6ef424e8134e43f8b'),
+    (2, 1, ((1, 1),)): (8, '71502cfcd55c71447cdc60e88e330260ae0807b5fab60cd313bfe05876f15bd2'),
+    (3, 1, ((1,), (1,))): (72, '3ae940446b5710a9ff0229f251266c6e368e6612330ece1701ad54c7172161b8'),
+}
+PINNED_AUTOMORPHISM_LISTINGS = {
+    (2, 1, ((2,), (1,))): (6, '2392389530e8957fedbe55b4b664b913da28aba65193ca127a21900dd48633f2'),
+    (2, 1, ((1, 2), (1, 1))): (48, '361f6b2dc159b67b6194351e36c0bbd7ae427dd71dc39e3495a603ef4a907e71'),
+    (2, 2, ((1,), (1,))): (18, 'f0270adf5699f65f3c02994dba82c2af40a7a6cc05e16027ca843502d9c94b59'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ISOMETRY_LISTINGS))
+def test_isometry_listing_order_is_pinned(key):
+    p, e, pi = key
+    _, tables = enumerate_isometries(SpaceConfig(Field(p, e), len(pi), len(pi[0]), pi), want_list=True)
+    assert (len(tables), _listing_digest(tables)) == PINNED_ISOMETRY_LISTINGS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_AUTOMORPHISM_LISTINGS))
+def test_automorphism_listing_order_is_pinned(key):
+    p, e, pi = key
+    _, tables = enumerate_automorphisms(SpaceConfig(Field(p, e), len(pi), len(pi[0]), pi), want_list=True)
+    assert (len(tables), _listing_digest(tables)) == PINNED_AUTOMORPHISM_LISTINGS[key]
