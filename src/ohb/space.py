@@ -15,6 +15,8 @@ rank.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapExceeded, NotIsometryError, UsageError
@@ -43,22 +45,11 @@ class SpaceConfig:
         self.N = sum(k for row in pi for k in row)
         self.size = self.q ** self.N
 
-        # q-adic place value of each block, canonical order
-        self.block_place = []
-        off = 0
-        for row in pi:
-            places = []
-            for k in row:
-                places.append(self.q ** off)
-                off += k
-            self.block_place.append(tuple(places))
-        self.block_place = tuple(self.block_place)
-
         # per-chain subrank geometry: chain i occupies a base-(q^dims_i)
         # digit of the vector rank
         self.chain_dims = tuple(sum(row) for row in pi)
         self.chain_size = tuple(self.q ** d for d in self.chain_dims)
-        self.chain_place = tuple(self.block_place[i][0] for i in range(m))
+        self.chain_place = tuple(math.prod(self.chain_size[:i]) for i in range(m))
 
     # construction helpers
 
@@ -84,11 +75,8 @@ class SpaceConfig:
 
     def rank(self, v: "BlockVector") -> int:
         self._check_vector(v)
-        r = 0
-        for i in range(self.m):
-            for j in range(self.n):
-                r += block_rank(self.q, v.blocks[i][j]) * self.block_place[i][j]
-        return r
+        # every element rank, block (1, 1) first, as one base-q number
+        return block_rank(self.q, [x for row in v.blocks for b in row for x in b])
 
     def unrank(self, r: int) -> "BlockVector":
         if not 0 <= r < self.size:
@@ -101,19 +89,7 @@ class SpaceConfig:
                 row.append(block_unrank(self.q, r % self.q ** k, k))
                 r //= self.q ** k
             blocks.append(tuple(row))
-        return BlockVector(self, tuple(blocks))
-
-    def row_ranks(self, v: "BlockVector", i: int):
-        """Chain row i of v as a tuple of block ranks (level 1 first)."""
-        return tuple(block_rank(self.q, b) for b in v.blocks[i])
-
-    def row_from_ranks(self, i: int, ranks):
-        """Inverse of row_ranks for chain i."""
-        if len(ranks) != self.n:
-            raise UsageError(f"chain row needs {self.n} blocks, got {len(ranks)}")
-        return tuple(
-            block_unrank(self.q, r, self.pi[i][j]) for j, r in enumerate(ranks)
-        )
+        return BlockVector._trusted(self, tuple(blocks))
 
     def chain_subrank(self, r: int, i: int) -> int:
         """The chain-i digit of a vector rank."""
@@ -185,6 +161,17 @@ class BlockVector:
         self.config = config
         self.blocks = blocks
         self._rank = None
+
+    @classmethod
+    def _trusted(cls, config: SpaceConfig, blocks) -> "BlockVector":
+        """A vector from blocks already known to fit config: nested
+        tuples of in-range element ranks with the right widths.  Skips
+        the checks of __init__."""
+        v = cls.__new__(cls)
+        v.config = config
+        v.blocks = blocks
+        v._rank = None
+        return v
 
     def rank(self) -> int:
         if self._rank is None:
@@ -306,8 +293,8 @@ def distance(u: BlockVector, v: BlockVector) -> int:
     return sum(chain_distance(ur, vr) for ur, vr in zip(u.blocks, v.blocks))
 
 
-# vectorized rank arithmetic (base-p digit grids), used by the oracle
-# and the linearity checker
+# vectorized rank arithmetic (base-p digit grids), used by the
+# automorphism search and to strip the translation in decompose_full
 
 
 def _digit_grid(config: SpaceConfig, ranks: np.ndarray) -> np.ndarray:
@@ -364,18 +351,20 @@ def rank_distance(q: int, pi, a, b, dtype=np.int64) -> np.ndarray:
     in the space with chain rows pi over a field of size q.
 
     Blocks are mixed-radix digits in canonical order; per chain, the
-    distance is the highest level whose digits differ."""
+    distance is the highest level whose digits differ, which is the
+    number of levels whose tail (that level and all above it) differs."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
     place = 1
     for row in pi:
-        level = np.zeros_like(total)
-        for j, k in enumerate(row):
-            sz = q ** k
-            level[(a // place) % sz != (b // place) % sz] = j + 1
-            place *= sz
-        total += level
+        size = q ** sum(row)
+        da, db = (a // place) % size, (b // place) % size
+        below = 1
+        for k in row:
+            total += da // below != db // below
+            below *= q ** k
+        place *= size
     return total
 
 
@@ -416,8 +405,8 @@ def bijection_array(table, size: int) -> np.ndarray:
         raise UsageError(f"table has {f.size} entries, space has {size}")
     if size and (f.min() < 0 or f.max() >= size):
         raise UsageError("table entry out of range")
-    values, first = np.unique(f, return_index=True)
-    if len(values) < size:
+    if size and np.bincount(f, minlength=size).max() > 1:
+        values, first = np.unique(f, return_index=True)
         owner = np.empty(size, dtype=np.int64)
         owner[values] = first
         r = int(np.nonzero(owner[f] != np.arange(size))[0][0])

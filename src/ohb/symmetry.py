@@ -142,12 +142,19 @@ class Symmetry:
         if v.config != self.config:
             raise UsageError("vector does not belong to this symmetry's space")
         cfg = self.config
+        q = cfg.q
         out = []
-        for i in range(cfg.m):
-            k = self.sigma[i]
-            row = tuple(block_rank(cfg.q, b) for b in v.blocks[k])
-            out.append(cfg.row_from_ranks(i, self.chains[k].apply(row)))
-        return BlockVector(cfg, tuple(out))
+        for i, k in enumerate(self.sigma):
+            ch = self.chains[k]
+            # the row rank of chain k, read like a vector rank
+            r = block_rank(q, [x for b in v.blocks[k] for x in b])
+            out.append(tuple(
+                block_unrank(q, level.item(r // p), width)
+                for level, p, width in zip(ch.tables, ch._place, cfg.pi[i])
+            ))
+        # every block is an entry of a permutation table that
+        # ChainSymmetry validated, so the result needs no checks
+        return BlockVector._trusted(cfg, tuple(out))
 
     def is_identity(self) -> bool:
         return self.sigma == tuple(range(self.config.m)) and all(
@@ -297,11 +304,15 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
             )
         raise StructureError(context, chain_index=chain_index)
 
-    w_rank = int(f[0])
-    f0 = sub_ranks(config, f, w_rank) if w_rank else f
-
     q = config.q
     m = config.m
+    # f minus the translation w = f(0), on each chain axis only: nothing
+    # else is read before the final check against f itself
+    w_rank = int(f[0])
+    axes = []
+    for k in range(m):
+        img = f[np.arange(config.chain_size[k]) * config.chain_place[k]]
+        axes.append(sub_ranks(config, img, w_rank) if w_rank else img)
     # each chain's weight-1 sphere at level 1 must land inside a single
     # chain with the same widths
     tau = [None] * m
@@ -309,7 +320,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         target = None
         for x in range(1, q ** config.pi[k][0]):
             r = x * config.chain_place[k]
-            img = int(f0[r])
+            img = int(axes[k][x])
             hit = [i for i in range(m) if config.chain_subrank(img, i) != 0]
             if len(hit) != 1:
                 reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1", r)
@@ -332,9 +343,8 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     chains = [None] * m
     for k in range(m):
         place, t_place = config.chain_place[k], config.chain_place[tau[k]]
-        img = f0[np.arange(config.chain_size[k]) * place]
-        sub = img // t_place
-        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != img)[0]
+        sub = axes[k] // t_place
+        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != axes[k])[0]
         if len(off):
             reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:

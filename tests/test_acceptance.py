@@ -38,6 +38,7 @@ from ohb import (
     weight,
 )
 from ohb.chains import chain_row_unrank, chain_space_size
+from ohb.fields import block_rank
 from ohb.oracle import enumerate_isometries
 from ohb.space import dist_ranks, distance_matrix_array
 
@@ -248,7 +249,7 @@ def test_8f_metric_axioms_and_chain_sum_exhaustive():
         # distance decomposes as the sum of per-chain chain distances
         total = np.zeros((S, S), dtype=np.int64)
         for i in range(cfg.m):
-            rows = [cfg.row_ranks(cfg.unrank(r), i) for r in range(S)]
+            rows = [[block_rank(cfg.q, b) for b in cfg.unrank(r).blocks[i]] for r in range(S)]
             for a in range(S):
                 for b in range(S):
                     total[a, b] += chain_distance(rows[a], rows[b])

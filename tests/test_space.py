@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_CONFIGS, make_config, random_vector
@@ -17,10 +18,12 @@ from ohb import (
     pi_support,
     weight,
 )
+from ohb.fields import block_rank
 from ohb.space import (
     add_ranks,
     dist_ranks,
     distance_matrix_array,
+    rank_distance,
     scale_ranks,
     sub_ranks,
     weight_array,
@@ -123,7 +126,8 @@ def test_distance_sums_chain_distances():
         u = random_vector(cfg, rng)
         v = random_vector(cfg, rng)
         total = sum(
-            chain_distance(cfg.row_ranks(u, i), cfg.row_ranks(v, i)) for i in range(cfg.m)
+            chain_distance([block_rank(cfg.q, b) for b in ur], [block_rank(cfg.q, b) for b in vr])
+            for ur, vr in zip(u.blocks, v.blocks)
         )
         assert distance(u, v) == total
 
@@ -197,6 +201,42 @@ def test_vectorized_ops_match_vector_ops():
         wts = weight_array(cfg)
         for r in range(cfg.size):
             assert int(wts[r]) == weight(cfg.unrank(r))
+
+
+def per_block_distance(q, pi, a, b):
+    """Reference for rank_distance: per chain, the highest level whose
+    block digits differ, read one block at a time."""
+    total = 0
+    for row in pi:
+        level = 0
+        for j, k in enumerate(row):
+            if a % q ** k != b % q ** k:
+                level = j + 1
+            a, b = a // q ** k, b // q ** k
+        total += level
+    return total
+
+
+@pytest.mark.parametrize(
+    "q, pi",
+    [(2, [[2, 1], [1, 1]]), (3, [[1, 2], [2, 1]]), (4, [[2, 1], [1, 1]]), (3, [[1, 2, 1]])],
+)
+def test_rank_distance_matches_per_block_reference(q, pi):
+    rng = random.Random(14)
+    size = q ** sum(map(sum, pi))
+    ranks = np.arange(size)
+    xs = np.array([rng.randrange(size) for _ in range(40)])
+    ys = np.array([rng.randrange(size) for _ in range(40)])
+    for a in [0, size - 1, *xs[:5].tolist()]:
+        got = rank_distance(q, pi, a, ranks)
+        assert got.dtype == np.int64 and got.shape == (size,)
+        assert got.tolist() == [per_block_distance(q, pi, a, b) for b in range(size)]
+    expected = [[per_block_distance(q, pi, a, b) for b in ys.tolist()] for a in xs.tolist()]
+    got = rank_distance(q, pi, xs[:, None], ys)
+    assert got.shape == (40, 40) and got.tolist() == expected
+    narrow = rank_distance(q, pi, xs[:, None], ys, np.int8)
+    assert narrow.dtype == np.int8 and narrow.tolist() == expected
+    assert rank_distance(q, pi, int(xs[0]), int(ys[0])).shape == ()
 
 
 def test_distance_matrix_array_consistency():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_config, random_vector
 from ohb import (
+    BlockVector,
     NotIsometryError,
     Symmetry,
     UsageError,
@@ -166,6 +167,53 @@ def test_as_rank_table_matches_apply():
         for r in range(cfg.size):
             v = cfg.unrank(r)
             assert cfg.rank(T.apply(v)) == int(table[r])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        make_config(2, 2, 2, [[2, 1], [1, 1]]),
+        make_config(3, 1, 3, [[1, 2, 1]]),
+        make_config(2, 4, 2, [[1, 1]] * 4, e=2),
+        make_config(2, 1, 13, [[1] * 13]),
+    ],
+    ids=["q2-mixed", "gf3-121", "gf4-m4-n2", "q2-chain13"],
+)
+def test_apply_builds_a_valid_vector(cfg):
+    # apply skips the vector checks on its output: it must build exactly
+    # what the checking constructor would, at the rank table's image
+    rng = random.Random(30)
+    other = make_config(3 if cfg.q == 2 else 2, cfg.m, cfg.n, cfg.pi)
+    for _ in range(5):
+        T = random_symmetry(cfg, rng.randrange(10**9))
+        table = as_rank_table(T)
+        for _ in range(20):
+            v = random_vector(cfg, rng)
+            image = T.apply(v)
+            checked = BlockVector(cfg, image.blocks)
+            assert image == checked and hash(image) == hash(checked)
+            assert all(type(x) is int for row in image.blocks for b in row for x in b)
+            assert image.rank() == table[v.rank()]
+        with pytest.raises(UsageError):
+            T.apply(other.zero())
+
+
+def test_decompose_full_strips_the_translation_on_chain_axes_only():
+    # GF(4), m=4, n=2 has S=65536 points of N*e=16 base-2 digits: an
+    # (S, N*e) int64 digit grid of the whole table alone takes 8 MB
+    cfg = make_config(2, 4, 2, [[1, 1]] * 4, e=2)
+    rng = random.Random(31)
+    T = random_symmetry(cfg, rng.randrange(10**9))
+    table = as_rank_table(T)
+    assert table[0] != 0
+    tracemalloc.start()
+    try:
+        R = decompose_full(cfg, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.to_json() == T.to_json()
+    assert peak < 8 << 20
 
 
 def test_decompose_full_round_trip():
