@@ -33,168 +33,6 @@ from .symmetry import (
 
 SEED_ENV = "OHB_SEED"
 
-_SYMMETRY_SCHEMA = {
-    "type": "object",
-    "required": ["sigma", "chains"],
-    "properties": {
-        "sigma": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "chains": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["pi", "tables"],
-                "properties": {
-                    "pi": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                    "tables": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": {
-                                "type": "array",
-                                "items": {"type": "integer", "minimum": 0},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-_SPACE_SCHEMA = {
-    "type": "object",
-    "required": ["field", "m", "n", "pi"],
-    "properties": {
-        "field": {
-            "type": "object",
-            "required": ["p"],
-            "properties": {
-                "p": {"type": "integer", "minimum": 2},
-                "e": {"type": "integer", "minimum": 1},
-                "modulus": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-        "m": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "pi": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        },
-    },
-}
-
-_COUNTS = {"type": "object", "additionalProperties": {"type": "integer"}}
-_FLAGS = {"type": "object", "additionalProperties": {"type": "boolean"}}
-
-SCHEMAS = {
-    "weight": {
-        "type": "object",
-        "required": ["op", "vector", "weight"],
-        "properties": {
-            "op": {"const": "weight"},
-            "vector": {"type": "string"},
-            "weight": {"type": "integer", "minimum": 0},
-        },
-    },
-    "dist": {
-        "type": "object",
-        "required": ["op", "u", "v", "distance"],
-        "properties": {
-            "op": {"const": "dist"},
-            "u": {"type": "string"},
-            "v": {"type": "string"},
-            "distance": {"type": "integer", "minimum": 0},
-        },
-    },
-    "symmetry": _SYMMETRY_SCHEMA,
-    "sym.apply": {
-        "type": "object",
-        "required": ["op", "vector"],
-        "properties": {"op": {"const": "sym.apply"}, "vector": {"type": "string"}},
-    },
-    "sym.verify": {
-        "type": "object",
-        "required": ["op", "valid"],
-        "properties": {
-            "op": {"const": "sym.verify"},
-            "valid": {"type": "boolean"},
-            "error": {"type": ["string", "null"]},
-            "witness": {
-                "type": ["array", "null"],
-                "items": {"type": "integer"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "order": {
-        "type": "object",
-        "required": ["op", "mode"],
-        "properties": {
-            "op": {"const": "order"},
-            "mode": {"enum": ["formula", "oracle", "both"]},
-            "formula_order": {"type": ["integer", "null"]},
-            "oracle_count": {"type": ["integer", "null"]},
-            "match": {"type": ["boolean", "null"]},
-            "alt_counts": _COUNTS,
-            "matches": _FLAGS,
-            "discrepant": {"type": ["boolean", "null"]},
-        },
-    },
-    "aut": {
-        "type": "object",
-        "required": ["op", "formula_order", "enumerated_order", "per_block_gl_orders"],
-        "properties": {
-            "op": {"const": "aut"},
-            "space": _SPACE_SCHEMA,
-            "formula_order": {"type": ["integer", "null"]},
-            "enumerated_order": {"type": ["integer", "null"]},
-            "per_block_gl_orders": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "integer"}},
-            },
-            "discrepant": {"type": ["boolean", "null"]},
-        },
-    },
-    "equiv": {
-        "type": "object",
-        "required": ["op", "verdict", "witness", "reason", "nodes"],
-        "properties": {
-            "op": {"const": "equiv"},
-            "verdict": {"enum": ["equivalent", "not_equivalent", "inconclusive"]},
-            "witness": {"anyOf": [{"type": "null"}, _SYMMETRY_SCHEMA]},
-            "reason": {"type": ["string", "null"]},
-            "nodes": {"type": "integer", "minimum": 0},
-        },
-    },
-    "report": {
-        "type": "object",
-        "required": ["op", "space", "full_order", "s_pi_order", "chain_orders"],
-        "properties": {
-            "op": {"const": "report"},
-            "space": _SPACE_SCHEMA,
-            "full_order": {"type": "integer"},
-            "s_pi_order": {"type": "integer"},
-            "chain_orders": {"type": "array", "items": {"type": "integer"}},
-            "isometry_count": {"type": "integer"},
-            "alt_counts": _COUNTS,
-            "matches": _FLAGS,
-            "discrepant": {"type": "boolean"},
-            "oracle_skipped": {"type": "string"},
-        },
-    },
-    "error": {
-        "type": "object",
-        "required": ["op", "error"],
-        "properties": {
-            "op": {"type": "string"},
-            "error": {"type": "string"},
-            "witness": {"type": ["array", "null"], "items": {"type": "integer"}},
-            "chain_index": {"type": ["integer", "null"]},
-        },
-    },
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):

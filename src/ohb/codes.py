@@ -6,6 +6,12 @@ include translations, so the weight distribution is NOT an invariant of
 equivalence; screening uses the size and the multiset of pairwise
 distances, both of which are.
 
+A code keeps, per chain, one int64 array of its codewords' chain digits.
+Invariants and pruning read per-chain distance arrays computed on those
+digits by the one distance builder `rank_distance`, so every chain must
+have fewer than 2^63 points, as any chain that can carry a
+ChainSymmetry has.
+
 The search walks admissible chain permutations on the outside and
 matches codewords by backtracking, pruning with per-chain distances
 (a matching extends to a triangular map on a chain iff it preserves
@@ -17,21 +23,16 @@ completed in ascending order, and untouched tails stay identity.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .chains import ChainSymmetry, level_places, level_shapes
 from .errors import StructureError, UsageError
-from .fields import block_rank
 from .space import (
     BlockVector,
     SpaceConfig,
-    chain_distance,
-    distance,
     format_vector,
     parse_vector,
-    weight,
+    rank_distance,
 )
 from .symmetry import (
     Symmetry,
@@ -43,12 +44,21 @@ from .symmetry import (
 DEFAULT_BUDGET = 200_000
 FALLBACK_POINT_CAP = 16
 FALLBACK_GROUP_CAP = 1 << 20
+# chain digits are int64; a chain this large could not carry a
+# ChainSymmetry anyway, as its first level table has one entry per point
+CHAIN_SIZE_LIMIT = 1 << 63
 
 
 class Code:
     """An immutable set of vectors from one space, stored as sorted ranks."""
 
     def __init__(self, config: SpaceConfig, vectors):
+        for k, size in enumerate(config.chain_size):
+            if size >= CHAIN_SIZE_LIMIT:
+                raise UsageError(
+                    f"chain {k + 1} has {config.q}^{config.chain_dims[k]} points; "
+                    "codes need every chain under 2^63 points"
+                )
         ranks = set()
         for v in vectors:
             if isinstance(v, BlockVector):
@@ -64,6 +74,10 @@ class Code:
             raise UsageError("a code needs at least one vector")
         self.config = config
         self.ranks = tuple(sorted(ranks))
+        self._digits = [
+            np.array([config.chain_subrank(r, k) for r in self.ranks], dtype=np.int64)
+            for k in range(config.m)
+        ]
         self._dist_dist = None
         self._weight_dist = None
 
@@ -91,16 +105,28 @@ class Code:
     def __repr__(self):
         return f"Code(size={self.size})"
 
+    def _chain_distances(self) -> np.ndarray:
+        """The (words, words, m) int8 array of per-chain distances between
+        codewords in rank order.  A chain distance is at most n < 64,
+        since a chain has at least 2^n points."""
+        q, pi = self.config.q, self.config.pi
+        return np.stack(
+            [rank_distance(q, (pi[k],), d[:, None], d, np.int8) for k, d in enumerate(self._digits)],
+            axis=-1,
+        )
+
+    def _weights(self) -> np.ndarray:
+        """The weight of each codeword in rank order."""
+        q, pi = self.config.q, self.config.pi
+        return sum(rank_distance(q, (pi[k],), d, 0) for k, d in enumerate(self._digits))
+
     @property
     def distance_distribution(self):
         """Sorted (distance, count) pairs over unordered distinct pairs."""
         if self._dist_dist is None:
-            vs = self.vectors()
-            counts = Counter()
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    counts[distance(vs[i], vs[j])] += 1
-            self._dist_dist = tuple(sorted(counts.items()))
+            # int64: the sum over chains can exceed int8
+            dist = self._chain_distances().sum(axis=-1, dtype=np.int64)
+            self._dist_dist = _counts(dist[np.triu_indices(self.size, 1)])
         return self._dist_dist
 
     @property
@@ -108,8 +134,7 @@ class Code:
         """Sorted (weight, count) pairs.  Not preserved by equivalence
         (translations move it); kept for reporting only."""
         if self._weight_dist is None:
-            counts = Counter(weight(v) for v in self.vectors())
-            self._weight_dist = tuple(sorted(counts.items()))
+            self._weight_dist = _counts(self._weights())
         return self._weight_dist
 
     @property
@@ -122,6 +147,12 @@ class Code:
             "config": self.config.to_json(),
             "vectors": [format_vector(v) for v in self.vectors()],
         }
+
+
+def _counts(values: np.ndarray):
+    """Sorted (value, count) pairs of Python ints."""
+    values, counts = np.unique(values, return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))
 
 
 def code_invariants(C: Code) -> dict:
@@ -201,31 +232,31 @@ class EquivalenceResult:
         }
 
 
-def chain_from_pairs(q, chain_pi, pairs) -> ChainSymmetry:
-    """Build a triangular map sending each src row to its dst row.
+def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
+    """Build a triangular map sending each src row to its dst row, both
+    given as arrays of row ranks.
 
     The pairs must preserve chain distance (checked implicitly: any
     contradiction surfaces as an inconsistent or non-injective table
     entry).  Unconstrained entries are filled in ascending order and
     untouched tails stay identity, so the result is deterministic.
     """
-    n = len(chain_pi)
     place = level_places(q, chain_pi)
-    src = np.array([s for s, _ in pairs], dtype=np.int64).reshape(-1, n)
-    dst = np.array([d for _, d in pairs], dtype=np.int64).reshape(-1, n)
-    src_rank = src @ np.array(place[:-1], dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     tables = []
     for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
-        tail = src_rank // place[j + 1]
+        tail = src // place[j + 1]
+        s, d = src // place[j] % sz, dst // place[j] % sz
         perm = np.full((tails, sz), -1, dtype=np.int64)
-        perm[tail, src[:, j]] = dst[:, j]
-        clash = np.nonzero(perm[tail, src[:, j]] != dst[:, j])[0]
+        perm[tail, s] = d
+        clash = np.nonzero(perm[tail, s] != d)[0]
         if len(clash):
             raise StructureError(
                 f"level {j + 1}, tail {tail[clash[0]]}: pairs assign two images to one point"
             )
         used = np.zeros((tails, sz), dtype=bool)
-        used[tail, dst[:, j]] = True
+        used[tail, d] = True
         short = np.nonzero(used.sum(axis=1) != (perm >= 0).sum(axis=1))[0]
         if len(short):
             raise StructureError(f"level {j + 1}, tail {short[0]}: pairs collapse two points")
@@ -256,36 +287,22 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
             "not_equivalent", reason="distance distribution mismatch", nodes=0
         )
 
-    # per-codeword chain rows (block ranks), A ordered for pruning
-    a_vecs = sorted(C1.vectors(), key=lambda v: (weight(v), v.rank()))
-    b_vecs = C2.vectors()
-    rows_a = [_chain_rows(cfg, v) for v in a_vecs]
-    rows_b = [_chain_rows(cfg, v) for v in b_vecs]
-    na = len(rows_a)
-    cda = [
-        [
-            tuple(chain_distance(rows_a[i][k], rows_a[j][k]) for k in range(cfg.m))
-            for j in range(na)
-        ]
-        for i in range(na)
-    ]
-    cdb = [
-        [
-            tuple(chain_distance(rows_b[i][k], rows_b[j][k]) for k in range(cfg.m))
-            for j in range(na)
-        ]
-        for i in range(na)
-    ]
+    # A in (weight, rank) order for pruning: ranks are ascending, so a
+    # stable sort by weight breaks ties by rank
+    order = np.argsort(C1._weights(), kind="stable")
+    cda = C1._chain_distances()[order][:, order]
+    cdb = C2._chain_distances()
+    na = C1.size
 
     nodes = 0
     aborted = False
-    match = [-1] * na
-    used = [False] * na
 
-    def rec(t, tau):
+    def rec(t):
         nonlocal nodes, aborted
         if t == na:
             return True
+        # candidate b keeps every chain distance to the words matched so far
+        ok = (cdb_tau[:, match[:t]] == cda[t, :t]).all((1, 2)).tolist()
         for b in range(na):
             if used[b]:
                 continue
@@ -293,23 +310,12 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
             if nodes > budget:
                 aborted = True
                 return False
-            ok = True
-            for s in range(t):
-                da = cda[t][s]
-                db = cdb[b][match[s]]
-                for k in range(cfg.m):
-                    if da[k] != db[tau[k]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if ok[b]:
                 match[t] = b
                 used[b] = True
-                if rec(t + 1, tau):
+                if rec(t + 1):
                     return True
                 used[b] = False
-                match[t] = -1
             if aborted:
                 return False
         return False
@@ -318,15 +324,12 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         tau = [0] * cfg.m
         for i, k in enumerate(sigma):
             tau[k] = i
-        match = [-1] * na
+        cdb_tau = cdb[:, :, tau]
+        match = np.full(na, -1)
         used = [False] * na
-        if rec(0, tau):
+        if rec(0):
             chains = [
-                chain_from_pairs(
-                    cfg.q,
-                    cfg.pi[k],
-                    [(rows_a[i][k], rows_b[match[i]][tau[k]]) for i in range(na)],
-                )
+                chain_from_pairs(cfg.q, cfg.pi[k], C1._digits[k][order], C2._digits[tau[k]][match])
                 for k in range(cfg.m)
             ]
             T = Symmetry(cfg, sigma, chains)
@@ -356,6 +359,3 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         )
     return EquivalenceResult("inconclusive", reason="budget exhausted", nodes=nodes)
 
-
-def _chain_rows(cfg: SpaceConfig, v: BlockVector):
-    return [tuple(block_rank(cfg.q, b) for b in v.blocks[k]) for k in range(cfg.m)]

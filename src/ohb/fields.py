@@ -6,8 +6,9 @@ first), rank = sum c_t * p^t.  The rank is a bijection onto [0, q) with
 rank(0) = 0 and rank(1) = 1, and it fixes the ordering used by every
 permutation table downstream.
 
-Multiplication and inversion are table-driven; the tables are built once
-per Field from polynomial arithmetic mod the field's modulus.
+Prime fields are plain arithmetic mod p.  Extension fields multiply and
+invert through tables built once per Field from polynomial arithmetic
+mod the field's modulus.
 """
 
 from __future__ import annotations
@@ -112,27 +113,25 @@ class Field:
         self.e = e
         self.q = p ** e
         self.modulus = tuple(modulus) if modulus is not None else None
-        self._build_tables()
+        if e > 1:
+            self._build_tables()
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            self._mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                ca = self.coeffs(a)
-                for b in range(a, q):
-                    cb = self.coeffs(b)
-                    prod = [0] * (2 * e - 1)
-                    for i, x in enumerate(ca):
-                        if x:
-                            for j, y in enumerate(cb):
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                    rem = _poly_mod(prod, list(self.modulus), p)
-                    r = self._rank_of(rem)
-                    self._mul[a][b] = r
-                    self._mul[b][a] = r
+        self._mul = [[0] * q for _ in range(q)]
+        for a in range(q):
+            ca = self.coeffs(a)
+            for b in range(a, q):
+                cb = self.coeffs(b)
+                prod = [0] * (2 * e - 1)
+                for i, x in enumerate(ca):
+                    if x:
+                        for j, y in enumerate(cb):
+                            prod[i + j] = (prod[i + j] + x * y) % p
+                rem = _poly_mod(prod, list(self.modulus), p)
+                r = self._rank_of(rem)
+                self._mul[a][b] = r
+                self._mul[b][a] = r
         self._inv = [0] * q
         for a in range(1, q):
             row = self._mul[a]
@@ -196,18 +195,16 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return a * b % self.p
         return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
+        if self.e == 1:
+            return pow(a, -1, self.p)
         return self._inv[a]
-
-    def element(self, rank: int) -> "FieldElement":
-        return FieldElement(self, rank)
-
-    def elements(self):
-        return [FieldElement(self, r) for r in range(self.q)]
 
     def __eq__(self, other):
         return (
@@ -240,73 +237,6 @@ class Field:
             raise UsageError(f"bad field spec: {doc!r}") from exc
         modulus = doc.get("modulus")
         return cls(p, e, modulus)
-
-
-class FieldElement:
-    """One element of a Field, compared and hashed by (field, rank)."""
-
-    __slots__ = ("field", "rank")
-
-    def __init__(self, field: Field, rank: int):
-        if not 0 <= rank < field.q:
-            raise UsageError(f"element rank {rank} out of [0, {field.q})")
-        self.field = field
-        self.rank = rank
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.rank)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise UsageError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError("field elements from different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.rank, other.rank))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.rank, other.rank))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.rank, other.rank))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.rank))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.rank))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.rank == other.rank
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rank))
-
-    def __repr__(self):
-        return f"FieldElement({self.rank} of GF({self.field.q}))"
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the element operators: add, sub, mul, inv-of-a."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv-of-a":
-        return a.inverse()
-    raise UsageError(f"unknown field op {op!r}")
 
 
 def block_rank(q: int, elems) -> int:

@@ -1,12 +1,18 @@
 """Codes: invariants, symmetry action, equivalence search."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_config, random_vector
 from ohb import (
     Code,
+    all_symmetries,
+    as_rank_table,
+    distance,
+    weight,
     StructureError,
     UsageError,
     apply_to_code,
@@ -40,6 +46,26 @@ def test_invariants_hamming():
 def test_invariants_chain_top_coordinate():
     inv = code_invariants(code_of(CHAIN2, "0,0", "0,1"))
     assert inv["min_distance"] == 2
+
+
+def test_invariants_match_the_pairwise_loop():
+    # q=2 m=8 n=8 has 2^64 points; on q=2 m=20 n=7 distances reach 140,
+    # past int8
+    rng = random.Random(36)
+    for cfg in [
+        make_config(2, 2, 2, [[2, 1], [1, 1]]),
+        make_config(3, 2, 2, [[1, 2], [1, 2]]),
+        make_config(2, 3, 2, [[1, 1]] * 3, e=2),
+        make_config(2, 8, 8, [[1] * 8] * 8),
+        make_config(2, 20, 7, [[1] * 7] * 20),
+    ]:
+        vs = [random_vector(cfg, rng) for _ in range(12)] + [cfg.zero()]
+        c = Code(cfg, vs)
+        vs = c.vectors()
+        pairs = Counter(distance(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+        assert c.distance_distribution == tuple(sorted(pairs.items()))
+        assert c.weight_distribution == tuple(sorted(Counter(map(weight, vs)).items()))
+    assert c.distance_distribution[-1][0] > 127
 
 
 def test_singleton_code():
@@ -191,16 +217,56 @@ def test_budget_fallback_on_tiny_space():
     assert apply_to_code(res.witness, c1) == c2
 
 
+# spaces small enough to map a code through every symmetry
+BRUTE_SPACES = {
+    "q2 (1,1)/(1,1)": make_config(2, 2, 2, [[1, 1], [1, 1]]),
+    "GF(3) (1)/(1)": make_config(3, 2, 1, [[1], [1]]),
+    "q2 (1,1,1)": make_config(2, 1, 3, [[1, 1, 1]]),
+    "q2 (2,1)": make_config(2, 1, 2, [[2, 1]]),
+}
+
+
+def test_equivalent_agrees_with_brute_force():
+    # seeded pairs with equal distance distributions: the verdict is the
+    # one found by mapping C1 through the whole group, and so is the
+    # verdict of the brute-force fallback the search falls back to when
+    # its budget runs out
+    rng = random.Random(35)
+    verdicts = []
+    for name, cfg in BRUTE_SPACES.items():
+        images = np.stack([as_rank_table(T) for T in all_symmetries(cfg)])
+        pairs = 0
+        while pairs < 40:
+            words = rng.randrange(2, 6)
+            c1 = Code(cfg, rng.sample(range(cfg.size), words))
+            c2 = Code(cfg, rng.sample(range(cfg.size), words))
+            if c1.distance_distribution != c2.distance_distribution:
+                continue
+            pairs += 1
+            orbit = {tuple(sorted(row)) for row in images[:, list(c1.ranks)].tolist()}
+            expect = "equivalent" if c2.ranks in orbit else "not_equivalent"
+            budgets = (None, 1) if pairs % 4 == 0 else (None,)
+            for budget in budgets:
+                res = equivalent(c1, c2) if budget is None else equivalent(c1, c2, budget=budget)
+                assert res.verdict == expect, (name, c1.ranks, c2.ranks, budget)
+                if res:
+                    assert apply_to_code(res.witness, c1) == c2
+            verdicts.append((name, expect))
+    # both verdicts occur, so neither is asserted vacuously
+    assert {v for _, v in verdicts} == {"equivalent", "not_equivalent"}
+
 
 def test_chain_from_pairs_fill_rule():
     # constrained entries come from the pairs, free entries are filled in
-    # ascending order, and untouched tails stay identity
-    T = chain_from_pairs(3, (1, 1), [((0, 0), (2, 1)), ((1, 2), (1, 0))])
+    # ascending order, and untouched tails stay identity; rows are row
+    # ranks, level 1 least significant: (b1, b2) has rank b1 + q * b2
+    T = chain_from_pairs(3, (1, 1), [0, 7], [5, 1])  # (0,0)->(2,1), (1,2)->(1,0)
     assert T.to_json()["tables"] == [[[2, 0, 1], [0, 1, 2], [0, 1, 2]], [[1, 2, 0]]]
     with pytest.raises(StructureError, match="two images"):
-        chain_from_pairs(2, (1, 1), [((0, 1), (0, 0)), ((0, 1), (1, 0))])
+        chain_from_pairs(2, (1, 1), [2, 2], [0, 1])  # (0,1)->(0,0), (0,1)->(1,0)
     with pytest.raises(StructureError, match="collapse"):
-        chain_from_pairs(2, (1, 1), [((0, 1), (1, 1)), ((1, 1), (1, 0))])
+        chain_from_pairs(2, (1, 1), [2, 3], [3, 1])  # (0,1)->(1,1), (1,1)->(1,0)
+
 
 def test_parse_code_text():
     text = "# header\n0;0\n\n1;1  # trailing\n"

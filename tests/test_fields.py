@@ -1,5 +1,8 @@
 """Field arithmetic: exhaustive axiom checks at the sizes we ship."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from ohb import (
@@ -9,7 +12,6 @@ from ohb import (
     ValidationError,
     block_rank,
     block_unrank,
-    field_arith,
 )
 
 
@@ -89,19 +91,25 @@ def test_json_round_trip():
     assert Field(2) != Field(3)
 
 
-def test_element_wrappers():
-    f = Field(2, 2)
-    a = f.element(2)
-    b = f.element(3)
-    assert (a + b).rank == 1
-    assert (a * b).rank == 1
-    assert (-a).rank == a.rank  # characteristic 2
-    assert (a - b).rank == f.sub(2, 3)
-    assert field_arith(a, b, "add").rank == f.add(2, 3)
-    assert field_arith(a, b, "mul").rank == f.mul(2, 3)
-    assert field_arith(a, b, "inv-of-a").rank == f.inv(2)
-    with pytest.raises(UsageError):
-        field_arith(a, b, "pow")
+def test_prime_fields_need_no_table():
+    # a q x q table would hold 4 million entries for p = 2003
+    tracemalloc.start()
+    try:
+        f = Field(2003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f.mul(2002, 2002) == 1
+    # the largest prime Field accepts; a table would hold 4.3 * 10^9 entries
+    p = 65521
+    f = Field(p)
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        assert f.mul(a, b) == a * b % p
+        assert f.inv(b) == pow(b, -1, p)
+        assert f.mul(b, f.inv(b)) == 1
 
 
 def test_block_rank_round_trip():

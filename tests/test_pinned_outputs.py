@@ -5,15 +5,29 @@ code and stdout with bytes recorded from ohb 0.1.0.  A mismatch means
 the JSON format, the order of the seeded draws, the choice of a
 rejection witness, or a group count or cap refusal changed.  The order
 in which the isometry and automorphism listings come out is pinned by
-digest too: code equivalence takes its fallback witness from it.
+digest too: code equivalence takes its fallback witness from it.  So
+are the results of seeded equivalence queries and the code invariants.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from ohb import Field, SpaceConfig, Symmetry, as_rank_table, enumerate_automorphisms
+from ohb import (
+    Code,
+    Field,
+    SpaceConfig,
+    Symmetry,
+    UsageError,
+    apply_to_code,
+    as_rank_table,
+    code_invariants,
+    enumerate_automorphisms,
+    equivalent,
+    random_symmetry,
+)
 from ohb.cli import main
 from ohb.oracle import enumerate_isometries
 
@@ -188,3 +202,90 @@ def test_automorphism_listing_order_is_pinned(key):
     p, e, pi = key
     _, tables = enumerate_automorphisms(SpaceConfig(Field(p, e), len(pi), len(pi[0]), pi), want_list=True)
     assert (len(tables), _listing_digest(tables)) == PINNED_AUTOMORPHISM_LISTINGS[key]
+
+
+def _space(p, e, pi):
+    return SpaceConfig(Field(p, e), len(pi), len(pi[0]), pi)
+
+
+EQUIV_SPACES = {
+    "hamming8": (2, 1, [[1]] * 8),
+    "chain12": (2, 1, [[1] * 12]),
+    "gf4": (2, 2, [[1, 1]] * 3),
+    "wide": (2, 1, [[1] * 8] * 8),  # 2^64 points
+    "chain3x2": (2, 1, [[1, 1]] * 3),
+    "blocks": (2, 1, [[1, 1], [1, 1]]),
+}
+
+# name: (space, how C2 is drawn, seed, words, budget or None)
+EQUIV_CASES = {
+    "hamming8 scrambled": ("hamming8", "scrambled", 1, 4, None),
+    "hamming8 over budget": ("hamming8", "scrambled", 1, 12, None),
+    "chain12 scrambled": ("chain12", "scrambled", 2, 10, None),
+    "gf4 scrambled": ("gf4", "scrambled", 3, 8, None),
+    "gf4 budget 3": ("gf4", "scrambled", 5, 8, 3),
+    "wide scrambled": ("wide", "scrambled", 1, 6, None),
+    "chain3x2 exhausted": ("chain3x2", "drawn", 198, 4, None),
+    "blocks fallback equivalent": ("blocks", "scrambled", 6, 4, 1),
+    "blocks fallback not equivalent": ("blocks", "drawn", 10, 4, 1),
+}
+
+# (verdict, reason, nodes, sha256 of the JSON of the result, the
+# invariants and the weight distributions of both codes)
+PINNED_EQUIV = {
+    'hamming8 scrambled': ('equivalent', None, 107174, '20f3f4cf4b5dd25a2c11118c3ed44ce06248f33cc867138ea1c79bd107553e0f'),
+    'hamming8 over budget': ('inconclusive', 'budget exhausted', 200001, '74df9689dd323b95ad6d0f41693b2297f10eb92fee6d716faf7a11dc80c8bc48'),
+    'chain12 scrambled': ('equivalent', None, 43, 'bf5bfb73695054091330d817a3e628587b14cbe56a6846ec38180e1924916e2a'),
+    'gf4 scrambled': ('equivalent', None, 1198, 'd940f83b92b25ee4b74f1244e4fa2c4609b52b9eb379ce13d245814c19d71c63'),
+    'gf4 budget 3': ('inconclusive', 'budget exhausted', 4, 'a86ccebbcce510ca5dc8786d50e6fa39f2e52b20acb3922b43fcadbb2f092c9e'),
+    'wide scrambled': ('equivalent', None, 139193, 'a66ab79b1642db0a1137a90d2003775d15d16d5320f7072dd8dc4232d9c81e24'),
+    'chain3x2 exhausted': ('not_equivalent', 'search exhausted', 113, '26357560655374a3f8788618efbc910a5014603e13cc35870dd495682c3f1189'),
+    'blocks fallback equivalent': ('equivalent', None, 2, 'ee58e92e770c7f81e9d9931ca771a0a048918d2e928696ad581b8d4ed1b9aabf'),
+    'blocks fallback not equivalent': ('not_equivalent', 'every isometry checked', 2, '582bd502c1c5bb20edb09fc6e679058ba40861212046ba83000ef4f44d0d2da5'),
+}
+
+
+def equiv_case(name):
+    key, how, seed, words, budget = EQUIV_CASES[name]
+    cfg = _space(*EQUIV_SPACES[key])
+    rng = random.Random(seed)
+    if how == "scrambled":
+        c1 = Code(cfg, [rng.randrange(cfg.size) for _ in range(words)])
+        c2 = apply_to_code(random_symmetry(cfg, rng.getrandbits(32)), c1)
+    else:
+        c1 = Code(cfg, rng.sample(range(cfg.size), words))
+        c2 = Code(cfg, rng.sample(range(cfg.size), words))
+    return c1, c2, budget
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_CASES))
+def test_equivalence_outputs_are_pinned(name):
+    c1, c2, budget = equiv_case(name)
+    res = equivalent(c1, c2) if budget is None else equivalent(c1, c2, budget=budget)
+    doc = {
+        "equiv": res.to_json(),
+        "invariants": [code_invariants(c1), code_invariants(c2)],
+        "weights": [c1.weight_distribution, c2.weight_distribution],
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    got = (res.verdict, res.reason, res.nodes, hashlib.sha256(text.encode()).hexdigest())
+    assert got == PINNED_EQUIV[name]
+
+
+def test_codes_refuse_a_chain_of_2_to_the_63_points(tmp_path, capsys):
+    # no ChainSymmetry fits such a chain: its first level table alone
+    # would hold 2^70 entries
+    spec = {"field": {"p": 2}, "m": 1, "n": 70, "pi": [[1] * 70]}
+    with pytest.raises(UsageError, match=r"chain 1 has 2\^70 points.*2\^63"):
+        Code(SpaceConfig.from_json(spec), [0, 1])
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(spec))
+    words = ["0," * 69 + "0", "1," * 69 + "0"]
+    for name in ("c1.txt", "c2.txt"):
+        (tmp_path / name).write_text("\n".join(words) + "\n")
+    argv = ["equiv", "--space", str(space_file), "--format", "json",
+            "--c1", str(tmp_path / "c1.txt"), "--c2", str(tmp_path / "c2.txt")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("ohb: error: chain 1 has 2^70 points")
