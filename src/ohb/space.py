@@ -293,7 +293,7 @@ def distance(u: BlockVector, v: BlockVector) -> int:
     return sum(chain_distance(ur, vr) for ur, vr in zip(u.blocks, v.blocks))
 
 
-# vectorized rank arithmetic (base-p digit grids), used by the
+# vectorized rank arithmetic on base-p digits (XOR for p = 2), used by the
 # automorphism search and to strip the translation in decompose_full
 
 
@@ -320,12 +320,16 @@ def _from_digit_grid(config: SpaceConfig, grid: np.ndarray) -> np.ndarray:
 
 def add_ranks(config: SpaceConfig, a, b) -> np.ndarray:
     """Componentwise field addition on arrays of vector ranks."""
+    if config.field.p == 2:
+        return np.atleast_1d(np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64))
     ga = _digit_grid(config, np.atleast_1d(a))
     gb = _digit_grid(config, np.atleast_1d(b))
     return _from_digit_grid(config, (ga + gb) % config.field.p)
 
 
 def sub_ranks(config: SpaceConfig, a, b) -> np.ndarray:
+    if config.field.p == 2:
+        return add_ranks(config, a, b)
     ga = _digit_grid(config, np.atleast_1d(a))
     gb = _digit_grid(config, np.atleast_1d(b))
     return _from_digit_grid(config, (ga - gb) % config.field.p)

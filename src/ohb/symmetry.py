@@ -28,7 +28,8 @@ from .chains import (
     identity_chain,
     invert_chain,
     level_shapes,
-    random_chain,
+    random_levels,
+    refuse_large_chains,
 )
 from .errors import (
     CapExceeded,
@@ -242,8 +243,11 @@ def make_translation(w: BlockVector) -> Symmetry:
 
 
 def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
-    """Uniformly random symmetry, reproducible from the seed."""
+    """Uniformly random symmetry, reproducible from the seed: sigma by one
+    rng.sample per class of equal chains, then each chain as random_chain
+    draws it, with the same stream contract and the same refusal."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    refuse_large_chains(config.q, config.pi)
     classes = {}
     for i, row in enumerate(config.pi):
         classes.setdefault(row, []).append(i)
@@ -251,7 +255,8 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
     for idxs in classes.values():
         for pos, img in zip(idxs, rng.sample(idxs, len(idxs))):
             sigma[pos] = img
-    chains = [random_chain(config.q, row, rng) for row in config.pi]
+    levels = iter(random_levels(rng, [s for row in config.pi for s in level_shapes(config.q, row)]))
+    chains = [ChainSymmetry(config.q, row, [next(levels) for _ in row]) for row in config.pi]
     return Symmetry(config, tuple(sigma), chains)
 
 

@@ -2,7 +2,14 @@
 
 import random
 
+from hypothesis import settings
+
 from ohb import BlockVector, Field, SpaceConfig
+
+# every hypothesis test draws the same examples on every run, so tier-1
+# stays deterministic; max_examples is set per test
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 
 def make_config(p, m, n, pi, e=1):

@@ -6,7 +6,8 @@ the JSON format, the order of the seeded draws, the choice of a
 rejection witness, or a group count or cap refusal changed.  The order
 in which the isometry and automorphism listings come out is pinned by
 digest too: code equivalence takes its fallback witness from it.  So
-are the results of seeded equivalence queries and the code invariants.
+are the results of seeded equivalence queries and the code invariants,
+and the seeded draws of chain maps with many or long table rows.
 """
 
 import hashlib
@@ -108,6 +109,36 @@ def test_cli_outputs_are_pinned(space, tmp_path, capsys):
     # the good map decomposes back to the composite it was built from
     assert got[4][2] == got[2][2]
     assert all(code == 1 for _, code, _ in got[5:])
+
+
+# sha256 of `sym gen --seed 7` and `--seed 8` stdout on spaces whose
+# tables hold many rows of 2 values, rows of 4 across four chains, rows of
+# 512 values and rows of 3 and 9 values
+GEN_SPACES = {
+    "chain13": {"field": {"p": 2}, "m": 1, "n": 13, "pi": [[1] * 13]},
+    "gf4": {"field": {"p": 2, "e": 2}, "m": 4, "n": 2, "pi": [[1, 1]] * 4},
+    "rows512": {"field": {"p": 2}, "m": 1, "n": 3, "pi": [[1, 9, 1]]},
+    "gf3": {"field": {"p": 3}, "m": 1, "n": 3, "pi": [[1, 2, 1]]},
+}
+PINNED_GEN = {
+    ("chain13", 7): "4466d589cf8bfba0cc277308c8b3350ace000ac9193919fa0916159a32e802cb",
+    ("chain13", 8): "072419af36cc6faed68ca3c2cc41d1103c304832848bc1cadbeadc3f845a5906",
+    ("gf4", 7): "67296eaf40e0a765b187d00d51b48f09c70c557e85cf9bca6432f8020ab8ee94",
+    ("gf4", 8): "8d2ea29e1d2d5cd8113fb54f8b78bf0669e68ae63a12e5c84bef00c928c3dbab",
+    ("rows512", 7): "9f02fdfeb95016c4d54e847ca68584b08617ba6819fbe058e4ca680163d51e60",
+    ("rows512", 8): "c890dfe133b559adb39453816248f17f23249263ae72a6393a0f3c9344d65bf8",
+    ("gf3", 7): "d12bc1b4d955029d450bbef11131f98eae737c2e2e25f26770eeee0885bcffd5",
+    ("gf3", 8): "47dabfec933a8445987a5a85b8870d5f24dcbb6e75d6ac9e23b32ccb6d1db585",
+}
+
+
+@pytest.mark.parametrize("space, seed", sorted(PINNED_GEN))
+def test_seeded_draws_are_pinned(space, seed, tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(GEN_SPACES[space]))
+    assert main(["sym", "gen", "--space", str(space_file), "--seed", str(seed), "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_GEN[space, seed]
 
 
 # the counting commands; every label is also the command line

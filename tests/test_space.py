@@ -20,6 +20,8 @@ from ohb import (
 )
 from ohb.fields import block_rank
 from ohb.space import (
+    _digit_grid,
+    _from_digit_grid,
     add_ranks,
     dist_ranks,
     distance_matrix_array,
@@ -201,6 +203,31 @@ def test_vectorized_ops_match_vector_ops():
         wts = weight_array(cfg)
         for r in range(cfg.size):
             assert int(wts[r]) == weight(cfg.unrank(r))
+
+
+@pytest.mark.parametrize(
+    "p, e, pi",
+    [(2, 1, [[1, 2], [3, 1]]), (2, 2, [[1, 1], [2, 1]]), (2, 3, [[1, 2]]), (3, 1, [[1, 2], [2, 1]])],
+    ids=["gf2", "gf4", "gf8", "gf3"],
+)
+def test_add_and_sub_ranks_match_the_digit_grid(p, e, pi):
+    # ranks are base-p digit strings: for p = 2 both are XOR, for odd p
+    # they go through the digit grid, the reference here
+    cfg = make_config(p, len(pi), len(pi[0]), pi, e=e)
+    rng = random.Random(15)
+    a = np.array([rng.randrange(cfg.size) for _ in range(200)], dtype=np.int64)
+    b = np.array([rng.randrange(cfg.size) for _ in range(200)], dtype=np.int64)
+    ga, gb = _digit_grid(cfg, a), _digit_grid(cfg, b)
+    for op, sign in ((add_ranks, 1), (sub_ranks, -1)):
+        want = _from_digit_grid(cfg, (ga + sign * gb) % p)
+        got = op(cfg, a, b)
+        assert got.dtype == np.int64 and got.shape == (200,)
+        assert got.tolist() == want.tolist()
+        assert op(cfg, a, int(b[0])).tolist() == _from_digit_grid(cfg, (ga + sign * gb[:1]) % p).tolist()
+        assert op(cfg, int(a[1]), int(b[1])).tolist() == [int(want[1])]
+    for x, y, s, d in zip(a[:20], b[:20], add_ranks(cfg, a, b), sub_ranks(cfg, a, b)):
+        u, v = cfg.unrank(int(x)), cfg.unrank(int(y))
+        assert (cfg.rank(u + v), cfg.rank(u - v)) == (int(s), int(d))
 
 
 def per_block_distance(q, pi, a, b):

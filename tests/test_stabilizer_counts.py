@@ -64,8 +64,7 @@ def tiny_configs(draw):
     return make_config(p, m, n, pi, e=e)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(tiny_configs())
 def test_counts_on_drawn_configs(cfg):
     check_config(cfg)
