@@ -20,7 +20,7 @@ def show_space(cfg, label):
     print(f"== {label}: q={cfg.q}, m={cfg.m}, n={cfg.n}, pi={cfg.pi}")
     print(f"   {cfg.size} vectors, max weight {cfg.m * cfg.n}")
     by_weight = {}
-    for v in cfg.all_vectors():
+    for v in (cfg.unrank(r) for r in range(cfg.size)):
         by_weight.setdefault(weight(v), []).append(v)
     for w in sorted(by_weight):
         vecs = by_weight[w]

@@ -16,12 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, UsageError
+from .errors import CAPS, DomainError, UsageError, check_cap
 from .oracle import stabilizer_orbits
 from .space import SpaceConfig, add_ranks, rank_distance, scale_ranks, weight_array
 from .symmetry import s_pi_order
-
-ENUM_CAP = 1 << 12
 
 
 def gl_order(q: int, k: int) -> int:
@@ -79,7 +77,7 @@ def is_linear(config: SpaceConfig, table) -> bool:
     return True
 
 
-def enumerate_automorphisms(config: SpaceConfig, cap: int = ENUM_CAP, want_list: bool = False):
+def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_list: bool = False):
     """Count (and optionally list) every linear isometry.
 
     A linear map is fixed by the images of the standard basis slots
@@ -90,11 +88,11 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int = ENUM_CAP, want_list:
     e_t as base (see oracle.stabilizer_orbits), each orbit point proven
     by one completed backtrack, so the cost follows the number of basis
     slots and orbit points, not the group order.  Listing is the
-    exhaustive backtrack.  Returns (count, tables or None).
+    exhaustive backtrack.  Returns (count, tables or None).  A space over
+    cap points is refused; cap defaults to the aut_points entry of CAPS.
     """
     S = config.size
-    if S > cap:
-        raise CapExceeded(f"space has q^N = {S} points, over the cap {cap}")
+    check_cap("space", S, "points", CAPS["aut_points"] if cap is None else cap, symbol="q^N")
     q, f = config.q, config.field
     weights = weight_array(config)
     ranks = np.arange(S, dtype=np.int64)
@@ -148,11 +146,7 @@ class AutReport:
         self.formula_order = formula_order
         self.enumerated_order = enumerated_order
         self.per_block_gl_orders = per_block_gl_orders
-        self.discrepant = (
-            formula_order is not None
-            and enumerated_order is not None
-            and formula_order != enumerated_order
-        )
+        self.discrepant = formula_order is not None and formula_order != enumerated_order
 
     def to_json(self) -> dict:
         return {
@@ -164,10 +158,8 @@ class AutReport:
         }
 
 
-def aut_report(config: SpaceConfig, enumerate_count: bool = True, cap: int = ENUM_CAP) -> AutReport:
+def aut_report(config: SpaceConfig, cap: int | None = None) -> AutReport:
     formula = aut_order_antichain(config) if config.n == 1 else None
-    enumerated = None
-    if enumerate_count:
-        enumerated, _ = enumerate_automorphisms(config, cap=cap)
+    enumerated, _ = enumerate_automorphisms(config, cap=cap)
     per_block = [[gl_order(config.q, k) for k in row] for row in config.pi]
     return AutReport(config, formula, enumerated, per_block)

@@ -28,15 +28,15 @@ from itertools import accumulate, groupby, permutations, product
 import numpy as np
 
 from .errors import (
-    CapExceeded,
+    CAPS,
     NotIsometryError,
     StructureError,
     UsageError,
     ValidationError,
+    check_cap,
+    json_int,
 )
-from .space import MATERIALIZE_CAP, bijection_array, distance_witness
-
-ENUM_CAP = 1 << 20
+from .space import bijection_array, distance_witness
 
 
 def _check_dims(q, chain_pi):
@@ -194,7 +194,12 @@ class ChainSymmetry:
     @classmethod
     def from_json(cls, doc, q) -> "ChainSymmetry":
         try:
-            return cls(q, tuple(doc["pi"]), doc["tables"])
+            pi = tuple(json_int(k, "chain pi entry") for k in doc["pi"])
+            tables = [
+                [[json_int(x, "table entry") for x in row] for row in level]
+                for level in doc["tables"]
+            ]
+            return cls(q, pi, tables)
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad chain symmetry document: {exc}") from exc
 
@@ -245,15 +250,12 @@ def alt_chain_order_unit(q, n) -> int:
 
 
 def refuse_large_chains(q, chain_pis):
-    """Refuse, before anything is drawn, a chain of more than
-    MATERIALIZE_CAP points: its random map could not be built."""
+    """Refuse, before anything is drawn, a chain over the points cap: its
+    random map could not be built."""
     for k, chain_pi in enumerate(chain_pis):
-        if chain_space_size(q, chain_pi) > MATERIALIZE_CAP:
-            raise CapExceeded(
-                f"chain {k + 1} has {chain_space_size(q, chain_pi)} points, over the cap "
-                f"{MATERIALIZE_CAP}; a random map of it would hold "
-                f"{sum(tails * sz for tails, sz in level_shapes(q, chain_pi))} table entries"
-            )
+        entries = sum(tails * sz for tails, sz in level_shapes(q, chain_pi))
+        check_cap(f"chain {k + 1}", chain_space_size(q, chain_pi), "points", CAPS["points"],
+                  f"a random map of it would hold {entries} table entries")
 
 
 def _replay_shuffles(rng, rows, sz):
@@ -325,8 +327,8 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
 
     Tables are drawn level by level (ascending), tail rank ascending: the
     tables, and a random.Random seed's state afterwards, are those of one
-    rng.shuffle(list(range(q^k))) per row.  A chain of more than
-    MATERIALIZE_CAP points raises CapExceeded before anything is drawn.
+    rng.shuffle(list(range(q^k))) per row.  A chain over the points cap
+    raises CapExceeded before anything is drawn.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chain_pi = _check_dims(q, chain_pi)
@@ -334,12 +336,10 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
     return ChainSymmetry(q, chain_pi, random_levels(rng, level_shapes(q, chain_pi)))
 
 
-def all_chain_symmetries(q, chain_pi, limit=ENUM_CAP):
-    """Yield every triangular symmetry of the chain (may be huge)."""
+def all_chain_symmetries(q, chain_pi):
+    """Yield every triangular symmetry of the chain, up to the group cap."""
     chain_pi = _check_dims(q, chain_pi)
-    count = chain_order(q, chain_pi)
-    if count > limit:
-        raise CapExceeded(f"chain group has {count} elements, over the limit {limit}")
+    check_cap("chain group", chain_order(q, chain_pi), "elements", CAPS["group"])
     # one pool of permutations per (level, tail) slot, levels ascending
     pools, cuts = [], [0]
     for tails, sz in level_shapes(q, chain_pi):

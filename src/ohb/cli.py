@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-from .automorphisms import ENUM_CAP, aut_order_antichain, aut_report, gl_order
+from .automorphisms import aut_order_antichain, aut_report, gl_order
 from .chains import chain_order
-from .codes import equivalent, parse_code_json, parse_code_text
-from .errors import DomainError, NotIsometryError, StructureError, UsageError
-from .oracle import COUNT_CAP, enumerate_isometries
+from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
+from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, json_int
+from .oracle import enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
     Symmetry,
@@ -72,7 +72,7 @@ def _load_map(path, size) -> list:
             entries = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: bad JSON array: {exc}") from exc
-        table = [int(x) for x in entries]
+        table = [json_int(x, f"{path}: map entry") for x in entries]
     elif "->" in stripped:
         table = [None] * size
         for lineno, line in enumerate(stripped.splitlines(), start=1):
@@ -210,14 +210,13 @@ def _cmd_sym_decompose(args):
 
 def _cmd_order(args):
     cfg = _load_space(args.space)
-    cap = args.cap if args.cap is not None else COUNT_CAP
     doc = {"op": "order", "mode": args.mode}
     if args.mode == "formula":
         doc["formula_order"] = full_order(cfg)
     elif args.mode == "oracle":
-        doc["oracle_count"] = enumerate_isometries(cfg, cap=cap).isometry_count
+        doc["oracle_count"] = enumerate_isometries(cfg, cap=args.cap).isometry_count
     else:
-        rep = enumerate_isometries(cfg, cap=cap)
+        rep = enumerate_isometries(cfg, cap=args.cap)
         doc["formula_order"] = rep.formula_count
         doc["oracle_count"] = rep.isometry_count
         doc["match"] = rep.matches["formula"]
@@ -239,8 +238,7 @@ def _cmd_aut(args):
             "discrepant": None,
         }
         return doc, "aut"
-    cap = args.cap if args.cap is not None else ENUM_CAP
-    rep = aut_report(cfg, enumerate_count=True, cap=cap)
+    rep = aut_report(cfg, cap=args.cap)
     doc = rep.to_json()
     doc["op"] = "aut"
     return doc, "aut"
@@ -258,7 +256,7 @@ def _cmd_equiv(args):
 
 def _cmd_report(args):
     cfg = _load_space(args.space)
-    cap = args.cap if args.cap is not None else COUNT_CAP
+    cap = args.cap if args.cap is not None else CAPS["oracle_count"]
     doc = {
         "op": "report",
         "space": cfg.to_json(),
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="code equivalence search")
     p.add_argument("--c1", required=True, help="first code file")
     p.add_argument("--c2", required=True, help="second code file")
-    p.add_argument("--budget", type=int, default=200_000, help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("report", parents=[common], help="orders, oracle, and formula comparison")

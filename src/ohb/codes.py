@@ -26,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import ChainSymmetry, level_places, level_shapes
-from .errors import StructureError, UsageError
+from .errors import CAPS, StructureError, UsageError, json_int
+from .oracle import enumerate_isometries
 from .space import (
     BlockVector,
     SpaceConfig,
@@ -42,8 +43,6 @@ from .symmetry import (
 )
 
 DEFAULT_BUDGET = 200_000
-FALLBACK_POINT_CAP = 16
-FALLBACK_GROUP_CAP = 1 << 20
 # chain digits are int64; a chain this large could not carry a
 # ChainSymmetry anyway, as its first level table has one entry per point
 CHAIN_SIZE_LIMIT = 1 << 63
@@ -202,7 +201,7 @@ def parse_code_json(doc: dict, config: SpaceConfig | None = None) -> Code:
         if isinstance(entry, str):
             vectors.append(parse_vector(cfg, entry))
         else:
-            vectors.append(int(entry))
+            vectors.append(json_int(entry, "code entry"))
     return Code(cfg, vectors)
 
 
@@ -274,8 +273,9 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
     admissible chain permutation, codewords are matched by backtracking
     with per-chain distance pruning; a found matching is completed to a
     witness and verified before being returned.  If the budget cuts the
-    search off, a brute-force fallback runs when the space is small
-    enough; otherwise the verdict is inconclusive.
+    search off, a brute-force fallback lists every isometry when the
+    space is within the oracle_list cap and the group within the group
+    cap; otherwise the verdict is inconclusive.
     """
     if C1.config != C2.config:
         raise UsageError("codes live in different spaces")
@@ -342,10 +342,8 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
     if not aborted:
         return EquivalenceResult("not_equivalent", reason="search exhausted", nodes=nodes)
 
-    if cfg.size <= FALLBACK_POINT_CAP and full_order(cfg) <= FALLBACK_GROUP_CAP:
-        from .oracle import enumerate_isometries
-
-        _, tables = enumerate_isometries(cfg, cap=FALLBACK_POINT_CAP, want_list=True)
+    if cfg.size <= CAPS["oracle_list"] and full_order(cfg) <= CAPS["group"]:
+        _, tables = enumerate_isometries(cfg, want_list=True)
         src = set(C1.ranks)
         dst = set(C2.ranks)
         for table in tables:

@@ -13,7 +13,7 @@ mod the field's modulus.
 
 from __future__ import annotations
 
-from .errors import DomainError, UsageError, ValidationError
+from .errors import DomainError, UsageError, ValidationError, json_int
 
 # Moduli for the desk-scale extension fields, coefficients low-order
 # first including the leading 1.  Anything else needs a user-supplied
@@ -231,11 +231,13 @@ class Field:
     @classmethod
     def from_json(cls, doc: dict) -> "Field":
         try:
-            p = int(doc["p"])
-            e = int(doc.get("e", 1))
-        except (KeyError, TypeError, ValueError) as exc:
+            p = json_int(doc["p"], "field p")
+            e = json_int(doc.get("e", 1), "field e")
+            modulus = doc.get("modulus")
+            if modulus is not None:
+                modulus = [json_int(c, "field modulus entry") for c in modulus]
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"bad field spec: {doc!r}") from exc
-        modulus = doc.get("modulus")
         return cls(p, e, modulus)
 
 

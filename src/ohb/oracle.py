@@ -19,20 +19,9 @@ import time
 import numpy as np
 
 from .chains import alt_chain_order_unit
-from .errors import CapExceeded
+from .errors import CAPS, check_cap
 from .space import SpaceConfig, distance_matrix_array
 from .symmetry import alt_full_order_unit, full_order
-
-LIST_CAP = 16
-COUNT_CAP = 64
-MATRIX_CAP = 1 << 12
-
-
-def distance_matrix(config: SpaceConfig, cap: int = MATRIX_CAP) -> np.ndarray:
-    """Exact q^N x q^N distance matrix under the canonical ranking."""
-    if config.size > cap:
-        raise CapExceeded(f"space has q^N = {config.size} points, over the matrix cap {cap}")
-    return distance_matrix_array(config)
 
 
 class OracleReport:
@@ -75,11 +64,6 @@ class OracleReport:
             "cap": self.cap,
             "listed": self.listed,
         }
-
-
-def _search_size_estimate(S: int) -> str:
-    digits = math.lgamma(S + 1) / math.log(10)
-    return f"{S}! (about 10^{digits:.0f}) candidate bijections before pruning"
 
 
 def pair_classes(D: np.ndarray) -> np.ndarray:
@@ -148,16 +132,15 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     the group order.  Only the distance matrix is read.  Returns an
     OracleReport, plus, when want_list is set, every isometry as a dense
     rank table from the exhaustive backtrack, whose cost does follow the
-    group order.
+    group order.  A space over cap points is refused; cap defaults to
+    the oracle_list or oracle_count entry of CAPS.
     """
     if cap is None:
-        cap = LIST_CAP if want_list else COUNT_CAP
+        cap = CAPS["oracle_list" if want_list else "oracle_count"]
     S = config.size
-    if S > cap:
-        raise CapExceeded(
-            f"space has q^N = {S} points, over the cap {cap}; "
-            f"a full search would face {_search_size_estimate(S)}"
-        )
+    digits = math.lgamma(S + 1) / math.log(10)
+    check_cap("space", S, "points", cap, f"a full search would face {S}! (about 10^{digits:.0f}) "
+              "candidate bijections before pruning", symbol="q^N")
     start = time.perf_counter()
     D = distance_matrix_array(config)
     weights = D[0]

@@ -19,11 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, NotIsometryError, UsageError
+from .errors import CAPS, NotIsometryError, UsageError, check_cap, json_int
 from .fields import Field, block_rank, block_unrank
-
-# Refuse to materialize spaces beyond this size unless told otherwise.
-MATERIALIZE_CAP = 1 << 20
 
 
 class SpaceConfig:
@@ -60,16 +57,9 @@ class SpaceConfig:
     def vector(self, blocks) -> "BlockVector":
         return BlockVector(self, blocks)
 
-    def check_materialize(self, override: bool = False):
-        if self.size > MATERIALIZE_CAP and not override:
-            raise CapExceeded(
-                f"space has q^N = {self.size} > {MATERIALIZE_CAP} points; "
-                "pass an override to materialize anyway"
-            )
-
-    def all_vectors(self, override: bool = False):
-        self.check_materialize(override)
-        return (self.unrank(r) for r in range(self.size))
+    def check_materialize(self):
+        """Refuse a dense table over every point of a space over the points cap."""
+        check_cap("space", self.size, "points", CAPS["points"], symbol="q^N")
 
     # canonical ranking
 
@@ -128,7 +118,8 @@ class SpaceConfig:
     def from_json(cls, doc: dict) -> "SpaceConfig":
         try:
             field = Field.from_json(doc["field"])
-            return cls(field, int(doc["m"]), int(doc["n"]), doc["pi"])
+            pi = [[json_int(k, "space pi entry") for k in row] for row in doc["pi"]]
+            return cls(field, json_int(doc["m"], "space m"), json_int(doc["n"], "space n"), pi)
         except KeyError as exc:
             raise UsageError(f"bad space config: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -372,9 +363,9 @@ def rank_distance(q: int, pi, a, b, dtype=np.int64) -> np.ndarray:
     return total
 
 
-def weight_array(config: SpaceConfig, override: bool = False) -> np.ndarray:
+def weight_array(config: SpaceConfig) -> np.ndarray:
     """Weights of every vector rank: the distance of each rank to 0."""
-    config.check_materialize(override)
+    config.check_materialize()
     return rank_distance(config.q, config.pi, np.arange(config.size), 0)
 
 
@@ -391,7 +382,6 @@ def distance_matrix_array(config: SpaceConfig) -> np.ndarray:
 
 # checks of maps given as dense rank tables
 
-WITNESS_MATRIX_CAP = 1 << 12
 WITNESS_ANCHORS = 16
 
 
@@ -425,14 +415,14 @@ def bijection_array(table, size: int) -> np.ndarray:
 def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
     """A rank pair (u, v) with d(u, v) != d(f(u), f(v)), or None.
 
-    Up to WITNESS_MATRIX_CAP points this is the first such pair in
+    Up to CAPS["witness_matrix"] points this is the first such pair in
     row-major order of the full distance matrix.  Beyond that, only the
     rows of the given anchors and then of ranks 0..WITNESS_ANCHORS-1
     are scanned, so a non-isometry can go unwitnessed.
     """
     S = len(f)
     ranks = np.arange(S)
-    if S <= WITNESS_MATRIX_CAP:
+    if S <= CAPS["witness_matrix"]:
         bad = np.argwhere(
             rank_distance(q, pi, f[:, None], f, np.int8)
             != rank_distance(q, pi, ranks[:, None], ranks, np.int8)

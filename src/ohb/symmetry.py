@@ -32,11 +32,13 @@ from .chains import (
     refuse_large_chains,
 )
 from .errors import (
-    CapExceeded,
+    CAPS,
     NotIsometryError,
     StructureError,
     UsageError,
     ValidationError,
+    check_cap,
+    json_int,
 )
 from .fields import block_rank, block_unrank
 from .space import (
@@ -46,8 +48,6 @@ from .space import (
     distance_witness,
     sub_ranks,
 )
-
-ENUM_CAP = 1 << 20
 
 
 def is_admissible(sigma, config: SpaceConfig) -> bool:
@@ -186,7 +186,7 @@ class Symmetry:
     @classmethod
     def from_json(cls, doc, config: SpaceConfig) -> "Symmetry":
         try:
-            sigma = tuple(int(x) - 1 for x in doc["sigma"])
+            sigma = tuple(json_int(x, "sigma entry") - 1 for x in doc["sigma"])
             chains = [
                 ChainSymmetry.from_json(cd, config.q) for cd in doc["chains"]
             ]
@@ -260,21 +260,22 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
     return Symmetry(config, tuple(sigma), chains)
 
 
-def all_symmetries(config: SpaceConfig, limit=ENUM_CAP):
-    """Yield the whole symmetry group in canonical form."""
-    count = full_order(config)
-    if count > limit:
-        raise CapExceeded(f"symmetry group has {count} elements, over the limit {limit}")
-    chain_groups = [list(all_chain_symmetries(config.q, row, limit)) for row in config.pi]
+def all_symmetries(config: SpaceConfig):
+    """Yield the whole symmetry group in canonical form, up to the group cap."""
+    check_cap("symmetry group", full_order(config), "elements", CAPS["group"])
+    chain_groups = [list(all_chain_symmetries(config.q, row)) for row in config.pi]
     for sigma in admissible_permutations(config):
         for chains in product(*chain_groups):
             yield Symmetry(config, sigma, chains)
 
 
 def as_rank_table(T: Symmetry, override: bool = False) -> np.ndarray:
-    """Dense action of T on every vector rank."""
+    """Dense action of T on every vector rank.  A space over the points
+    cap is refused unless override is set, as decompose_full sets it for
+    a table that already holds every point."""
     cfg = T.config
-    cfg.check_materialize(override)
+    if not override:
+        cfg.check_materialize()
     ranks = np.arange(cfg.size, dtype=np.int64)
     out = np.zeros(cfg.size, dtype=np.int64)
     for i in range(cfg.m):

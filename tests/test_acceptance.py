@@ -278,7 +278,7 @@ def test_9_code_equivalence_round_trips():
     # invariant-mismatched pairs are rejected with no search at all
     rejected = 0
     for cfg in pool:
-        vs = sorted(cfg.all_vectors(), key=lambda v: (weight(v), v.rank()))
+        vs = sorted((cfg.unrank(r) for r in range(cfg.size)), key=lambda v: (weight(v), v.rank()))
         c_short = Code(cfg, vs[:2])
         c_long = Code(cfg, vs[:3])
         res = equivalent(c_short, c_long)

@@ -5,7 +5,8 @@ import json
 import jsonschema
 import pytest
 
-from ohb.cli import main
+from ohb.cli import build_parser, main
+from ohb.codes import DEFAULT_BUDGET
 
 # the JSON documents the CLI prints, one schema per output kind
 _SYMMETRY_SCHEMA = {
@@ -416,3 +417,69 @@ def test_unknown_command_exits_2(capsys):
     code, out, err = run(capsys, "definitely-not-a-command")
     assert code == 2
     assert "invalid choice" in err
+
+
+def test_equiv_budget_defaults_to_the_library_budget():
+    args = build_parser().parse_args(["equiv", "--space", "s", "--c1", "a", "--c2", "b"])
+    assert args.budget == DEFAULT_BUDGET
+
+
+# a space of two points, one symmetry of it and a code in it, as JSON
+TINY = {"field": {"p": 2}, "m": 1, "n": 1, "pi": [[1]]}
+
+
+def tiny_symmetry(sigma=(1,), level=((1, 0),), pi=(1,)):
+    return {"sigma": list(sigma), "chains": [{"pi": list(pi), "tables": [[list(r) for r in level]]}]}
+
+
+def tiny_code(*vectors):
+    return {"config": TINY, "vectors": list(vectors)}
+
+
+# JSON integers must be integers: each case names the command, the space
+# document and, for the command's one other file, its option and document
+BAD_INTEGERS = {
+    "space p, m and pi": ("weight", {"field": {"p": 2.9}, "m": 1.4, "n": 1, "pi": [[1.8]]},
+                          "--vec", "1"),
+    "space p string": ("weight", {**TINY, "field": {"p": "2"}}, "--vec", "1"),
+    "space e float": ("weight", {**TINY, "field": {"p": 2, "e": 1.0}}, "--vec", "1"),
+    "space modulus bool": ("weight", {**TINY, "field": {"p": 2, "e": 2, "modulus": [1, True, 1]}},
+                           "--vec", "1"),
+    "space m bool": ("weight", {**TINY, "m": True}, "--vec", "1"),
+    "space n null": ("weight", {**TINY, "n": None}, "--vec", "1"),
+    "map floats": ("sym decompose", TINY, "--map", [0.9, 1.2]),
+    "map strings": ("sym decompose", TINY, "--map", ["0", "1"]),
+    "map letter": ("sym decompose", TINY, "--map", [0, "a"]),
+    "map null": ("sym decompose", TINY, "--map", [0, None]),
+    "map lists": ("sym decompose", TINY, "--map", [[0], [1]]),
+    "table floats": ("sym invert", TINY, "--sym", tiny_symmetry(level=[[0.7, 1.2]])),
+    "table strings": ("sym invert", TINY, "--sym", tiny_symmetry(level=[["1", "0"]])),
+    "table bools": ("sym invert", TINY, "--sym", tiny_symmetry(level=[[True, False]])),
+    "chain pi float": ("sym invert", TINY, "--sym", tiny_symmetry(pi=[1.0])),
+    "sigma float": ("sym invert", TINY, "--sym", tiny_symmetry(sigma=[1.9])),
+    "sigma letter": ("sym invert", TINY, "--sym", tiny_symmetry(sigma=["a"])),
+    "code entry float": ("equiv", TINY, "--c1", tiny_code(1.5)),
+    "code entry null": ("equiv", TINY, "--c1", tiny_code(None)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INTEGERS)
+def test_json_integers_are_checked_not_coerced(case, capsys, tmp_path):
+    command, space, option, value = BAD_INTEGERS[case]
+    space_path = tmp_path / "s.json"
+    space_path.write_text(json.dumps(space))
+    argv = [*command.split(), "--space", str(space_path), option]
+    if option == "--vec":
+        argv.append(value)
+    else:
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(value))
+        argv.append(str(other))
+    if command == "equiv":
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(tiny_code(0)))
+        argv += ["--c2", str(good)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "must be an integer" in err

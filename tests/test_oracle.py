@@ -7,35 +7,30 @@ import pytest
 
 from conftest import make_config
 from ohb import CapExceeded, all_symmetries, as_rank_table
-from ohb.oracle import distance_matrix, enumerate_isometries
+from ohb.oracle import enumerate_isometries
+from ohb.space import distance_matrix_array
 
 
 def test_distance_matrix_two_points():
     cfg = make_config(2, 1, 1, [[1]])
-    assert distance_matrix(cfg).tolist() == [[0, 1], [1, 0]]
+    assert distance_matrix_array(cfg).tolist() == [[0, 1], [1, 0]]
 
 
 def test_distance_matrix_chain_example():
     cfg = make_config(2, 1, 2, [[1, 1]])
-    D = distance_matrix(cfg)
+    D = distance_matrix_array(cfg)
     assert int(D[0, 2]) == 2  # (0,0) vs (0,1): top level differs
     assert int(D[0, 1]) == 1
 
 
 def test_distance_matrix_shape_properties():
     cfg = make_config(3, 2, 1, [[1], [2]])
-    D = distance_matrix(cfg)
+    D = distance_matrix_array(cfg)
     S = cfg.size
     assert D.shape == (S, S)
     assert (D == D.T).all()
     assert (D.diagonal() == 0).all()
     assert int(D.max()) <= cfg.m * cfg.n
-
-
-def test_distance_matrix_cap():
-    cfg = make_config(2, 1, 1, [[13]])
-    with pytest.raises(CapExceeded):
-        distance_matrix(cfg)
 
 
 def test_two_point_space():

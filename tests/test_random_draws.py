@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 from ohb import CapExceeded, ChainSymmetry, Symmetry, random_chain, random_symmetry
-from ohb import chains
 from ohb.chains import level_shapes, random_levels
+from ohb.errors import CAPS
 from ohb.cli import main
 
 # chain maps need only q; spaces need a field with a built-in modulus
@@ -196,8 +196,8 @@ def test_a_chain_over_the_cap_is_refused_before_drawing():
     assert rng.getstate() == state
 
 
-def test_the_cap_is_materialize_cap(monkeypatch):
-    monkeypatch.setattr(chains, "MATERIALIZE_CAP", 64)
+def test_the_cap_is_the_points_entry(monkeypatch):
+    monkeypatch.setitem(CAPS, "points", 64)
     assert random_chain(2, (1,) * 6, 1) == reference_chain(2, (1,) * 6, random.Random(1))
     with pytest.raises(CapExceeded, match=r"128 points, over the cap 64; .* 254 table entries"):
         random_chain(2, (1,) * 7, 1)

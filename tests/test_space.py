@@ -112,7 +112,7 @@ def test_distance_is_weight_of_difference():
 
 def test_metric_axioms_exhaustive_small():
     cfg = make_config(2, 2, 2, [[1, 1], [1, 1]])
-    vecs = list(cfg.all_vectors())
+    vecs = [cfg.unrank(r) for r in range(cfg.size)]
     for u in vecs:
         assert distance(u, u) == 0
         for v in vecs:
@@ -280,8 +280,6 @@ def test_materialization_guard():
     cfg = make_config(2, 1, 1, [[24]])  # 2^24 points
     with pytest.raises(CapExceeded):
         cfg.check_materialize()
-    with pytest.raises(CapExceeded):
-        list(cfg.all_vectors())
 
 
 def test_config_json_round_trip():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIGS, make_config
 from ohb import enumerate_automorphisms, full_order, gl_order
-from ohb.oracle import LIST_CAP, enumerate_isometries
+from ohb.errors import CAPS
+from ohb.oracle import enumerate_isometries
 
 # listings longer than this are skipped: their cost follows the group order
 LIST_ORDER_LIMIT = 5000
@@ -35,7 +36,7 @@ def check_config(cfg):
     report = enumerate_isometries(cfg)
     assert report.isometry_count == full_order(cfg)
     assert prod(report.orbit_sizes) == report.isometry_count
-    if cfg.size <= LIST_CAP and report.isometry_count <= LIST_ORDER_LIMIT:
+    if cfg.size <= CAPS["oracle_list"] and report.isometry_count <= LIST_ORDER_LIMIT:
         listed, tables = enumerate_isometries(cfg, want_list=True)
         assert listed.isometry_count == len(tables) == len({tuple(t) for t in tables})
 
