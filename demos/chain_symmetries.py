@@ -18,7 +18,14 @@ from ohb import (
     decompose_chain,
     random_chain,
 )
-from ohb.chains import chain_row_rank, chain_row_unrank, chain_space_size
+from ohb.chains import chain_space_size, level_places
+
+
+def row_of(q, chain_pi, r):
+    """The row of rank r as a tuple of block ranks, level 1 first: row
+    ranks are mixed radix with level 1 least significant."""
+    place = level_places(q, chain_pi)
+    return tuple(r % place[j + 1] // place[j] for j in range(len(chain_pi)))
 
 
 def main():
@@ -27,7 +34,7 @@ def main():
     args = ap.parse_args()
 
     q, chain_pi = 2, (1, 1)
-    rows = [chain_row_unrank(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
+    rows = [row_of(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
 
     # level 1 swaps only above tail 1; level 2 always swaps
     T = ChainSymmetry(q, chain_pi, [[(0, 1), (1, 0)], [(1, 0)]])
@@ -63,12 +70,10 @@ def main():
     print()
     T = random_chain(2, (2, 1), args.seed)
     print(f"random triangular symmetry on pi=(2,1), seed {args.seed}:")
-    some = [chain_row_unrank(2, (2, 1), r) for r in range(4)]
-    for row in some:
-        print(f"   {row} -> {T.apply(row)}")
-    rank_of = lambda row: chain_row_rank(2, (2, 1), row)
-    dense = [rank_of(T.apply(chain_row_unrank(2, (2, 1), r))) for r in range(8)]
-    back = decompose_chain(2, (2, 1), dense)
+    for r in range(4):
+        print(f"   {row_of(2, (2, 1), r)} -> {T.apply(row_of(2, (2, 1), r))}")
+    # the map on row ranks, as decompose_chain reads it
+    back = decompose_chain(2, (2, 1), T.rank_table())
     print(f"   decompose recovers the same map: {back == T}")
 
 

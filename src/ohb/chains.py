@@ -13,16 +13,18 @@ rank, block value), and provides application, composition, inversion,
 decomposition of a raw bijection table, uniform sampling, and the group
 order.
 
-Rows here are tuples of block ranks, one per level.  Ranks of whole
-rows are mixed radix with level 1 least significant, matching the
-canonical vector ordering.  So the tail of level j in a row of rank r
-is r // place[j+1], and (tail, block value) flattened is r // place[j].
+A row is given by its rank or, to `apply`, as a tuple of block ranks,
+one per level.  Row ranks are mixed radix with level 1 least
+significant, matching the canonical vector ordering.  So the tail of
+level j in a row of rank r is r // place[j+1], and (tail, block value)
+flattened is r // place[j].
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate, groupby, permutations, product
 
 import numpy as np
@@ -38,6 +40,9 @@ from .errors import (
 )
 from .space import bijection_array, distance_witness
 
+LOG10_E = math.log10(math.e)
+LOG10_2PI = math.log10(2 * math.pi)
+
 
 def _check_dims(q, chain_pi):
     if not isinstance(q, int) or q < 2:
@@ -46,10 +51,6 @@ def _check_dims(q, chain_pi):
     if not chain_pi or any(k < 1 for k in chain_pi):
         raise UsageError(f"chain shape must be nonempty positive widths, got {chain_pi}")
     return chain_pi
-
-
-def level_sizes(q, chain_pi):
-    return tuple(q ** k for k in chain_pi)
 
 
 def level_places(q, chain_pi):
@@ -72,31 +73,6 @@ def level_shapes(q, chain_pi):
 
 def chain_space_size(q, chain_pi):
     return q ** sum(chain_pi)
-
-
-def chain_row_rank(q, chain_pi, row) -> int:
-    sizes = level_sizes(q, chain_pi)
-    if len(row) != len(sizes):
-        raise UsageError(f"row has {len(row)} levels, chain has {len(sizes)}")
-    r = 0
-    place = 1
-    for x, sz in zip(row, sizes):
-        if not 0 <= x < sz:
-            raise UsageError(f"block rank {x} out of [0, {sz})")
-        r += x * place
-        place *= sz
-    return r
-
-
-def chain_row_unrank(q, chain_pi, r) -> tuple:
-    sizes = level_sizes(q, chain_pi)
-    if not 0 <= r < chain_space_size(q, chain_pi):
-        raise UsageError(f"row rank {r} out of range")
-    out = []
-    for sz in sizes:
-        out.append(r % sz)
-        r //= sz
-    return tuple(out)
 
 
 class ChainSymmetry:
@@ -157,13 +133,16 @@ class ChainSymmetry:
             r += x * place[j]
         return tuple([level.item(r // p) for level, p in zip(self.tables, place)])
 
-    def rank_table(self) -> np.ndarray:
-        """Dense table: image rank of every row rank."""
-        ranks = np.arange(self._place[-1])
+    def apply_ranks(self, ranks) -> np.ndarray:
+        """Image of each row rank in an int64 array, as an int64 array."""
         out = np.zeros_like(ranks)
         for level, p in zip(self.tables, self._place):
             out += level.ravel()[ranks // p].astype(np.int64) * p
         return out
+
+    def rank_table(self) -> np.ndarray:
+        """Dense table: image rank of every row rank."""
+        return self.apply_ranks(np.arange(self._place[-1]))
 
     def _tail_images(self) -> list:
         """For each level, the image of every tail rank under this map
@@ -236,6 +215,17 @@ def chain_order(q, chain_pi) -> int:
     for tails, sz in level_shapes(q, chain_pi):
         total *= math.factorial(sz) ** tails
     return total
+
+
+def log10_factorial(x: int) -> Fraction:
+    """log10(x!) without building x!: lgamma below 2^20, and beyond it
+    Stirling's series to its 1/(12x) term (error under 1e-19), which
+    reads x only through Python-int arithmetic and log10(x), so x may lie
+    far past the float range."""
+    if x < 1 << 20:
+        return Fraction(math.lgamma(x + 1) / math.log(10))
+    lg = math.log10(x)
+    return x * Fraction(lg - LOG10_E) + Fraction((lg + LOG10_2PI) / 2) + Fraction(LOG10_E / 12) / x
 
 
 def alt_chain_order_unit(q, n) -> int:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .automorphisms import aut_order_antichain, aut_report, gl_order
 from .chains import chain_order
 from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
-from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, json_int
+from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, json_int
 from .oracle import enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
@@ -26,6 +27,7 @@ from .symmetry import (
     compose_symmetry,
     decompose_full,
     full_order,
+    full_order_log10,
     invert_symmetry,
     random_symmetry,
     s_pi_order,
@@ -119,6 +121,16 @@ def _load_symmetry(cfg, path) -> Symmetry:
     return Symmetry.from_json(_read_json(path), cfg)
 
 
+def _check_printable(subject, log10_value):
+    """Refuse, in the one cap format, a number with more decimal digits
+    than Python converts to text (sys.get_int_max_str_digits(); 0 means
+    no limit), given the log10 of the number so it need not be built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        check_cap(subject, math.floor(log10_value) + 1, "decimal digits", limit,
+                  "Python prints no integer that long")
+
+
 def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
@@ -210,6 +222,8 @@ def _cmd_sym_decompose(args):
 
 def _cmd_order(args):
     cfg = _load_space(args.space)
+    if args.mode != "oracle":
+        _check_printable("group order", full_order_log10(cfg))
     doc = {"op": "order", "mode": args.mode}
     if args.mode == "formula":
         doc["formula_order"] = full_order(cfg)
@@ -229,10 +243,12 @@ def _cmd_order(args):
 def _cmd_aut(args):
     cfg = _load_space(args.space)
     if args.mode == "formula":
+        order = aut_order_antichain(cfg)
+        _check_printable("automorphism group order", math.log10(order))
         doc = {
             "op": "aut",
             "space": cfg.to_json(),
-            "formula_order": aut_order_antichain(cfg),
+            "formula_order": order,
             "enumerated_order": None,
             "per_block_gl_orders": [[gl_order(cfg.q, k) for k in row] for row in cfg.pi],
             "discrepant": None,
@@ -257,6 +273,7 @@ def _cmd_equiv(args):
 def _cmd_report(args):
     cfg = _load_space(args.space)
     cap = args.cap if args.cap is not None else CAPS["oracle_count"]
+    _check_printable("group order", full_order_log10(cfg))
     doc = {
         "op": "report",
         "space": cfg.to_json(),

@@ -165,9 +165,13 @@ def code_invariants(C: Code) -> dict:
 
 
 def apply_to_code(T: Symmetry, C: Code) -> Code:
+    """The image code: output chain i holds chain sigma[i]'s digits
+    mapped through its chain map, reassembled into Python-int ranks."""
     if T.config != C.config:
         raise UsageError("symmetry and code live in different spaces")
-    image = Code(C.config, [T.apply(v) for v in C.vectors()])
+    cfg = C.config
+    digits = [T.chains[k].apply_ranks(C._digits[k]).tolist() for k in T.sigma]
+    image = Code(cfg, [sum(d * p for d, p in zip(word, cfg.chain_place)) for word in zip(*digits)])
     if image.size != C.size or image.distance_distribution != C.distance_distribution:
         raise StructureError("isometry image changed a metric invariant")
     return image
@@ -195,6 +199,8 @@ def parse_code_json(doc: dict, config: SpaceConfig | None = None) -> Code:
         raise UsageError(f"bad code document: {exc}") from exc
     if config is not None and file_config != config:
         raise UsageError("code file declares a different space than requested")
+    if not isinstance(entries, list):
+        raise UsageError(f"bad code document: vectors must be a list, got {type(entries).__name__}")
     cfg = config or file_config
     vectors = []
     for entry in entries:

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .chains import alt_chain_order_unit
+from .chains import alt_chain_order_unit, log10_factorial
 from .errors import CAPS, check_cap
 from .space import SpaceConfig, distance_matrix_array
 from .symmetry import alt_full_order_unit, full_order
@@ -138,9 +138,8 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     if cap is None:
         cap = CAPS["oracle_list" if want_list else "oracle_count"]
     S = config.size
-    digits = math.lgamma(S + 1) / math.log(10)
-    check_cap("space", S, "points", cap, f"a full search would face {S}! (about 10^{digits:.0f}) "
-              "candidate bijections before pruning", symbol="q^N")
+    check_cap("space", S, "points", cap, f"a full search would face {S}! (about 10^"
+              f"{round(log10_factorial(S))}) candidate bijections before pruning", symbol="q^N")
     start = time.perf_counter()
     D = distance_matrix_array(config)
     weights = D[0]

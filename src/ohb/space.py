@@ -6,11 +6,14 @@ element (i, j) sits below (i, j') exactly when j <= j' on the same
 chain; the weight of a vector is the size of the down-closure of its
 block support, so per chain it contributes the highest nonzero level.
 
-Vectors are immutable grids of block values (tuples of element ranks).
-The canonical vector rank is mixed radix over block ranks with block
-(1, 1) least significant, then levels within chain 1, then chain 2,
-and so on.  Every serialized table in this package indexes by that
-rank.
+A vector is its canonical rank: mixed radix over block ranks with
+block (1, 1) least significant, then levels within chain 1, then chain
+2, and so on.  Every serialized table in this package indexes by that
+rank.  The metric is computed once, by rank_distance, and vector
+addition once, by add_ranks and sub_ranks.  BlockVector, an immutable
+grid of block values, is the value type of text I/O and of the scalar
+entry points; weight, distance and make_translation rank it and
+compute on the rank.
 """
 
 from __future__ import annotations
@@ -47,15 +50,6 @@ class SpaceConfig:
         self.chain_dims = tuple(sum(row) for row in pi)
         self.chain_size = tuple(self.q ** d for d in self.chain_dims)
         self.chain_place = tuple(math.prod(self.chain_size[:i]) for i in range(m))
-
-    # construction helpers
-
-    def zero(self) -> "BlockVector":
-        blocks = tuple(tuple((0,) * k for k in row) for row in self.pi)
-        return BlockVector(self, blocks)
-
-    def vector(self, blocks) -> "BlockVector":
-        return BlockVector(self, blocks)
 
     def check_materialize(self):
         """Refuse a dense table over every point of a space over the points cap."""
@@ -129,8 +123,8 @@ class SpaceConfig:
 class BlockVector:
     """An element of the space: an m x n grid of block values.
 
-    blocks[i][j] is a tuple of pi[i][j] element ranks.  Immutable;
-    addition and subtraction are componentwise in the field.
+    blocks[i][j] is a tuple of pi[i][j] element ranks.  Immutable; it
+    carries no arithmetic: compute on its rank (see add_ranks).
     """
 
     __slots__ = ("config", "blocks", "_rank")
@@ -169,50 +163,6 @@ class BlockVector:
             self._rank = self.config.rank(self)
         return self._rank
 
-    def row(self, i: int):
-        return self.blocks[i]
-
-    def _zip(self, other, op):
-        if not isinstance(other, BlockVector):
-            raise UsageError(f"cannot combine BlockVector with {type(other).__name__}")
-        if other.config != self.config:
-            raise UsageError("vectors from different spaces")
-        f = self.config.field
-        return BlockVector(
-            self.config,
-            tuple(
-                tuple(
-                    tuple(op(f, x, y) for x, y in zip(b1, b2))
-                    for b1, b2 in zip(r1, r2)
-                )
-                for r1, r2 in zip(self.blocks, other.blocks)
-            ),
-        )
-
-    def __add__(self, other):
-        return self._zip(other, lambda f, x, y: f.add(x, y))
-
-    def __sub__(self, other):
-        return self._zip(other, lambda f, x, y: f.sub(x, y))
-
-    def __neg__(self):
-        f = self.config.field
-        return BlockVector(
-            self.config,
-            tuple(tuple(tuple(f.neg(x) for x in b) for b in row) for row in self.blocks),
-        )
-
-    def scale(self, c: int) -> "BlockVector":
-        """Multiply every element by the field element of rank c."""
-        f = self.config.field
-        return BlockVector(
-            self.config,
-            tuple(tuple(tuple(f.mul(c, x) for x in b) for b in row) for row in self.blocks),
-        )
-
-    def is_zero(self) -> bool:
-        return all(all(all(x == 0 for x in b) for b in row) for row in self.blocks)
-
     def __eq__(self, other):
         return (
             isinstance(other, BlockVector)
@@ -230,100 +180,47 @@ class BlockVector:
 # metric operations
 
 
-def pi_support(v: BlockVector):
-    """Coordinates (i, j), 1-based, of the nonzero blocks of v."""
-    return frozenset(
-        (i + 1, j + 1)
-        for i, row in enumerate(v.blocks)
-        for j, b in enumerate(row)
-        if any(b)
-    )
-
-
-def ideal_closure(coords, m: int, n: int):
-    """Down-closure of a coordinate set in the union-of-chains order."""
-    for (i, j) in coords:
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise UsageError(f"coordinate {(i, j)} outside the {m}x{n} ground set")
-    out = set()
-    for (i, j) in coords:
-        for jj in range(1, j + 1):
-            out.add((i, jj))
-    return frozenset(out)
-
-
 def weight(v: BlockVector) -> int:
     """Size of the down-closure of the support: per chain, the highest
     nonzero level."""
-    total = 0
-    for row in v.blocks:
-        for j in range(len(row) - 1, -1, -1):
-            if any(row[j]):
-                total += j + 1
-                break
-    return total
-
-
-def chain_distance(u_row, v_row) -> int:
-    """Highest level (1-based) where two chain rows differ; 0 if equal.
-
-    Works on any per-level representation that supports !=, so both
-    block-value rows and block-rank rows are accepted.
-    """
-    if len(u_row) != len(v_row):
-        raise UsageError("chain rows of different lengths")
-    for j in range(len(u_row) - 1, -1, -1):
-        if u_row[j] != v_row[j]:
-            return j + 1
-    return 0
+    cfg = v.config
+    return rank_distance(cfg.q, cfg.pi, v.rank(), 0)
 
 
 def distance(u: BlockVector, v: BlockVector) -> int:
     if u.config != v.config:
         raise UsageError("vectors from different spaces")
-    return sum(chain_distance(ur, vr) for ur, vr in zip(u.blocks, v.blocks))
+    return rank_distance(u.config.q, u.config.pi, u.rank(), v.rank())
 
 
-# vectorized rank arithmetic on base-p digits (XOR for p = 2), used by the
-# automorphism search and to strip the translation in decompose_full
+# vectorized rank arithmetic on base-p digits (XOR for p = 2): the one
+# vector addition, used by the automorphism search, make_translation and
+# decompose_full
 
 
-def _digit_grid(config: SpaceConfig, ranks: np.ndarray) -> np.ndarray:
-    p = config.field.p
-    ndigits = config.N * config.field.e
-    grid = np.empty((len(ranks), ndigits), dtype=np.int64)
-    r = np.asarray(ranks, dtype=np.int64)
-    for t in range(ndigits):
-        grid[:, t] = r % p
-        r = r // p
-    return grid
-
-
-def _from_digit_grid(config: SpaceConfig, grid: np.ndarray) -> np.ndarray:
-    p = config.field.p
-    out = np.zeros(grid.shape[0], dtype=np.int64)
+def _combine(p: int, a, b, sign: int) -> np.ndarray:
+    """a + sign * b digit by digit in base p, on int64 rank arrays, over
+    as many digits as the larger rank has."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.int64))
+    b = np.asarray(b, dtype=np.int64)
+    if p == 2:
+        return a ^ b
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    top = int(max(a.max(initial=0), b.max(initial=0)))
     place = 1
-    for t in range(grid.shape[1]):
-        out += grid[:, t] * place
+    while place <= top:
+        out += (a // place % p + sign * (b // place % p)) % p * place
         place *= p
     return out
 
 
 def add_ranks(config: SpaceConfig, a, b) -> np.ndarray:
     """Componentwise field addition on arrays of vector ranks."""
-    if config.field.p == 2:
-        return np.atleast_1d(np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64))
-    ga = _digit_grid(config, np.atleast_1d(a))
-    gb = _digit_grid(config, np.atleast_1d(b))
-    return _from_digit_grid(config, (ga + gb) % config.field.p)
+    return _combine(config.field.p, a, b, 1)
 
 
 def sub_ranks(config: SpaceConfig, a, b) -> np.ndarray:
-    if config.field.p == 2:
-        return add_ranks(config, a, b)
-    ga = _digit_grid(config, np.atleast_1d(a))
-    gb = _digit_grid(config, np.atleast_1d(b))
-    return _from_digit_grid(config, (ga - gb) % config.field.p)
+    return _combine(config.field.p, a, b, -1)
 
 
 def scale_ranks(config: SpaceConfig, c: int, a) -> np.ndarray:
@@ -341,16 +238,18 @@ def scale_ranks(config: SpaceConfig, c: int, a) -> np.ndarray:
     return out
 
 
-def rank_distance(q: int, pi, a, b, dtype=np.int64) -> np.ndarray:
+def rank_distance(q: int, pi, a, b, dtype=np.int64):
     """Distances between arrays of ranks (broadcast against each other)
-    in the space with chain rows pi over a field of size q.
+    in the space with chain rows pi over a field of size q.  Two Python
+    ints give a Python int, exact at any size of space.
 
     Blocks are mixed-radix digits in canonical order; per chain, the
     distance is the highest level whose digits differ, which is the
     number of levels whose tail (that level and all above it) differs."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
+    total = 0
+    if not (isinstance(a, int) and isinstance(b, int)):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
     place = 1
     for row in pi:
         size = q ** sum(row)

@@ -28,6 +28,7 @@ from .chains import (
     identity_chain,
     invert_chain,
     level_shapes,
+    log10_factorial,
     random_levels,
     refuse_large_chains,
 )
@@ -44,6 +45,7 @@ from .fields import block_rank, block_unrank
 from .space import (
     BlockVector,
     SpaceConfig,
+    add_ranks,
     bijection_array,
     distance_witness,
     sub_ranks,
@@ -97,6 +99,16 @@ def full_order(config: SpaceConfig) -> int:
     total = s_pi_order(config)
     for row in config.pi:
         total *= chain_order(config.q, row)
+    return total
+
+
+def full_order_log10(config: SpaceConfig):
+    """log10 of full_order(config), summed from log10_factorial without
+    computing a factorial, so that a caller can refuse an order too
+    large to print before building it."""
+    total = sum(log10_factorial(c) for c in Counter(config.pi).values())
+    for row in config.pi:
+        total += sum(tails * log10_factorial(sz) for tails, sz in level_shapes(config.q, row))
     return total
 
 
@@ -156,12 +168,6 @@ class Symmetry:
         # every block is an entry of a permutation table that
         # ChainSymmetry validated, so the result needs no checks
         return BlockVector._trusted(cfg, tuple(out))
-
-    def is_identity(self) -> bool:
-        return self.sigma == tuple(range(self.config.m)) and all(
-            ch == identity_chain(self.config.q, self.config.pi[k])
-            for k, ch in enumerate(self.chains)
-        )
 
     def __eq__(self, other):
         return (
@@ -226,18 +232,16 @@ def invert_symmetry(A: Symmetry) -> Symmetry:
 
 
 def make_translation(w: BlockVector) -> Symmetry:
-    """The symmetry v -> v + w as a chain-only triangular map."""
+    """The symmetry v -> v + w as a chain-only triangular map: every
+    level adds w's block there, whatever the tail."""
     cfg = w.config
-    f = cfg.field
+    r = w.rank()  # a Python int: its digits are w's block ranks, in order
     chains = []
-    for row, w_row in zip(cfg.pi, w.blocks):
+    for row in cfg.pi:
         tables = []
-        for (tails, sz), kj, wb in zip(level_shapes(cfg.q, row), row, w_row):
-            perm = [
-                block_rank(cfg.q, tuple(f.add(x, y) for x, y in zip(block_unrank(cfg.q, r, kj), wb)))
-                for r in range(sz)
-            ]
-            tables.append(np.broadcast_to(perm, (tails, sz)))
+        for tails, sz in level_shapes(cfg.q, row):
+            tables.append(np.broadcast_to(add_ranks(cfg, np.arange(sz), r % sz), (tails, sz)))
+            r //= sz
         chains.append(ChainSymmetry(cfg.q, row, tables))
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import settings
 
-from ohb import BlockVector, Field, SpaceConfig
+from ohb import BlockVector, Field, SpaceConfig, block_rank, block_unrank
 
 # every hypothesis test draws the same examples on every run, so tier-1
 # stays deterministic; max_examples is set per test
@@ -22,6 +22,14 @@ def random_vector(config, rng: random.Random) -> BlockVector:
 
 def random_rank(config, rng: random.Random) -> int:
     return rng.randrange(config.size)
+
+
+def elementwise(config, op, *ranks) -> int:
+    """Reference vector arithmetic: op applied to the field elements of
+    the vectors with the given ranks, one coordinate at a time (a vector
+    rank is its element ranks read as one base-q number)."""
+    coords = [block_unrank(config.q, r, config.N) for r in ranks]
+    return block_rank(config.q, [op(*xs) for xs in zip(*coords)])
 
 
 # configs small enough for exhaustive checks, varied in shape

@@ -20,7 +20,6 @@ from ohb import (
     apply_to_code,
     as_rank_table,
     aut_order_antichain,
-    chain_distance,
     code_invariants,
     compose_symmetry,
     decompose_full,
@@ -32,15 +31,13 @@ from ohb import (
     invert_symmetry,
     is_linear,
     make_translation,
-    pi_support,
     random_chain,
     random_symmetry,
     weight,
 )
-from ohb.chains import chain_row_unrank, chain_space_size
-from ohb.fields import block_rank
+from ohb.chains import chain_space_size, level_places
 from ohb.oracle import enumerate_isometries
-from ohb.space import dist_ranks, distance_matrix_array
+from ohb.space import dist_ranks, distance_matrix_array, sub_ranks
 
 
 def timed(limit_s):
@@ -179,14 +176,12 @@ def test_8c_triangularity_prefix_independence():
         q, chain_pi = shapes[t % len(shapes)]
         T = random_chain(q, chain_pi, rng.randrange(10**9))
         S = chain_space_size(q, chain_pi)
-        u = chain_row_unrank(q, chain_pi, rng.randrange(S))
-        v = chain_row_unrank(q, chain_pi, rng.randrange(S))
-        n = len(chain_pi)
-        j = rng.randrange(n)
-        mixed = u[:j] + v[j:]
-        out_v = T.apply(v)
-        out_mixed = T.apply(mixed)
-        assert out_mixed[j:] == out_v[j:]
+        u, v = rng.randrange(S), rng.randrange(S)
+        # levels j+1.. of v (from place[j] up) over levels ..j of u
+        place = level_places(q, chain_pi)[rng.randrange(len(chain_pi))]
+        mixed = u % place + v // place * place
+        out_v, out_mixed = T.apply_ranks(np.array([v, mixed])) // place
+        assert out_mixed == out_v
 
 
 def test_8d_origin_fixing_symmetries_respect_chains():
@@ -194,18 +189,17 @@ def test_8d_origin_fixing_symmetries_respect_chains():
     for t in range(1000):
         cfg = PROPERTY_CONFIGS[t % len(PROPERTY_CONFIGS)]
         T = random_symmetry(cfg, rng.randrange(10**9))
-        shift = make_translation(-T.apply(cfg.zero()))
+        zero = cfg.unrank(0)
+        shift = make_translation(cfg.unrank(int(sub_ranks(cfg, 0, T.apply(zero).rank())[0])))
         T0 = compose_symmetry(shift, T)
-        assert T0.apply(cfg.zero()) == cfg.zero()
+        assert T0.apply(zero) == zero
         i = rng.randrange(cfg.m)
         # a nonzero vector supported on chain i alone
         sub = rng.randrange(1, cfg.chain_size[i])
-        v = cfg.unrank(sub * cfg.chain_place[i])
-        assert {c for c, _ in pi_support(v)} == {i + 1}
-        img = T0.apply(v)
-        chains_hit = {c for c, _ in pi_support(img)}
+        img = T0.apply(cfg.unrank(sub * cfg.chain_place[i])).rank()
+        chains_hit = [k for k in range(cfg.m) if cfg.chain_subrank(img, k)]
         assert len(chains_hit) == 1
-        j = chains_hit.pop() - 1
+        j = chains_hit[0]
         assert cfg.pi[j] == cfg.pi[i]  # dimension profiles match
 
 
@@ -246,13 +240,15 @@ def test_8f_metric_axioms_and_chain_sum_exhaustive():
         assert ((D == 0) == np.eye(S, dtype=bool)).all()
         for k in range(S):
             assert (D <= D[:, k][:, None] + D[k, :][None, :]).all()
-        # distance decomposes as the sum of per-chain chain distances
+        # distance decomposes as the sum of per-chain chain distances,
+        # each the highest level where the two rows' block ranks differ
         total = np.zeros((S, S), dtype=np.int64)
-        for i in range(cfg.m):
-            rows = [[block_rank(cfg.q, b) for b in cfg.unrank(r).blocks[i]] for r in range(S)]
+        for i, row in enumerate(cfg.pi):
+            place = level_places(cfg.q, row)
             for a in range(S):
                 for b in range(S):
-                    total[a, b] += chain_distance(rows[a], rows[b])
+                    ra, rb = cfg.chain_subrank(a, i), cfg.chain_subrank(b, i)
+                    total[a, b] += max((j + 1 for j in range(cfg.n) if ra // place[j] != rb // place[j]), default=0)
         assert (total == D).all()
 
 

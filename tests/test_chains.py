@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ohb import (
@@ -11,7 +12,6 @@ from ohb import (
     ValidationError,
     all_chain_symmetries,
     alt_chain_order_unit,
-    chain_distance,
     chain_order,
     compose_chain,
     decompose_chain,
@@ -19,11 +19,28 @@ from ohb import (
     invert_chain,
     random_chain,
 )
-from ohb.chains import chain_row_rank, chain_row_unrank, chain_space_size
+from ohb.chains import chain_space_size, level_places
+from ohb.space import rank_distance
+
+
+def row_of(q, chain_pi, r):
+    """The row of rank r: its block ranks, level 1 first."""
+    place = level_places(q, chain_pi)
+    return tuple(r % place[j + 1] // place[j] for j in range(len(chain_pi)))
+
+
+def rank_of(q, chain_pi, row):
+    return sum(x * p for x, p in zip(row, level_places(q, chain_pi)))
 
 
 def enumerate_rows(q, chain_pi):
-    return [chain_row_unrank(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
+    return [row_of(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
+
+
+def chain_distances(q, chain_pi, ranks):
+    """Distances between every two of the given row ranks."""
+    ranks = np.asarray(ranks)
+    return rank_distance(q, [chain_pi], ranks[:, None], ranks)
 
 
 def test_worked_example():
@@ -79,9 +96,9 @@ def test_chain_is_bijective_and_distance_preserving():
             T = random_chain(q, chain_pi, rng.randrange(10**6))
             images = [T.apply(row) for row in rows]
             assert sorted(images) == sorted(rows)
-            for a in rows:
-                for b in rows:
-                    assert chain_distance(T.apply(a), T.apply(b)) == chain_distance(a, b)
+            image_ranks = [rank_of(q, chain_pi, row) for row in images]
+            every = range(len(rows))
+            assert (chain_distances(q, chain_pi, image_ranks) == chain_distances(q, chain_pi, every)).all()
 
 
 def test_compose_apply_contract():
@@ -112,7 +129,9 @@ def test_rank_table_matches_apply():
     for q, chain_pi in [(2, (1, 1, 1)), (3, (1, 2)), (2, (2, 1, 3))]:
         T = random_chain(q, chain_pi, rng.randrange(10**6))
         rows = enumerate_rows(q, chain_pi)
-        assert T.rank_table().tolist() == [chain_row_rank(q, chain_pi, T.apply(r)) for r in rows]
+        assert T.rank_table().tolist() == [rank_of(q, chain_pi, T.apply(r)) for r in rows]
+        ranks = np.arange(len(rows))[::-1] // 2
+        assert T.apply_ranks(ranks).tolist() == T.rank_table()[ranks].tolist()
 
 
 def test_narrow_levels_keep_exact_arithmetic():
@@ -121,7 +140,7 @@ def test_narrow_levels_keep_exact_arithmetic():
     T = random_chain(2, (1, 9, 1), 5)
     assert [level.dtype.itemsize for level in T.tables] == [1, 2, 1]
     rows = enumerate_rows(2, (1, 9, 1))
-    assert T.rank_table().tolist() == [chain_row_rank(2, (1, 9, 1), T.apply(r)) for r in rows]
+    assert T.rank_table().tolist() == [rank_of(2, (1, 9, 1), T.apply(r)) for r in rows]
     U = compose_chain(T, invert_chain(T))
     assert U == identity_chain(2, (1, 9, 1))
     assert U.rank_table().tolist() == list(range(2 ** 11))
@@ -161,8 +180,7 @@ def test_decompose_round_trip():
         rows = enumerate_rows(q, chain_pi)
         for _ in range(20):
             T = random_chain(q, chain_pi, rng.randrange(10**6))
-            table = {chain_row_rank(q, chain_pi, row): chain_row_rank(q, chain_pi, T.apply(row)) for row in rows}
-            dense = [table[r] for r in range(len(rows))]
+            dense = [rank_of(q, chain_pi, T.apply(row)) for row in rows]
             R = decompose_chain(q, chain_pi, dense)
             for row in rows:
                 assert R.apply(row) == T.apply(row)
@@ -173,16 +191,12 @@ def test_decompose_completeness_small():
     q, chain_pi = 2, (1, 1)
     rows = enumerate_rows(q, chain_pi)
     S = len(rows)
+    D = chain_distances(q, chain_pi, range(S))
     found = 0
     import itertools
 
     for perm in itertools.permutations(range(S)):
-        ok = all(
-            chain_distance(rows[perm[a]], rows[perm[b]]) == chain_distance(rows[a], rows[b])
-            for a in range(S)
-            for b in range(a + 1, S)
-        )
-        if not ok:
+        if not (D[np.ix_(perm, perm)] == D).all():
             continue
         T = decompose_chain(q, chain_pi, list(perm))
         for a in range(S):
@@ -214,9 +228,8 @@ def test_top_level_swap_is_rejected_with_witness():
     with pytest.raises(NotIsometryError) as exc:
         decompose_chain(q, chain_pi, table)
     a, b = exc.value.witness
-    assert chain_distance(rows[a], rows[b]) != chain_distance(
-        rows[table[a]], rows[table[b]]
-    )
+    D = chain_distances(q, chain_pi, range(len(rows)))
+    assert D[a, b] != D[table[a], table[b]]
 
 
 def test_decompose_rejects_non_bijection():

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON documents, schemas."""
 
+import hashlib
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -483,3 +485,100 @@ def test_json_integers_are_checked_not_coerced(case, capsys, tmp_path):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("vectors", [5, "01", {"a": 1}], ids=["int", "string", "object"])
+def test_code_vectors_must_be_a_list(vectors, capsys, tmp_path):
+    space_path = tmp_path / "s.json"
+    space_path.write_text(json.dumps(TINY))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"config": TINY, "vectors": vectors}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tiny_code(0)))
+    code, out, err = run(capsys, "equiv", "--space", str(space_path), "--c1", str(bad), "--c2", str(good))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "vectors must be a list" in err
+
+
+def test_weight_and_dist_are_exact_past_int64(capsys, tmp_path):
+    # q=2, one chain of 70 unit levels: ranks reach 2^70
+    path = tmp_path / "s70.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "m": 1, "n": 70, "pi": [[1] * 70]}))
+    top = ",".join("0" * 69 + "1")
+    low = ",".join("1" * 30 + "0" * 40)
+    assert run_json(capsys, "weight", "--space", str(path), "--vec", top, schema="weight")["weight"] == 70
+    assert run_json(capsys, "weight", "--space", str(path), "--vec", low, schema="weight")["weight"] == 30
+    doc = run_json(capsys, "dist", "--space", str(path), "--u", top, "--v", low, schema="dist")
+    assert doc["distance"] == 70
+    doc = run_json(capsys, "dist", "--space", str(path), "--u", low, "--v", ",".join("0" * 70), schema="dist")
+    assert doc["distance"] == 30
+
+
+def unit_chain(n):
+    return {"field": {"p": 2}, "m": 1, "n": n, "pi": [[1] * n]}
+
+
+# orders too long to print: q=2 with one chain of 14 unit levels has a
+# group of order 2^16383 (4932 digits), GL(120, 2) has 4335 digits, and a
+# block of width 1100 has q^N = 2^1100 points, whose factorial has more
+# digits than a float can count
+WIDE = {"field": {"p": 2}, "m": 1, "n": 1, "pi": [[1100]]}
+UNPRINTABLE = {
+    "order formula n14": ("order --formula", unit_chain(14), "group order has 4932 decimal digits"),
+    "report n14": ("report", unit_chain(14), "group order has 4932 decimal digits"),
+    "aut formula k120": ("aut --formula", {**WIDE, "pi": [[120]]},
+                         "automorphism group order has 4335 decimal digits"),
+    "report k1100": ("report", WIDE, "group order has "),
+    "order formula k1100": ("order --formula", WIDE, "group order has "),
+    "order oracle k1100": ("order --oracle", WIDE, f"space has q^N = {2 ** 1100} points, over the cap 64"),
+}
+
+
+@pytest.mark.parametrize("case", UNPRINTABLE)
+def test_orders_too_long_to_print_are_refused(case, capsys, tmp_path):
+    command, space, message = UNPRINTABLE[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(space))
+    doc = run_json(capsys, *command.split(), "--space", str(path), schema="error", expect=1)
+    assert doc["error"].startswith(message)
+    if command != "order --oracle":
+        assert "decimal digits, over the cap 4300" in doc["error"]
+    code, out, err = run(capsys, *command.split(), "--space", str(path))
+    assert (code, err) == (1, "") and out.startswith("error: ")
+
+
+def test_the_print_limit_is_pythons(capsys, tmp_path):
+    # 2^8191 has 2466 digits and 2^16383 has 4932; 0 means no limit
+    n13, n14 = tmp_path / "n13.json", tmp_path / "n14.json"
+    n13.write_text(json.dumps(unit_chain(13)))
+    n14.write_text(json.dumps(unit_chain(14)))
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(2000)
+        doc = run_json(capsys, "order", "--formula", "--space", str(n13), schema="error", expect=1)
+        assert doc["error"].startswith("group order has 2466 decimal digits, over the cap 2000")
+        sys.set_int_max_str_digits(0)
+        doc = run_json(capsys, "order", "--formula", "--space", str(n14), schema="order")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert doc["formula_order"] == 2 ** 16383
+
+
+# sha256 of the stdout of q=2, one chain of 13 unit levels, whose group
+# order 2^8191 has 2466 digits: the same bytes as before the refusal
+PINNED_N13 = {
+    ("order --formula", "json"): "7cf299d6e39bb05e203b0840278955e8d22b714600f048ceadc0603779b17817",
+    ("order --formula", "human"): "0298b67ddbc79fe7872687a135b99516dcfe4d39aa796ed844aceba3310979a9",
+    ("report", "json"): "bc4526ab9c9d97d4d0deefedae489ffa408ab1a152addb716404a25e836a222f",
+    ("report", "human"): "1a9e6345673aeb0f1d3a7ec19742b3f5bf6c0d70c64cc624f85c6f1a5ba70e94",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(PINNED_N13))
+def test_orders_under_the_print_limit_are_unchanged(command, fmt, capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(unit_chain(13)))
+    code, out, _ = run(capsys, *command.split(), "--space", str(path), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_N13[command, fmt]

@@ -59,7 +59,7 @@ def test_invariants_match_the_pairwise_loop():
         make_config(2, 8, 8, [[1] * 8] * 8),
         make_config(2, 20, 7, [[1] * 7] * 20),
     ]:
-        vs = [random_vector(cfg, rng) for _ in range(12)] + [cfg.zero()]
+        vs = [random_vector(cfg, rng) for _ in range(12)] + [cfg.unrank(0)]
         c = Code(cfg, vs)
         vs = c.vectors()
         pairs = Counter(distance(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
@@ -109,6 +109,18 @@ def test_apply_preserves_distribution():
         img = apply_to_code(T, c)
         assert img.distance_distribution == c.distance_distribution
         assert img.size == c.size
+
+
+def test_apply_matches_the_vector_action_past_int64():
+    # q=2, m=8, n=8 has 2^64 points: image ranks are Python ints
+    rng = random.Random(37)
+    cfg = make_config(2, 8, 8, [[1] * 8] * 8)
+    for _ in range(5):
+        c = Code(cfg, [random_vector(cfg, rng) for _ in range(10)])
+        T = random_symmetry(cfg, rng.randrange(10**9))
+        img = apply_to_code(T, c)
+        assert img == Code(cfg, [T.apply(v) for v in c.vectors()])
+        assert max(img.ranks) >= 1 << 63 or max(c.ranks) >= 1 << 63
 
 
 def test_translations_move_weights_but_not_distances():
@@ -283,6 +295,9 @@ def test_parse_code_json():
     assert c == code_of(HAMMING2, "0;0", "1;1")
     with pytest.raises(UsageError):
         parse_code_json(doc, CHAIN2)  # config clash
+    for bad in (5, "01", {"a": 1}):
+        with pytest.raises(UsageError, match="vectors must be a list"):
+            parse_code_json({**doc, "vectors": bad})
 
 
 def test_code_json_round_trip():

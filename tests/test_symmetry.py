@@ -7,7 +7,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from conftest import make_config, random_vector
+from conftest import elementwise, make_config, random_vector
 from ohb import (
     BlockVector,
     NotIsometryError,
@@ -107,7 +107,7 @@ def test_sigma_validation():
 
 def test_identity():
     E = identity_symmetry(MIXED)
-    assert E.is_identity()
+    assert E == Symmetry(MIXED, (0, 1, 2), [identity_chain(2, row) for row in MIXED.pi])
     rng = random.Random(20)
     for _ in range(20):
         v = random_vector(MIXED, rng)
@@ -133,8 +133,8 @@ def test_compose_and_invert_contracts():
         assert C.apply(v) == A.apply(B.apply(v))
         Ainv = invert_symmetry(A)
         assert Ainv.apply(A.apply(v)) == v
-        assert compose_symmetry(A, Ainv).is_identity()
-        assert compose_symmetry(Ainv, A).is_identity()
+        assert compose_symmetry(A, Ainv) == identity_symmetry(MIXED)
+        assert compose_symmetry(Ainv, A) == identity_symmetry(MIXED)
 
 
 def test_row_swap_symmetry():
@@ -149,13 +149,32 @@ def test_row_swap_symmetry():
 
 
 def test_translation_decomposes_back():
+    # v -> v + w, added one field element at a time by the reference
     rng = random.Random(23)
-    for _ in range(20):
-        w = random_vector(MIXED, rng)
+    spaces = [MIXED, make_config(3, 2, 2, [[1, 2], [2, 1]]), make_config(2, 2, 2, [[1, 1], [2, 1]], e=2)]
+    for cfg, _ in product(spaces, range(5)):
+        w = random_vector(cfg, rng)
         T = make_translation(w)
-        v = random_vector(MIXED, rng)
-        assert T.apply(v) == v + w
-        assert T.apply(MIXED.zero()) == w
+        want = [elementwise(cfg, cfg.field.add, r, w.rank()) for r in range(cfg.size)]
+        assert as_rank_table(T).tolist() == want
+        v = random_vector(cfg, rng)
+        assert T.apply(v).rank() == want[v.rank()]
+        assert T.apply(cfg.unrank(0)) == w
+        assert decompose_full(cfg, want) == T
+
+
+def test_translation_past_int64():
+    # q=2, m=8, n=8 has 2^64 points and q=3 with seven chains of 3^6
+    # points has 3^42, both past int64
+    rng = random.Random(25)
+    for cfg in (make_config(2, 8, 8, [[1] * 8] * 8), make_config(3, 7, 3, [[1, 2, 3]] * 7)):
+        assert cfg.size > 1 << 63
+        w = random_vector(cfg, rng)
+        T = make_translation(w)
+        assert T.apply(cfg.unrank(0)) == w
+        for _ in range(20):
+            v = random_vector(cfg, rng)
+            assert T.apply(v).rank() == elementwise(cfg, cfg.field.add, v.rank(), w.rank())
 
 
 def test_as_rank_table_matches_apply():
@@ -195,7 +214,7 @@ def test_apply_builds_a_valid_vector(cfg):
             assert all(type(x) is int for row in image.blocks for b in row for x in b)
             assert image.rank() == table[v.rank()]
         with pytest.raises(UsageError):
-            T.apply(other.zero())
+            T.apply(other.unrank(0))
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():
