@@ -36,6 +36,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_cap,
+    int_text,
     json_int,
 )
 from .space import bijection_array, distance_witness
@@ -109,7 +110,27 @@ class ChainSymmetry:
                 raise ValidationError(
                     f"level {j + 1}, tail {bad[0]}: entry is not a permutation of [0, {sz})"
                 )
-            arr = arr.astype(np.uint8 if sz <= 1 << 8 else np.uint16 if sz <= 1 << 16 else np.int64)
+            clean.append(arr)
+        self._store(q, chain_pi, clean)
+
+    @classmethod
+    def _trusted(cls, q, chain_pi, tables) -> "ChainSymmetry":
+        """A map from tables already known to fit: chain_pi checked, and
+        every level a (tails, q^k) array or nested list whose rows are
+        permutations, as the builders below make them.  Skips the checks
+        of __init__."""
+        T = cls.__new__(cls)
+        T._store(q, chain_pi, tables)
+        return T
+
+    def _store(self, q, chain_pi, tables):
+        clean = []
+        for level in tables:
+            sz = len(level[0])
+            # a fresh C-ordered copy, so a caller's array is never frozen
+            # and ravel() in apply_ranks is a view
+            dtype = np.uint8 if sz <= 1 << 8 else np.uint16 if sz <= 1 << 16 else np.int64
+            arr = np.array(level, dtype=dtype, order="C")
             arr.flags.writeable = False
             clean.append(arr)
         self.q = q
@@ -186,7 +207,7 @@ class ChainSymmetry:
 def identity_chain(q, chain_pi) -> ChainSymmetry:
     chain_pi = _check_dims(q, chain_pi)
     shapes = level_shapes(q, chain_pi)
-    return ChainSymmetry(q, chain_pi, [np.broadcast_to(np.arange(sz), (t, sz)) for t, sz in shapes])
+    return ChainSymmetry._trusted(q, chain_pi, [np.broadcast_to(np.arange(sz), (t, sz)) for t, sz in shapes])
 
 
 def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
@@ -195,7 +216,7 @@ def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
         raise UsageError("cannot compose chain symmetries of different shapes")
     # A's level-j row is selected by B's image of the tail
     tables = [a[t[:, None], b] for a, b, t in zip(A.tables, B.tables, B._tail_images())]
-    return ChainSymmetry(A.q, A.chain_pi, tables)
+    return ChainSymmetry._trusted(A.q, A.chain_pi, tables)
 
 
 def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
@@ -204,7 +225,7 @@ def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
         inv = np.empty_like(a)
         inv[t[:, None], a] = np.arange(a.shape[1])
         tables.append(inv)
-    return ChainSymmetry(A.q, A.chain_pi, tables)
+    return ChainSymmetry._trusted(A.q, A.chain_pi, tables)
 
 
 def chain_order(q, chain_pi) -> int:
@@ -245,7 +266,7 @@ def refuse_large_chains(q, chain_pis):
     for k, chain_pi in enumerate(chain_pis):
         entries = sum(tails * sz for tails, sz in level_shapes(q, chain_pi))
         check_cap(f"chain {k + 1}", chain_space_size(q, chain_pi), "points", CAPS["points"],
-                  f"a random map of it would hold {entries} table entries")
+                  f"a random map of it would hold {int_text(entries)} table entries")
 
 
 def _replay_shuffles(rng, rows, sz):
@@ -323,7 +344,7 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chain_pi = _check_dims(q, chain_pi)
     refuse_large_chains(q, [chain_pi])
-    return ChainSymmetry(q, chain_pi, random_levels(rng, level_shapes(q, chain_pi)))
+    return ChainSymmetry._trusted(q, chain_pi, random_levels(rng, level_shapes(q, chain_pi)))
 
 
 def all_chain_symmetries(q, chain_pi):
@@ -378,7 +399,8 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
             )
         tables.append(level)
 
-    T = ChainSymmetry(q, chain_pi, tables)
+    # every level passed the repeats check above, so its rows are permutations
+    T = ChainSymmetry._trusted(q, chain_pi, tables)
     rt = T.rank_table()
     bad = np.nonzero(rt != f)[0]
     if len(bad):

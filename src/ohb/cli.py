@@ -123,12 +123,13 @@ def _load_symmetry(cfg, path) -> Symmetry:
 
 def _check_printable(subject, log10_value):
     """Refuse, in the one cap format, a number with more decimal digits
-    than Python converts to text (sys.get_int_max_str_digits(); 0 means
-    no limit), given the log10 of the number so it need not be built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        check_cap(subject, math.floor(log10_value) + 1, "decimal digits", limit,
-                  "Python prints no integer that long")
+    than Python converts to text (sys.get_int_max_str_digits()), given
+    the log10 of the number so it need not be built.  With the limit off
+    (0), Python's default limit still bounds the work of building it."""
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
+    check_cap(subject, math.floor(log10_value) + 1, "decimal digits", limit,
+              "Python prints no integer that long")
 
 
 def _resolve_seed(args):

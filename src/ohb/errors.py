@@ -8,6 +8,9 @@ table CAPS, and check_cap, the one place that refuses work over a cap.
 """
 
 import json
+import math
+
+LOG10_2 = math.log10(2)
 
 
 class OhbError(Exception):
@@ -73,11 +76,24 @@ CAPS = {
 def check_cap(subject, value, unit, cap, detail=None, symbol=None):
     """Refuse value over cap with CapExceeded, whose message reads
     "<subject> has <value> <unit>, over the cap <cap>[; <detail>]"; a
-    symbol names the value, as in "space has q^N = 256 points"."""
+    symbol names the value, as in "space has q^N = 256 points".  Numbers
+    are shown as int_text shows them."""
     if value > cap:
-        shown = f"{symbol} = {value}" if symbol else value
+        shown = f"{symbol} = {int_text(value)}" if symbol else int_text(value)
         tail = f"; {detail}" if detail else ""
-        raise CapExceeded(f"{subject} has {shown} {unit}, over the cap {cap}{tail}")
+        raise CapExceeded(f"{subject} has {shown} {unit}, over the cap {int_text(cap)}{tail}")
+
+
+def int_text(value):
+    """str(value), or "<d-digit number>" for an int with more decimal
+    digits than Python converts to text (sys.get_int_max_str_digits())."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = max(int(value.bit_length() * LOG10_2) - 1, 1)
+        while 10 ** digits <= value:
+            digits += 1
+        return f"<{digits}-digit number>"
 
 
 def json_int(value, name):

@@ -10,15 +10,19 @@ A vector is its canonical rank: mixed radix over block ranks with
 block (1, 1) least significant, then levels within chain 1, then chain
 2, and so on.  Every serialized table in this package indexes by that
 rank.  The metric is computed once, by rank_distance, and vector
-addition once, by add_ranks and sub_ranks.  BlockVector, an immutable
-grid of block values, is the value type of text I/O and of the scalar
-entry points; weight, distance and make_translation rank it and
-compute on the rank.
+addition once, by add_ranks and sub_ranks.  When q = 2^e every digit
+is a bit field of the rank, so rank_distance reads a ^ b by masks and
+add_ranks is XOR.  BlockVector, an immutable grid of block values, is
+the value type of text I/O and of the scalar entry points; weight,
+distance and make_translation rank it and compute on the rank.  Its
+blocks are decoded and encoded through one codec per block width
+(block_codec), which SpaceConfig.unrank and Symmetry.apply share.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +55,13 @@ class SpaceConfig:
         self.chain_size = tuple(self.q ** d for d in self.chain_dims)
         self.chain_place = tuple(math.prod(self.chain_size[:i]) for i in range(m))
 
+    @cached_property
+    def _codec(self):
+        """Per chain, per level: the (blocks, ranks) codec of that level's
+        width (see block_codec), built on first use, once per width."""
+        by_width = {k: block_codec(self.q, k) for k in {k for row in self.pi for k in row}}
+        return tuple(tuple(by_width[k] for k in row) for row in self.pi)
+
     def check_materialize(self):
         """Refuse a dense table over every point of a space over the points cap."""
         check_cap("space", self.size, "points", CAPS["points"], symbol="q^N")
@@ -66,12 +77,11 @@ class SpaceConfig:
         if not 0 <= r < self.size:
             raise UsageError(f"vector rank {r} out of [0, {self.size})")
         blocks = []
-        for i in range(self.m):
+        for codecs, widths in zip(self._codec, self.pi):
             row = []
-            for j in range(self.n):
-                k = self.pi[i][j]
-                row.append(block_unrank(self.q, r % self.q ** k, k))
-                r //= self.q ** k
+            for (decode, _), k in zip(codecs, widths):
+                r, x = divmod(r, self.q ** k)
+                row.append(decode[x])
             blocks.append(tuple(row))
         return BlockVector._trusted(self, tuple(blocks))
 
@@ -118,6 +128,36 @@ class SpaceConfig:
             raise UsageError(f"bad space config: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad space config: {exc}") from exc
+
+
+# blocks of a width with at most this many values are coded by table
+# lookup; wider ones compute each lookup, so a codec holds at most this
+# many blocks however wide a level is
+BLOCK_TABLE_LIMIT = 1 << 10
+
+
+class _Lookup:
+    """Subscript access to a function, for a codec too wide to tabulate."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
+
+
+def block_codec(q: int, k: int):
+    """(blocks, ranks) for blocks of width k over a field of size q:
+    blocks[r] is the block of rank r as block_unrank gives it, and
+    ranks[block] is r.  Up to BLOCK_TABLE_LIMIT values they are a tuple
+    and its inverse dict; beyond, lookups that call block_unrank and
+    block_rank."""
+    if q ** k > BLOCK_TABLE_LIMIT:
+        return _Lookup(lambda r: block_unrank(q, r, k)), _Lookup(lambda b: block_rank(q, b))
+    blocks = tuple(block_unrank(q, r, k) for r in range(q ** k))
+    return blocks, {b: r for r, b in enumerate(blocks)}
 
 
 class BlockVector:
@@ -245,10 +285,34 @@ def rank_distance(q: int, pi, a, b, dtype=np.int64):
 
     Blocks are mixed-radix digits in canonical order; per chain, the
     distance is the highest level whose digits differ, which is the
-    number of levels whose tail (that level and all above it) differs."""
-    total = 0
-    if not (isinstance(a, int) and isinstance(b, int)):
+    number of levels whose tail (that level and all above it) differs.
+
+    When q = 2^e digits are bit fields of x = a ^ b: a level's tail
+    differs exactly when the chain's bits of x reach the level's lowest
+    bit.  Arrays take that path up to 62 bits, narrowed to the fewest
+    bits that hold the space, with the count in int8 (at most 62
+    levels).  Otherwise digits are read with // and %, whose place
+    values past 2^63 raise OverflowError on int64 arrays, never wrap."""
+    exact = isinstance(a, int) and isinstance(b, int)
+    if not exact:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    e = q.bit_length() - 1
+    bits = e * sum(map(sum, pi))
+    if q == 1 << e and (exact or bits <= 62):
+        x, total = a ^ b, 0
+        if not exact:
+            x = x.astype(np.min_scalar_type((1 << bits) - 1))
+            total = np.zeros(x.shape, dtype=np.int8)
+        low = 0  # the lowest bit of the level
+        for row in pi:
+            high = low + e * sum(row)
+            xk = x & ((1 << high) - (1 << low))
+            for k in row:
+                total += xk >= 1 << low
+                low += e * k
+        return total if exact else total.astype(dtype, copy=False)
+    total = 0
+    if not exact:
         total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
     place = 1
     for row in pi:
@@ -328,7 +392,9 @@ def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
         )
         return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
     for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))]):
-        bad = np.nonzero(rank_distance(q, pi, u, ranks) != rank_distance(q, pi, f[u], f))[0]
+        bad = np.nonzero(
+            rank_distance(q, pi, u, ranks, np.int8) != rank_distance(q, pi, f[u], f, np.int8)
+        )[0]
         if len(bad):
             return int(u), int(bad[0])
     return None

@@ -41,7 +41,6 @@ from .errors import (
     check_cap,
     json_int,
 )
-from .fields import block_rank, block_unrank
 from .space import (
     BlockVector,
     SpaceConfig,
@@ -152,21 +151,23 @@ class Symmetry:
         self.chains = chains
 
     def apply(self, v: BlockVector) -> BlockVector:
-        if v.config != self.config:
-            raise UsageError("vector does not belong to this symmetry's space")
         cfg = self.config
-        q = cfg.q
+        if v.config is not cfg and v.config != cfg:
+            raise UsageError("vector does not belong to this symmetry's space")
         out = []
-        for i, k in enumerate(self.sigma):
-            ch = self.chains[k]
+        for k in self.sigma:
+            ch, codecs = self.chains[k], cfg._codec[k]
+            place = ch._place
             # the row rank of chain k, read like a vector rank
-            r = block_rank(q, [x for b in v.blocks[k] for x in b])
-            out.append(tuple(
-                block_unrank(q, level.item(r // p), width)
-                for level, p, width in zip(ch.tables, ch._place, cfg.pi[i])
-            ))
-        # every block is an entry of a permutation table that
-        # ChainSymmetry validated, so the result needs no checks
+            r = 0
+            for b, p, (_, ranks) in zip(v.blocks[k], place, codecs):
+                r += ranks[b] * p
+            out.append(tuple([
+                blocks[level.item(r // p)]
+                for level, p, (blocks, _) in zip(ch.tables, place, codecs)
+            ]))
+        # every block is the codec's block for an entry of a permutation
+        # table, so the result needs no checks
         return BlockVector._trusted(cfg, tuple(out))
 
     def __eq__(self, other):
@@ -242,7 +243,7 @@ def make_translation(w: BlockVector) -> Symmetry:
         for tails, sz in level_shapes(cfg.q, row):
             tables.append(np.broadcast_to(add_ranks(cfg, np.arange(sz), r % sz), (tails, sz)))
             r //= sz
-        chains.append(ChainSymmetry(cfg.q, row, tables))
+        chains.append(ChainSymmetry._trusted(cfg.q, row, tables))
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 
 
@@ -260,7 +261,7 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
         for pos, img in zip(idxs, rng.sample(idxs, len(idxs))):
             sigma[pos] = img
     levels = iter(random_levels(rng, [s for row in config.pi for s in level_shapes(config.q, row)]))
-    chains = [ChainSymmetry(config.q, row, [next(levels) for _ in row]) for row in config.pi]
+    chains = [ChainSymmetry._trusted(config.q, row, [next(levels) for _ in row]) for row in config.pi]
     return Symmetry(config, tuple(sigma), chains)
 
 
@@ -274,19 +275,21 @@ def all_symmetries(config: SpaceConfig):
 
 
 def as_rank_table(T: Symmetry, override: bool = False) -> np.ndarray:
-    """Dense action of T on every vector rank.  A space over the points
-    cap is refused unless override is set, as decompose_full sets it for
-    a table that already holds every point."""
+    """Dense action of T on every vector rank: the rank table of each
+    chain map, scaled to the digit of the chain it lands on and summed
+    over the chain axes by broadcasting.  A space over the points cap is
+    refused unless override is set, as decompose_full sets it for a
+    table that already holds every point."""
     cfg = T.config
     if not override:
         cfg.check_materialize()
-    ranks = np.arange(cfg.size, dtype=np.int64)
-    out = np.zeros(cfg.size, dtype=np.int64)
-    for i in range(cfg.m):
-        k = T.sigma[i]
-        ct = T.chains[k].rank_table()
-        sub = (ranks // cfg.chain_place[k]) % cfg.chain_size[k]
-        out += ct[sub] * cfg.chain_place[i]
+    inv = [0] * cfg.m
+    for i, k in enumerate(T.sigma):
+        inv[k] = i
+    # chain m-1 is the outermost axis, so the raveled sum is in rank order
+    out = np.zeros(1, dtype=np.int64)
+    for k in reversed(range(cfg.m)):
+        out = (out[:, None] + T.chains[k].rank_table() * cfg.chain_place[inv[k]]).ravel()
     return out
 
 

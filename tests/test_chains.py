@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import make_config
 from ohb import (
     ChainSymmetry,
     NotIsometryError,
@@ -17,7 +20,9 @@ from ohb import (
     decompose_chain,
     identity_chain,
     invert_chain,
+    make_translation,
     random_chain,
+    random_symmetry,
 )
 from ohb.chains import chain_space_size, level_places
 from ohb.space import rank_distance
@@ -261,3 +266,28 @@ def test_json_round_trip():
         assert again.to_json() == T.to_json()
         assert again == T
         assert again.chain_pi == T.chain_pi
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32))
+@example((2, 1), [1] * 10, 7)  # long enough for random_levels to replay the shuffle stream
+def test_the_trusted_builders_pass_the_public_checks(field, chain_pi, seed):
+    # random_levels, compose, invert, identity, decompose_chain and
+    # make_translation build their tables without the checks of
+    # ChainSymmetry(...); every table they build must pass them
+    p, e = field
+    q = p ** e
+    while chain_space_size(q, chain_pi) > 1 << 12:
+        chain_pi = chain_pi[:-1] or [1]
+    A, B = random_chain(q, chain_pi, seed), random_chain(q, chain_pi, seed + 1)
+    built = [A, B, compose_chain(A, B), invert_chain(A), identity_chain(q, chain_pi),
+             decompose_chain(q, chain_pi, compose_chain(A, B).rank_table())]
+    cfg = make_config(p, 2, len(chain_pi), [chain_pi] * 2, e=e)
+    built += random_symmetry(cfg, seed).chains
+    built += make_translation(cfg.unrank(seed % cfg.size)).chains
+    for T in built:
+        checked = ChainSymmetry(T.q, T.chain_pi, T.tables)
+        assert checked == T
+        assert [t.dtype for t in T.tables] == [t.dtype for t in checked.tables]
+        assert all(t.flags.c_contiguous and not t.flags.writeable for t in T.tables)

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ohb.cli import build_parser, main
 from ohb.codes import DEFAULT_BUDGET
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the JSON documents the CLI prints, one schema per output kind
 _SYMMETRY_SCHEMA = {
@@ -532,6 +537,10 @@ UNPRINTABLE = {
     "report k1100": ("report", WIDE, "group order has "),
     "order formula k1100": ("order --formula", WIDE, "group order has "),
     "order oracle k1100": ("order --oracle", WIDE, f"space has q^N = {2 ** 1100} points, over the cap 64"),
+    # 2^15000 has 4516 digits: the refusal states it by its digit count
+    "order oracle k15000": ("order --oracle", {**WIDE, "pi": [[15000]]},
+                            "space has q^N = <4516-digit number> points, over the cap 64; a full "
+                            "search would face <4516-digit number>! (about 10^<4520-digit number>)"),
 }
 
 
@@ -549,7 +558,8 @@ def test_orders_too_long_to_print_are_refused(case, capsys, tmp_path):
 
 
 def test_the_print_limit_is_pythons(capsys, tmp_path):
-    # 2^8191 has 2466 digits and 2^16383 has 4932; 0 means no limit
+    # 2^8191 has 2466 digits and 2^16383 has 4932; with the limit off
+    # (0), Python's default of 4300 digits still bounds the order
     n13, n14 = tmp_path / "n13.json", tmp_path / "n14.json"
     n13.write_text(json.dumps(unit_chain(13)))
     n14.write_text(json.dumps(unit_chain(14)))
@@ -559,10 +569,26 @@ def test_the_print_limit_is_pythons(capsys, tmp_path):
         doc = run_json(capsys, "order", "--formula", "--space", str(n13), schema="error", expect=1)
         assert doc["error"].startswith("group order has 2466 decimal digits, over the cap 2000")
         sys.set_int_max_str_digits(0)
-        doc = run_json(capsys, "order", "--formula", "--space", str(n14), schema="order")
+        doc = run_json(capsys, "order", "--formula", "--space", str(n13), schema="order")
+        assert doc["formula_order"] == 2 ** 8191
+        doc = run_json(capsys, "order", "--formula", "--space", str(n14), schema="error", expect=1)
+        assert doc["error"].startswith("group order has 4932 decimal digits, over the cap 4300")
     finally:
         sys.set_int_max_str_digits(old)
-    assert doc["formula_order"] == 2 ** 16383
+
+
+@pytest.mark.parametrize("pi", [[[1100]], [[40]]], ids=["k1100", "k40"])
+def test_orders_are_refused_with_the_print_limit_off(pi, tmp_path):
+    # π=[[1100]] overflowed factorial() and π=[[40]] would start
+    # factorial(2^40): both must be refused up front
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**WIDE, "pi": pi}))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0", "PYTHONPATH": str(SRC)}
+    res = subprocess.run([sys.executable, "-m", "ohb.cli", "report", "--space", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.startswith("error: group order has ")
+    assert "decimal digits, over the cap 4300" in res.stdout
 
 
 # sha256 of the stdout of q=2, one chain of 13 unit levels, whose group

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIGS, elementwise, make_config, random_vector
 from ohb import (
@@ -299,6 +301,103 @@ def test_rank_distance_matches_per_block_reference(q, pi):
     one = rank_distance(q, pi, int(xs[0]), int(ys[0]))
     assert type(one) is int and one == expected[0][0]
     assert rank_distance(q, pi, xs[0], int(ys[0])).shape == ()
+
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2)}
+
+
+@st.composite
+def mixed_spaces(draw, points=1 << 12):
+    """Spaces of at most `points` points over GF(2, 3, 4, 8, 9), with
+    block widths 1-3 where the size allows them, unit widths otherwise."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    dims = max(d for d in range(1, 13) if q ** d <= points)
+    m = draw(st.integers(1, min(3, dims)))
+    n = draw(st.integers(1, dims // m))
+    pi = draw(st.lists(st.lists(st.integers(1, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    if sum(map(sum, pi)) > dims:
+        pi = [[1] * n] * m
+    p, e = FIELDS[q]
+    return make_config(p, m, n, pi, e=e)
+
+
+@settings(max_examples=40)
+@given(mixed_spaces(), st.randoms(use_true_random=False), st.sampled_from([np.int8, np.int64]),
+       st.sampled_from([np.int8, np.int64]))
+def test_rank_distance_is_the_ideal_weight_of_the_difference(cfg, rng, given_dtype, dtype):
+    q, pi, f = cfg.q, cfg.pi, cfg.field
+    xs = [rng.randrange(cfg.size) for _ in range(6)]
+    ys = [rng.randrange(cfg.size) for _ in range(5)]
+    want = [[ideal_weight(cfg, elementwise(cfg, f.sub, x, y)) for y in ys] for x in xs]
+    if cfg.size > 128:
+        given_dtype = np.int64  # ranks past 127 do not fit int8
+    col, row = np.array(xs, dtype=given_dtype)[:, None], np.array(ys, dtype=given_dtype)
+    got = rank_distance(q, pi, col, row, dtype)
+    assert got.dtype == dtype and got.shape == (6, 5) and got.tolist() == want
+    assert rank_distance(q, pi, row[:, None], col[:, 0], dtype).tolist() == np.transpose(want).tolist()
+    assert rank_distance(q, pi, xs[0], row, dtype).tolist() == want[0]
+    assert rank_distance(q, pi, col, ys[0]).tolist() == [[w[0]] for w in want]
+    assert rank_distance(q, pi, col[:, :, None], row[None, :, None]).shape == (6, 5, 1)
+    assert rank_distance(q, pi, np.int64(xs[0]), ys[0]).shape == ()
+    one = rank_distance(q, pi, xs[0], ys[0])
+    assert type(one) is int and one == want[0][0]
+
+
+def divmod_distance(q, pi, a, b, dtype=np.int64):
+    """rank_distance read digit by digit with // and % for every q, as
+    it reads for odd q: the reference for the bit-field path of q = 2^e,
+    down to where an int64 array meets a place value past 2^63."""
+    total = 0
+    if not (isinstance(a, int) and isinstance(b, int)):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
+    place = 1
+    for row in pi:
+        size = q ** sum(row)
+        da, db = (a // place) % size, (b // place) % size
+        below = 1
+        for k in row:
+            total += da // below != db // below
+            below *= q ** k
+        place *= size
+    return total
+
+
+@pytest.mark.parametrize("q, pi", [(2, [[1] * 70]), (2, [[40], [1] * 30]), (4, [[1, 2]] * 12), (8, [[5], [20]])])
+def test_rank_distance_on_python_ints_past_int64(q, pi):
+    rng = random.Random(41)
+    size = q ** sum(map(sum, pi))
+    for _ in range(50):
+        a, b = rng.randrange(size), rng.randrange(size)
+        got = rank_distance(q, pi, a, b)
+        assert type(got) is int and got == divmod_distance(q, pi, a, b)
+
+
+# q = 2^e spaces whose last bit field ends at or near bit 62/63: the bit
+# path runs up to 62 bits; beyond, both read digits with // and %, which
+# raise OverflowError on a place value or chain size past int64
+NEAR_63 = [
+    (2, [[62]]), (2, [[1] * 62]), (2, [[30, 2], [30]]), (2, [[60], [2]]),
+    (2, [[63]]), (2, [[1] * 63]), (2, [[32], [31]]), (2, [[31], [32]]), (2, [[64]]), (2, [[40], [30]]),
+    (4, [[31]]), (4, [[16], [15]]), (4, [[32]]), (8, [[20], [1]]), (8, [[21]]), (8, [[7, 7], [7]]),
+]
+
+
+@pytest.mark.parametrize("q, pi", NEAR_63)
+def test_rank_distance_near_bit_63_matches_divmod(q, pi):
+    rng = random.Random(42)
+    top = min(q ** sum(map(sum, pi)), 1 << 63)
+    a = np.array([0, 1, top - 1, *(rng.randrange(top) for _ in range(40))], dtype=np.int64)
+    b = np.array([top - 1, 0, top - 1, *(rng.randrange(top) for _ in range(40))], dtype=np.int64)
+    for dtype in (np.int64, np.int8):
+        try:
+            want = divmod_distance(q, pi, a[:, None], b, dtype)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rank_distance(q, pi, a[:, None], b, dtype)
+            continue
+        got = rank_distance(q, pi, a[:, None], b, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 def test_distance_matrix_array_consistency():

@@ -6,6 +6,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import elementwise, make_config, random_vector
 from ohb import (
@@ -27,11 +29,13 @@ from ohb import (
     invert_symmetry,
     is_admissible,
     make_translation,
+    random_chain,
     random_symmetry,
     s_pi_order,
     weight,
 )
-from ohb.space import dist_ranks
+from ohb.chains import level_places
+from ohb.space import BLOCK_TABLE_LIMIT, dist_ranks
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
 
@@ -186,6 +190,71 @@ def test_as_rank_table_matches_apply():
         for r in range(cfg.size):
             v = cfg.unrank(r)
             assert cfg.rank(T.apply(v)) == int(table[r])
+
+
+def reference_table(T):
+    """T on every rank, one rank at a time: each chain's row of block
+    ranks is read off the rank with // and %, mapped by the tuple-row
+    ChainSymmetry.apply and placed at the output chain's digit."""
+    cfg = T.config
+    q, out = cfg.q, []
+    for r in range(cfg.size):
+        rows = []
+        for row in cfg.pi:
+            rows.append([])
+            for k in row:
+                rows[-1].append(r % q ** k)
+                r //= q ** k
+        image = 0
+        for i, k in enumerate(T.sigma):
+            place = level_places(q, cfg.pi[i])
+            image += cfg.chain_place[i] * sum(x * p for x, p in zip(T.chains[k].apply(rows[k]), place))
+        out.append(image)
+    return out
+
+
+@st.composite
+def movable_symmetries(draw, points=1 << 12):
+    """A symmetry of a space of up to 4 chains over GF(2, 3, 4), widths
+    1-3, drawn from at most two width profiles so that sigma can move
+    chains, and an admissible sigma other than the identity when the
+    space has one."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    q = p ** e
+    n = draw(st.integers(1, 2))
+    profiles = draw(st.lists(st.lists(st.integers(1, 3), min_size=n, max_size=n), min_size=1, max_size=2))
+    pi = draw(st.lists(st.sampled_from(profiles), min_size=2, max_size=4))
+    while q ** sum(map(sum, pi)) > points:
+        pi = pi[:-1] if len(pi) > 1 else [[1] * n]
+    cfg = make_config(p, len(pi), n, pi, e=e)
+    sigmas = list(admissible_permutations(cfg))
+    sigma = draw(st.sampled_from(sigmas[1:] or sigmas))
+    seed = draw(st.integers(0, 2 ** 32))
+    return Symmetry(cfg, sigma, [random_chain(q, row, seed + k) for k, row in enumerate(cfg.pi)])
+
+
+def check_table_and_apply(T, rng):
+    cfg = T.config
+    table = as_rank_table(T)
+    assert table.dtype == np.int64 and table.tolist() == reference_table(T)
+    for r in [0, cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(30))]:
+        assert T.apply(cfg.unrank(r)) == cfg.unrank(int(table[r]))
+
+
+@settings(max_examples=40)
+@given(movable_symmetries(), st.randoms(use_true_random=False))
+def test_rank_table_and_apply_match_the_per_rank_action(T, rng):
+    check_table_and_apply(T, rng)
+
+
+def test_wide_blocks_are_coded_without_a_table():
+    # q^11 = 2048 block values: the codec computes each lookup
+    cfg = make_config(2, 1, 2, [[11, 1]])
+    assert 2 ** 11 > BLOCK_TABLE_LIMIT and not isinstance(cfg._codec[0][0][0], tuple)
+    assert isinstance(cfg._codec[0][1][0], tuple)
+    rng = random.Random(43)
+    for _ in range(3):
+        check_table_and_apply(random_symmetry(cfg, rng.randrange(10**9)), rng)
 
 
 @pytest.mark.parametrize(
