@@ -5,8 +5,9 @@ antichain level (n = 1) the group order has a closed form: a product of
 general linear group orders, one per block, times the number of
 admissible chain permutations.  For n > 1 no closed form is evaluated
 here; the count from basis images with weight pruning is the
-authority.  It multiplies orbit sizes along a stabilizer chain, so its
-cost follows the number of basis slots and orbit points, not the group
+authority.  It runs the oracle's one group search,
+oracle.stabilizer_orbits, with the basis slots as base, so its cost
+follows the number of basis slots and orbit points, not the group
 order; only listing every automorphism visits each one.
 """
 
@@ -81,15 +82,14 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     """Count (and optionally list) every linear isometry.
 
     A linear map is fixed by the images of the standard basis slots
-    e_t = q^t, assigned in order; a partial assignment keeps a candidate
-    image w of e_t only if every vector x + c*e_t of the span it
-    extends keeps its weight under x + c*e_t -> f(x) + c*w.  The count
-    is the product of orbit sizes along the stabilizer chain with the
-    e_t as base (see oracle.stabilizer_orbits), each orbit point proven
-    by one completed backtrack, so the cost follows the number of basis
-    slots and orbit points, not the group order.  Listing is the
-    exhaustive backtrack.  Returns (count, tables or None).  A space over
-    cap points is refused; cap defaults to the aut_points entry of CAPS.
+    e_t = q^t, assigned in order; a search state is the span of the
+    images so far, and a candidate image w of e_t is kept only if every
+    vector x + c*e_t of that span keeps its weight under
+    x + c*e_t -> f(x) + c*w.  The e_t are the base of
+    oracle.stabilizer_orbits, which gives the count and, for the
+    listing, every completed span as a table.  Returns (count, tables
+    or None).  A space over cap points is refused; cap defaults to the
+    aut_points entry of CAPS.
     """
     S = config.size
     check_cap("space", S, "points", CAPS["aut_points"] if cap is None else cap, symbol="q^N")
@@ -120,20 +120,8 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     def grow(span, w):
         return np.concatenate([add_ranks(config, span, scaled[c][w]) for c in range(q)])
 
-    def extend(span):
-        """Every completion of the assignment ranks[:len(span)] -> span."""
-        if len(span) == S:
-            yield span
-            return
-        for w in candidates(span):
-            yield from extend(grow(span, w))
-
-    def complete(t, y):
-        return next(extend(grow(ranks[:q ** t], y)), None)
-
-    base = [q ** t for t in range(config.N)]
-    sizes = stabilizer_orbits(base, lambda t: candidates(ranks[:q ** t]), complete)
-    tables = [table.tolist() for table in extend(ranks[:1])] if want_list else None
+    sizes, tables = stabilizer_orbits([q ** t for t in range(config.N)], lambda t: ranks[:q ** t],
+                                      candidates, grow, lambda span: span, want_list)
     return math.prod(sizes), tables
 
 

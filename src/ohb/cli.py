@@ -198,20 +198,8 @@ def _cmd_sym_verify(args):
             decompose_full(cfg, _load_map(args.map, cfg.size))
         else:
             _load_symmetry(cfg, args.sym)
-    except NotIsometryError as exc:
-        return {
-            "op": "sym.verify",
-            "valid": False,
-            "error": str(exc),
-            "witness": list(exc.witness) if exc.witness else None,
-        }, "sym.verify"
-    except StructureError as exc:
-        return {
-            "op": "sym.verify",
-            "valid": False,
-            "error": str(exc),
-            "witness": None,
-        }, "sym.verify"
+    except (NotIsometryError, StructureError) as exc:
+        return {"op": "sym.verify", "valid": False, "error": str(exc), "witness": exc.witness}, "sym.verify"
     return {"op": "sym.verify", "valid": True, "error": None, "witness": None}, "sym.verify"
 
 
@@ -469,27 +457,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"ohb: error: {exc}", file=sys.stderr)
         return 2
-    except NotIsometryError as exc:
-        _emit(
-            {
-                "op": op,
-                "error": str(exc),
-                "witness": list(exc.witness) if exc.witness else None,
-                "chain_index": None,
-            },
-            "error",
-            fmt,
-        )
-        return 1
-    except StructureError as exc:
-        _emit(
-            {"op": op, "error": str(exc), "witness": None, "chain_index": exc.chain_index},
-            "error",
-            fmt,
-        )
-        return 1
     except DomainError as exc:
-        _emit({"op": op, "error": str(exc), "witness": None, "chain_index": None}, "error", fmt)
+        # a witness is a tuple of two ints, which JSON prints as a list
+        doc = {"op": op, "error": str(exc), "witness": exc.witness, "chain_index": exc.chain_index}
+        _emit(doc, "error", fmt)
         return 1
     _emit(doc, schema_key, fmt)
     if schema_key == "sym.verify" and not doc["valid"]:

@@ -87,10 +87,6 @@ class Code:
     def vectors(self):
         return [self.config.unrank(r) for r in self.ranks]
 
-    def __contains__(self, v):
-        r = v.rank() if isinstance(v, BlockVector) else int(v)
-        return r in set(self.ranks)
-
     def __eq__(self, other):
         return (
             isinstance(other, Code)

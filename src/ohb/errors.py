@@ -24,6 +24,9 @@ class UsageError(OhbError):
 class DomainError(OhbError):
     """Well-formed input rejected on mathematical grounds."""
 
+    witness = None  # a rank pair that shows the rejection (NotIsometryError)
+    chain_index = None  # the 1-based chain that failed (StructureError)
+
 
 class ValidationError(DomainError):
     """A table that was supposed to define a symmetry fails its bijection

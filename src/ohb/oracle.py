@@ -1,14 +1,16 @@
-"""Ground truth from the distance matrix alone.
+"""Ground truth from the distance matrix alone, and the one group search.
 
-Counts the distance-preserving bijections of a small space with a
-stabilizer chain: the group order is the product of orbit sizes, and
-each orbit point is proven by one backtrack on the distance matrix
-that completes it to an isometry.  The cost grows with the number of
-points and orbits, not with the group order.  The count is compared
+stabilizer_orbits is the backtrack that both group counts run: the
+oracle here, on partial maps checked against the distance matrix, and
+the automorphism count, on basis images.  It multiplies orbit sizes
+along a stabilizer chain, proving each orbit point by the first
+completion of the backtrack, so the cost grows with the number of
+points and orbits, not with the group order; only listing every
+element runs the backtrack to the end.  The oracle count is compared
 against the closed-form group order (and, for all-unit-width
 configurations, against the alternative closed forms that disagree
-with it).  Listing every isometry is still an exhaustive backtrack.
-Counts are exact integers; the caps keep the search at desk scale.
+with it).  Counts are exact integers; the caps keep the search at desk
+scale.
 """
 
 from __future__ import annotations
@@ -86,28 +88,37 @@ def pair_classes(D: np.ndarray) -> np.ndarray:
     return classes
 
 
-def stabilizer_orbits(base, candidates, complete) -> list:
-    """Orbit sizes along a pointwise stabilizer chain (Sims 1970); the
-    group order is their product.
+def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
+    """Orbit sizes along a pointwise stabilizer chain (Sims 1970), whose
+    product is the group order, and every group element if want_list.
 
-    base[t] is the t-th base point.  candidates(t) gives, ascending, the
-    points base[t] may be sent to by a group element fixing base[:t]; it
-    must contain base[t].  complete(t, y) returns such an element sending
-    base[t] to y, as a permutation array of all points, or None.  The
-    base point is in its own orbit (the identity).  Levels are worked
-    from the last one up, and before each further candidate the orbit is
-    closed under every element found so far (those of deeper levels fix
-    base[:t] too), so candidates it already reaches cost no search.
+    A state stands for a map sending base[:t] somewhere: root(t) fixes
+    base[:t], candidates(state) are the ascending images tried for the
+    next base point, which for root(t) include base[t], child(state, y)
+    sends it to y, and perm(state) is the permutation array of all
+    points for a state covering the base.  A candidate joins the orbit
+    when its child has a completion, the first one found.  Levels run
+    from the last one up, and the orbit is closed under every element
+    found so far (deeper ones fix base[:t] too) before each candidate,
+    so candidates it reaches cost no search.  Returns (sizes, listing):
+    every completion of root(0) in depth-first order as lists, or None.
     """
+    def completions(state, t):
+        if t == len(base):
+            yield perm(state)
+            return
+        for y in candidates(state):
+            yield from completions(child(state, y), t + 1)
+
     sizes = [1] * len(base)
     gens = []
     for t in reversed(range(len(base))):
-        b = int(base[t])
-        orbit = {b}
-        for y in candidates(t):
+        state = root(t)
+        orbit = {int(base[t])}
+        for y in candidates(state):
             if int(y) in orbit:
                 continue
-            g = complete(t, y)
+            g = next(completions(child(state, y), t + 1), None)
             if g is None:
                 continue
             gens.append(g)
@@ -116,24 +127,23 @@ def stabilizer_orbits(base, candidates, complete) -> list:
                 new = set(np.stack(gens)[:, list(new)].ravel().tolist()) - orbit
                 orbit |= new
         sizes[t] = len(orbit)
-    return sizes
+    listing = [g.tolist() for g in completions(root(0), 0)] if want_list else None
+    return sizes, listing
 
 
 def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list: bool = False):
     """Count every distance-preserving bijection; optionally list them.
 
-    Points are taken in ascending (weight, rank) order; an image is a
-    candidate for a point only if its pair classes (see pair_classes)
-    with the images assigned so far match those of the point with the
-    points assigned so far.  The count is the product of the
-    orbit sizes along the stabilizer chain with these points as base
-    (see stabilizer_orbits), each orbit point proven by one completed
-    backtrack, so the cost follows the number of points and orbits, not
-    the group order.  Only the distance matrix is read.  Returns an
-    OracleReport, plus, when want_list is set, every isometry as a dense
-    rank table from the exhaustive backtrack, whose cost does follow the
-    group order.  A space over cap points is refused; cap defaults to
-    the oracle_list or oracle_count entry of CAPS.
+    A search state is the images of the points taken so far in ascending
+    (weight, rank) order; an image is a candidate for the next point
+    only if its pair classes (see pair_classes) with those images match
+    the point's with the points taken so far.  These points are the base
+    of stabilizer_orbits, which gives the count and, when want_list is
+    set, every isometry as a dense rank table, listed by the exhaustive
+    backtrack, whose cost does follow the group order.  Only the
+    distance matrix is read.  Returns an OracleReport, plus the listing
+    when want_list is set.  A space over cap points is refused; cap
+    defaults to the oracle_list or oracle_count entry of CAPS.
     """
     if cap is None:
         cap = CAPS["oracle_list" if want_list else "oracle_count"]
@@ -145,44 +155,18 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     weights = D[0]
     D = pair_classes(D)
     order = np.asarray(sorted(range(S), key=lambda r: (int(weights[r]), r)), dtype=np.int64)
-    imgs = np.empty(S, dtype=np.int64)
-    used = np.zeros(S, dtype=bool)
+    base = D[np.ix_(order, order)]  # the pair classes among the base points
 
-    def candidates(t):
-        return np.flatnonzero(~used & (D[:, imgs[:t]] == D[order[t], order[:t]]).all(1))
+    def candidates(imgs):
+        ok = (D[:, imgs] == base[len(imgs), :len(imgs)]).all(1)
+        ok[imgs] = False
+        return np.flatnonzero(ok)
 
-    def extend(t):
-        """Every completion of the assignment order[:t] -> imgs[:t]."""
-        if t == S:
-            table = np.empty(S, dtype=np.int64)
-            table[order] = imgs
-            yield table
-            return
-        for y in candidates(t):
-            imgs[t] = y
-            used[y] = True
-            yield from extend(t + 1)
-            used[y] = False
-
-    def fix_prefix(t):
-        imgs[:t] = order[:t]
-        used[:] = False
-        used[order[:t]] = True
-
-    def complete(t, y):
-        fix_prefix(t)
-        imgs[t] = y
-        used[y] = True
-        return next(extend(t + 1), None)
-
-    def base_candidates(t):
-        fix_prefix(t)
-        return candidates(t)
-
-    sizes = stabilizer_orbits(order, base_candidates, complete)
+    back = np.argsort(order)  # the rank table of a full state is imgs[back]
+    sizes, maps = stabilizer_orbits(order, lambda t: order[:t], candidates,
+                                    lambda imgs, y: np.concatenate((imgs, [y])),
+                                    lambda imgs: imgs[back], want_list)
     count = math.prod(sizes)
-    fix_prefix(0)
-    maps = [table.tolist() for table in extend(0)] if want_list else None
     elapsed = time.perf_counter() - start
 
     alt = {}

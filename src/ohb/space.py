@@ -16,13 +16,16 @@ add_ranks is XOR.  BlockVector, an immutable grid of block values, is
 the value type of text I/O and of the scalar entry points; weight,
 distance and make_translation rank it and compute on the rank.  Its
 blocks are decoded and encoded through one codec per block width
-(block_codec), which SpaceConfig.unrank and Symmetry.apply share.
+(block_codec), which SpaceConfig.rank, SpaceConfig.unrank and
+Symmetry.apply share.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,10 +71,20 @@ class SpaceConfig:
 
     # canonical ranking
 
+    @cached_property
+    def _block_places(self):
+        """Per block in canonical order: its codec's rank lookup and its
+        place value in a vector rank."""
+        sizes = [self.q ** k for row in self.pi for k in row]
+        places = accumulate(sizes[:-1], operator.mul, initial=1)
+        return tuple(zip([ranks for codecs in self._codec for _, ranks in codecs], places))
+
     def rank(self, v: "BlockVector") -> int:
         self._check_vector(v)
-        # every element rank, block (1, 1) first, as one base-q number
-        return block_rank(self.q, [x for row in v.blocks for b in row for x in b])
+        r = 0
+        for b, (ranks, place) in zip([b for row in v.blocks for b in row], self._block_places):
+            r += ranks[b] * place
+        return r
 
     def unrank(self, r: int) -> "BlockVector":
         if not 0 <= r < self.size:
@@ -163,14 +176,18 @@ def block_codec(q: int, k: int):
 class BlockVector:
     """An element of the space: an m x n grid of block values.
 
-    blocks[i][j] is a tuple of pi[i][j] element ranks.  Immutable; it
-    carries no arithmetic: compute on its rank (see add_ranks).
+    blocks[i][j] is a tuple of pi[i][j] element ranks, Python ints.
+    Immutable; it carries no arithmetic: compute on its rank (see
+    add_ranks).
     """
 
     __slots__ = ("config", "blocks", "_rank")
 
     def __init__(self, config: SpaceConfig, blocks):
-        blocks = tuple(tuple(tuple(b) for b in row) for row in blocks)
+        try:
+            blocks = tuple(tuple(tuple(map(operator.index, b)) for b in row) for row in blocks)
+        except TypeError as exc:
+            raise UsageError(f"blocks must hold integer element ranks: {exc}") from None
         if len(blocks) != config.m:
             raise UsageError(f"expected {config.m} chains, got {len(blocks)}")
         for i, row in enumerate(blocks):
@@ -414,8 +431,11 @@ def format_vector(v: BlockVector) -> str:
 
 
 def parse_vector(config: SpaceConfig, text: str) -> BlockVector:
+    """The vector in the text format of format_vector; only ASCII text is read."""
     if config.q > 10:
         raise UsageError("text format needs q <= 10; use ranks instead")
+    if not text.isascii():
+        raise UsageError(f"vector text must be ASCII, got {text!r}")
     chains = text.strip().split(";")
     if len(chains) != config.m:
         raise UsageError(f"expected {config.m} chains, got {len(chains)}")

@@ -274,15 +274,17 @@ def all_symmetries(config: SpaceConfig):
             yield Symmetry(config, sigma, chains)
 
 
-def as_rank_table(T: Symmetry, override: bool = False) -> np.ndarray:
-    """Dense action of T on every vector rank: the rank table of each
-    chain map, scaled to the digit of the chain it lands on and summed
-    over the chain axes by broadcasting.  A space over the points cap is
-    refused unless override is set, as decompose_full sets it for a
-    table that already holds every point."""
+def as_rank_table(T: Symmetry) -> np.ndarray:
+    """Dense action of T on every vector rank; a space over the points
+    cap is refused."""
+    T.config.check_materialize()
+    return _rank_table(T)
+
+
+def _rank_table(T: Symmetry) -> np.ndarray:
+    """as_rank_table without the cap: each chain map's rank table, scaled to
+    the digit of the chain it lands on, summed over the chain axes."""
     cfg = T.config
-    if not override:
-        cfg.check_materialize()
     inv = [0] * cfg.m
     for i, k in enumerate(T.sigma):
         inv[k] = i
@@ -377,7 +379,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     if w_rank:
         cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
 
-    bad = np.nonzero(as_rank_table(cand, override=True) != f)[0]
+    bad = np.nonzero(_rank_table(cand) != f)[0]
     if len(bad):
         r = int(bad[0])
         reject(None, f"map disagrees with its chain decomposition at rank {r}", r)

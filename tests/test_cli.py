@@ -420,6 +420,17 @@ def test_usage_errors_are_one_line(capsys, space_file, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("vec", ["\u00b2,0", "\u0661,0", "0,\uff11"])
+def test_non_ascii_vector_text_is_a_usage_error(capsys, space_file, tmp_path, vec):
+    code, out, err = run(capsys, "weight", "--space", space_file, "--vec", vec)
+    assert (code, out, len(err.strip().splitlines())) == (2, "", 1)
+    codes = tmp_path / "c.txt"
+    codes.write_text(f"0,1\n{vec}\n", encoding="utf-8")
+    code, out, err = run(capsys, "equiv", "--space", space_file, "--c1", str(codes), "--c2", str(codes))
+    assert (code, out) == (2, "")
+    assert err.startswith("ohb: error: line 2:")
+
+
 def test_unknown_command_exits_2(capsys):
     code, out, err = run(capsys, "definitely-not-a-command")
     assert code == 2

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIGS, elementwise, make_config, random_vector
@@ -221,6 +221,41 @@ def test_parse_vector_errors():
         parse_vector(cfg, "0,2;1,0")  # digit out of field
     with pytest.raises(UsageError):
         parse_vector(cfg, "00,1;1,0")  # block width 1, two digits
+
+
+# spaces whose vectors have a text format: q <= 10, one or more chains
+TEXT_SPACES = [
+    make_config(2, 1, 2, [[1, 1]]),
+    make_config(3, 2, 2, [[2, 1], [1, 1]]),
+    make_config(3, 1, 1, [[1]], e=2),
+]
+
+
+@settings(max_examples=400)
+@example(TEXT_SPACES[0], "\u00b2,0")  # superscript two: isdigit() but not a digit int() reads
+@example(TEXT_SPACES[0], "\u0661,0")  # Arabic-Indic one: int() reads it as 1
+@example(TEXT_SPACES[0], "\u20030,1")  # a non-ASCII space that strip() would remove
+@given(
+    st.sampled_from(TEXT_SPACES),
+    st.text(st.one_of(st.sampled_from("012389,; "), st.characters()), max_size=14),
+)
+def test_parse_vector_reads_ascii_text_only(cfg, text):
+    try:
+        v = parse_vector(cfg, text)
+    except UsageError:
+        return
+    assert text.isascii()
+    assert parse_vector(cfg, format_vector(v)) == v
+
+
+def test_vector_blocks_hold_integer_element_ranks():
+    cfg = make_config(2, 1, 2, [[1, 1]])
+    for bad in [[[(0.5,), (1,)]], [[(1.0,), (1,)]], [[("1",), (1,)]], [[(None,), (0,)]]]:
+        with pytest.raises(UsageError):
+            BlockVector(cfg, bad)
+    v = BlockVector(cfg, [[(np.int64(1),), (np.uint8(1),)]])
+    assert all(type(x) is int for row in v.blocks for b in row for x in b)
+    assert v == parse_vector(cfg, "1,1") and v.rank() == 3 and weight(v) == 2
 
 
 def test_vectorized_ops_match_vector_ops():

@@ -5,10 +5,14 @@ stabilizer chain.  Here each count is checked against the length of the
 exhaustive listing (where listing is affordable), the oracle against
 full_order, and the automorphism count against the block
 upper-triangular closed form, computed below and nowhere in the package.
+The search core, stabilizer_orbits, is also run on groups known without
+ohb.
 """
 
+from itertools import permutations
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import SMALL_CONFIGS, make_config
 from ohb import enumerate_automorphisms, full_order, gl_order
 from ohb.errors import CAPS
-from ohb.oracle import enumerate_isometries
+from ohb.oracle import enumerate_isometries, stabilizer_orbits
 
 # listings longer than this are skipped: their cost follows the group order
 LIST_ORDER_LIMIT = 5000
@@ -98,3 +102,35 @@ def test_automorphism_pins_beyond_enumeration(p, pi, order):
     count, tables = enumerate_automorphisms(cfg)
     assert count == order == block_triangular_order(cfg)
     assert tables is None
+
+
+def test_search_core_on_the_symmetric_group():
+    # a state is the images of 0..t-1; any unused point may come next
+    sizes, listing = stabilizer_orbits(
+        [0, 1, 2, 3],
+        lambda t: tuple(range(t)),
+        lambda state: [y for y in range(4) if y not in state],
+        lambda state, y: state + (y,),
+        np.array,
+        want_list=True,
+    )
+    assert sizes == [4, 3, 2, 1]
+    assert listing == [list(g) for g in permutations(range(4))]
+
+
+def test_search_core_on_a_cyclic_group():
+    # rotations of 5 points: the image of 0 fixes the image of 1
+    def candidates(state):
+        return range(5) if not state else [(state[0] + 1) % 5]
+
+    def perm(state):
+        return (np.arange(5) + state[0]) % 5
+
+    sizes, listing = stabilizer_orbits(
+        [0, 1], lambda t: tuple(range(t)), candidates, lambda state, y: state + (y,), perm, want_list=True
+    )
+    assert sizes == [5, 1]
+    assert listing == [[(x + r) % 5 for x in range(5)] for r in range(5)]
+    # without want_list the count is the same and nothing is listed
+    assert stabilizer_orbits([0, 1], lambda t: tuple(range(t)), candidates,
+                             lambda state, y: state + (y,), perm) == ([5, 1], None)
