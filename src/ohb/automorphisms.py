@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CAPS, DomainError, UsageError, check_cap
 from .oracle import stabilizer_orbits
-from .space import SpaceConfig, add_ranks, rank_distance, scale_ranks, weight_array
+from .space import SpaceConfig, add_ranks, scale_ranks, weight_array
 from .symmetry import s_pi_order
 
 
@@ -85,7 +85,8 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     e_t = q^t, assigned in order; a search state is the span of the
     images so far, and a candidate image w of e_t is kept only if every
     vector x + c*e_t of that span keeps its weight under
-    x + c*e_t -> f(x) + c*w.  The e_t are the base of
+    x + c*e_t -> f(x) + c*w, read from the weight table at
+    add_ranks(f(x), c*w).  The e_t are the base of
     oracle.stabilizer_orbits, which gives the count and, for the
     listing, every completed span as a table.  Returns (count, tables
     or None).  A space over cap points is refused; cap defaults to the
@@ -93,26 +94,24 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     """
     S = config.size
     check_cap("space", S, "points", CAPS["aut_points"] if cap is None else cap, symbol="q^N")
-    q, f = config.q, config.field
+    q = config.q
     weights = weight_array(config)
     ranks = np.arange(S, dtype=np.int64)
     scaled = [scale_ranks(config, c, ranks) for c in range(q)]
-    negated = [scaled[f.neg(c)] for c in range(q)]
 
     def candidates(span):
         """Ascending images of e_t that keep the weights over span + c*e_t,
         where span holds the images of ranks 0..q^t - 1."""
         e_t = len(span)
         ws = np.flatnonzero(weights == weights[e_t])
-        # weight(y + c*w) is the distance from y to -c*w; each block of
-        # candidates against the span holds about 2^16 distances
+        # each block of candidates against the span reads about 2^16 weights
         rows = max(1, (1 << 16) // e_t)
         keep = []
         for lo in range(0, len(ws), rows):
             w = ws[lo:lo + rows]
             for c in range(1, q):
                 target = weights[c * e_t:(c + 1) * e_t]
-                got = rank_distance(q, config.pi, span, negated[c][w][:, None], np.int8)
+                got = weights[add_ranks(config, span, scaled[c][w][:, None])]
                 w = w[(got == target).all(1)]
             keep.append(w)
         return np.concatenate(keep)

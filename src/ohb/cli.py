@@ -144,17 +144,16 @@ def _resolve_seed(args):
     raise UsageError(f"a seed is required: pass --seed or set {SEED_ENV}")
 
 
-# subcommand handlers: each returns (doc, schema_key)
+# subcommand handlers: each takes the loaded space and the parsed
+# arguments and returns (doc, schema_key)
 
 
-def _cmd_weight(args):
-    cfg = _load_space(args.space)
+def _cmd_weight(cfg, args):
     v = parse_vector(cfg, args.vec)
     return {"op": "weight", "vector": format_vector(v), "weight": weight(v)}, "weight"
 
 
-def _cmd_dist(args):
-    cfg = _load_space(args.space)
+def _cmd_dist(cfg, args):
     u = parse_vector(cfg, args.u)
     v = parse_vector(cfg, args.v)
     return {
@@ -165,34 +164,29 @@ def _cmd_dist(args):
     }, "dist"
 
 
-def _cmd_sym_gen(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_gen(cfg, args):
     T = random_symmetry(cfg, _resolve_seed(args))
     return T.to_json(), "symmetry"
 
 
-def _cmd_sym_apply(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_apply(cfg, args):
     T = _load_symmetry(cfg, args.sym)
     v = parse_vector(cfg, args.vec)
     return {"op": "sym.apply", "vector": format_vector(T.apply(v))}, "sym.apply"
 
 
-def _cmd_sym_compose(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_compose(cfg, args):
     A = _load_symmetry(cfg, args.a)
     B = _load_symmetry(cfg, args.b)
     return compose_symmetry(A, B).to_json(), "symmetry"
 
 
-def _cmd_sym_invert(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_invert(cfg, args):
     T = _load_symmetry(cfg, args.sym)
     return invert_symmetry(T).to_json(), "symmetry"
 
 
-def _cmd_sym_verify(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_verify(cfg, args):
     try:
         if args.map:
             decompose_full(cfg, _load_map(args.map, cfg.size))
@@ -203,14 +197,12 @@ def _cmd_sym_verify(args):
     return {"op": "sym.verify", "valid": True, "error": None, "witness": None}, "sym.verify"
 
 
-def _cmd_sym_decompose(args):
-    cfg = _load_space(args.space)
+def _cmd_sym_decompose(cfg, args):
     T = decompose_full(cfg, _load_map(args.map, cfg.size))
     return T.to_json(), "symmetry"
 
 
-def _cmd_order(args):
-    cfg = _load_space(args.space)
+def _cmd_order(cfg, args):
     if args.mode != "oracle":
         _check_printable("group order", full_order_log10(cfg))
     doc = {"op": "order", "mode": args.mode}
@@ -229,8 +221,7 @@ def _cmd_order(args):
     return doc, "order"
 
 
-def _cmd_aut(args):
-    cfg = _load_space(args.space)
+def _cmd_aut(cfg, args):
     if args.mode == "formula":
         order = aut_order_antichain(cfg)
         _check_printable("automorphism group order", math.log10(order))
@@ -249,8 +240,7 @@ def _cmd_aut(args):
     return doc, "aut"
 
 
-def _cmd_equiv(args):
-    cfg = _load_space(args.space)
+def _cmd_equiv(cfg, args):
     c1 = _load_code(cfg, args.c1)
     c2 = _load_code(cfg, args.c2)
     res = equivalent(c1, c2, budget=args.budget)
@@ -259,8 +249,7 @@ def _cmd_equiv(args):
     return doc, "equiv"
 
 
-def _cmd_report(args):
-    cfg = _load_space(args.space)
+def _cmd_report(cfg, args):
     cap = args.cap if args.cap is not None else CAPS["oracle_count"]
     _check_printable("group order", full_order_log10(cfg))
     doc = {
@@ -453,7 +442,7 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "human")
     op = args.cmd if not getattr(args, "subcmd", None) else f"{args.cmd}.{args.subcmd}"
     try:
-        doc, schema_key = args.handler(args)
+        doc, schema_key = args.handler(_load_space(args.space), args)
     except UsageError as exc:
         print(f"ohb: error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,8 @@ completed in ascending order, and untouched tails stay identity.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .chains import ChainSymmetry, level_places, level_shapes
@@ -40,6 +42,7 @@ from .symmetry import (
     admissible_permutations,
     decompose_full,
     full_order,
+    inverse,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -77,8 +80,6 @@ class Code:
             np.array([config.chain_subrank(r, k) for r in self.ranks], dtype=np.int64)
             for k in range(config.m)
         ]
-        self._dist_dist = None
-        self._weight_dist = None
 
     @property
     def size(self) -> int:
@@ -115,22 +116,18 @@ class Code:
         q, pi = self.config.q, self.config.pi
         return sum(rank_distance(q, (pi[k],), d, 0) for k, d in enumerate(self._digits))
 
-    @property
+    @cached_property
     def distance_distribution(self):
         """Sorted (distance, count) pairs over unordered distinct pairs."""
-        if self._dist_dist is None:
-            # int64: the sum over chains can exceed int8
-            dist = self._chain_distances().sum(axis=-1, dtype=np.int64)
-            self._dist_dist = _counts(dist[np.triu_indices(self.size, 1)])
-        return self._dist_dist
+        # int64: the sum over chains can exceed int8
+        dist = self._chain_distances().sum(axis=-1, dtype=np.int64)
+        return _counts(dist[np.triu_indices(self.size, 1)])
 
-    @property
+    @cached_property
     def weight_distribution(self):
         """Sorted (weight, count) pairs.  Not preserved by equivalence
         (translations move it); kept for reporting only."""
-        if self._weight_dist is None:
-            self._weight_dist = _counts(self._weights())
-        return self._weight_dist
+        return _counts(self._weights())
 
     @property
     def min_distance(self):
@@ -323,9 +320,7 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         return False
 
     for sigma in admissible_permutations(cfg):
-        tau = [0] * cfg.m
-        for i, k in enumerate(sigma):
-            tau[k] = i
+        tau = inverse(sigma)
         cdb_tau = cdb[:, :, tau]
         match = np.full(na, -1)
         used = [False] * na

@@ -68,8 +68,8 @@ class CapExceeded(DomainError):
 # each check runs, so patching one entry moves every check that reads it.
 CAPS = {
     "points": 1 << 20,  # dense tables over a space or over one chain
-    "group": 1 << 20,  # group elements listed one by one
-    "witness_matrix": 1 << 12,  # distance_witness builds the full S x S matrix
+    "group": 1 << 20,  # group elements listed one by one, search listings included
+    "witness_matrix": 1 << 12,  # distance_witness scans every row of the S x S matrix
     "aut_points": 1 << 12,  # automorphism counting and listing
     "oracle_count": 64,  # oracle isometry counting
     "oracle_list": 16,  # oracle isometry listing and the equivalence fallback

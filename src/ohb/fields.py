@@ -160,12 +160,6 @@ class Field:
             rank //= self.p
         return tuple(out)
 
-    def rank(self, coeffs) -> int:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.e:
-            raise UsageError(f"expected {self.e} coefficients, got {len(coeffs)}")
-        return self._rank_of(coeffs)
-
     # rank-level arithmetic
 
     def add(self, a: int, b: int) -> int:

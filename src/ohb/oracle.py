@@ -102,6 +102,7 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
     found so far (deeper ones fix base[:t] too) before each candidate,
     so candidates it reaches cost no search.  Returns (sizes, listing):
     every completion of root(0) in depth-first order as lists, or None.
+    A listing of a group over the group entry of CAPS is refused.
     """
     def completions(state, t):
         if t == len(base):
@@ -127,8 +128,10 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
                 new = set(np.stack(gens)[:, list(new)].ravel().tolist()) - orbit
                 orbit |= new
         sizes[t] = len(orbit)
-    listing = [g.tolist() for g in completions(root(0), 0)] if want_list else None
-    return sizes, listing
+    if not want_list:
+        return sizes, None
+    check_cap("group", math.prod(sizes), "elements", CAPS["group"])
+    return sizes, [g.tolist() for g in completions(root(0), 0)]
 
 
 def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list: bool = False):

@@ -395,23 +395,24 @@ def bijection_array(table, size: int) -> np.ndarray:
 def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
     """A rank pair (u, v) with d(u, v) != d(f(u), f(v)), or None.
 
-    Up to CAPS["witness_matrix"] points this is the first such pair in
-    row-major order of the full distance matrix.  Beyond that, only the
-    rows of the given anchors and then of ranks 0..WITNESS_ANCHORS-1
-    are scanned, so a non-isometry can go unwitnessed.
+    Rows u of the distance matrix are compared with the rows of f in
+    turn, and the first bad column of the first bad row is returned.
+    Up to CAPS["witness_matrix"] points every row is scanned in rank
+    order, which gives the first bad pair in row-major order.  Beyond
+    that, only the rows of the given anchors and then of ranks
+    0..WITNESS_ANCHORS-1 are scanned, so a non-isometry can go
+    unwitnessed.
     """
     S = len(f)
     ranks = np.arange(S)
     if S <= CAPS["witness_matrix"]:
-        bad = np.argwhere(
-            rank_distance(q, pi, f[:, None], f, np.int8)
-            != rank_distance(q, pi, ranks[:, None], ranks, np.int8)
-        )
-        return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
-    for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))]):
-        bad = np.nonzero(
+        rows = range(S)
+    else:
+        rows = dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))])
+    for u in rows:
+        bad = np.flatnonzero(
             rank_distance(q, pi, u, ranks, np.int8) != rank_distance(q, pi, f[u], f, np.int8)
-        )[0]
+        )
         if len(bad):
             return int(u), int(bad[0])
     return None

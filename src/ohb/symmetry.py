@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -59,17 +58,31 @@ def is_admissible(sigma, config: SpaceConfig) -> bool:
     return all(config.pi[sigma[i]] == config.pi[i] for i in range(config.m))
 
 
-def admissible_permutations(config: SpaceConfig):
-    """All admissible permutations, as 0-based tuples, deterministic order.
+def inverse(perm) -> tuple:
+    """The inverse of a permutation of 0..len(perm)-1."""
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
 
-    Chains are grouped by width profile (first appearance first); the
-    permutation of the last group varies fastest.  Generated lazily, so
-    the first sigma costs no more than one permutation per group.
-    """
+
+def width_classes(config: SpaceConfig):
+    """The chains grouped by width profile: lists of 0-based chain
+    indices, classes and their members in order of first appearance."""
     classes = {}
     for i, row in enumerate(config.pi):
         classes.setdefault(row, []).append(i)
-    groups = list(classes.values())
+    return list(classes.values())
+
+
+def admissible_permutations(config: SpaceConfig):
+    """All admissible permutations, as 0-based tuples, deterministic order.
+
+    Chains are grouped by width_classes; the permutation of the last
+    group varies fastest.  Generated lazily, so the first sigma costs no
+    more than one permutation per group.
+    """
+    groups = width_classes(config)
     sigma = [0] * config.m
 
     def rec(g):
@@ -85,11 +98,7 @@ def admissible_permutations(config: SpaceConfig):
 
 
 def s_pi_order(config: SpaceConfig) -> int:
-    counts = Counter(config.pi)
-    total = 1
-    for c in counts.values():
-        total *= math.factorial(c)
-    return total
+    return math.prod(math.factorial(len(c)) for c in width_classes(config))
 
 
 def full_order(config: SpaceConfig) -> int:
@@ -105,7 +114,7 @@ def full_order_log10(config: SpaceConfig):
     """log10 of full_order(config), summed from log10_factorial without
     computing a factorial, so that a caller can refuse an order too
     large to print before building it."""
-    total = sum(log10_factorial(c) for c in Counter(config.pi).values())
+    total = sum(log10_factorial(len(c)) for c in width_classes(config))
     for row in config.pi:
         total += sum(tails * log10_factorial(sz) for tails, sz in level_shapes(config.q, row))
     return total
@@ -216,20 +225,14 @@ def compose_symmetry(A: Symmetry, B: Symmetry) -> Symmetry:
         raise UsageError("cannot compose symmetries of different spaces")
     m = A.config.m
     sigma = tuple(B.sigma[A.sigma[i]] for i in range(m))
-    inv_b = [0] * m
-    for i, j in enumerate(B.sigma):
-        inv_b[j] = i
+    inv_b = inverse(B.sigma)
     chains = [compose_chain(A.chains[inv_b[j]], B.chains[j]) for j in range(m)]
     return Symmetry(A.config, sigma, chains)
 
 
 def invert_symmetry(A: Symmetry) -> Symmetry:
-    m = A.config.m
-    inv = [0] * m
-    for i, j in enumerate(A.sigma):
-        inv[j] = i
-    chains = [invert_chain(A.chains[A.sigma[j]]) for j in range(m)]
-    return Symmetry(A.config, tuple(inv), chains)
+    chains = [invert_chain(A.chains[A.sigma[j]]) for j in range(A.config.m)]
+    return Symmetry(A.config, inverse(A.sigma), chains)
 
 
 def make_translation(w: BlockVector) -> Symmetry:
@@ -253,11 +256,8 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
     draws it, with the same stream contract and the same refusal."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     refuse_large_chains(config.q, config.pi)
-    classes = {}
-    for i, row in enumerate(config.pi):
-        classes.setdefault(row, []).append(i)
     sigma = [0] * config.m
-    for idxs in classes.values():
+    for idxs in width_classes(config):
         for pos, img in zip(idxs, rng.sample(idxs, len(idxs))):
             sigma[pos] = img
     levels = iter(random_levels(rng, [s for row in config.pi for s in level_shapes(config.q, row)]))
@@ -285,9 +285,7 @@ def _rank_table(T: Symmetry) -> np.ndarray:
     """as_rank_table without the cap: each chain map's rank table, scaled to
     the digit of the chain it lands on, summed over the chain axes."""
     cfg = T.config
-    inv = [0] * cfg.m
-    for i, k in enumerate(T.sigma):
-        inv[k] = i
+    inv = inverse(T.sigma)
     # chain m-1 is the outermost axis, so the raveled sum is in rank order
     out = np.zeros(1, dtype=np.int64)
     for k in reversed(range(cfg.m)):
@@ -372,10 +370,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         except StructureError as exc:
             raise StructureError(str(exc), chain_index=k + 1) from exc
 
-    sigma = [0] * m
-    for k in range(m):
-        sigma[tau[k]] = k
-    cand = Symmetry(config, tuple(sigma), chains)
+    cand = Symmetry(config, inverse(tau), chains)
     if w_rank:
         cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
 

@@ -63,6 +63,14 @@ CASES = {
         "oracle_list", 4, lambda: enumerate_isometries(CHAIN2, want_list=True),
         SPACE_OVER + "; a full search would face 4! (about 10^1) candidate bijections before pruning",
     ),
+    "oracle listing by group order": (
+        "group", 8, lambda: enumerate_isometries(CHAIN2, want_list=True),
+        "group has 8 elements, over the cap 7",
+    ),
+    "automorphism listing by group order": (
+        "group", 2, lambda: enumerate_automorphisms(CHAIN2, want_list=True),
+        "group has 2 elements, over the cap 1",
+    ),
 }
 
 
@@ -137,6 +145,14 @@ def test_the_witness_matrix_entry_switches_to_the_anchor_scan(monkeypatch):
     assert distance_witness(2, ((1,) * 5,), f) == (16, 17)
     monkeypatch.setitem(CAPS, "witness_matrix", 31)
     assert distance_witness(2, ((1,) * 5,), f) is None
+
+
+def test_counts_do_not_read_the_group_entry(monkeypatch):
+    # only a listing is refused, once its orbit sizes are known and
+    # before the backtrack visits any element
+    monkeypatch.setitem(CAPS, "group", 1)
+    assert enumerate_isometries(CHAIN2).isometry_count == 8
+    assert enumerate_automorphisms(CHAIN2)[0] == 2
 
 
 @pytest.mark.parametrize("entry, value", [("oracle_list", 4), ("group", 8)])

@@ -1,6 +1,8 @@
 """Poset-block space: ranking, weight, distance, text format."""
 
 import random
+from functools import cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,15 +15,21 @@ from ohb import (
     CapExceeded,
     SpaceConfig,
     UsageError,
+    as_rank_table,
+    block_rank,
     distance,
     format_vector,
     parse_vector,
+    random_symmetry,
     weight,
 )
+from ohb.errors import CAPS
 from ohb.space import (
+    WITNESS_ANCHORS,
     add_ranks,
     dist_ranks,
     distance_matrix_array,
+    distance_witness,
     rank_distance,
     scale_ranks,
     sub_ranks,
@@ -443,6 +451,57 @@ def test_distance_matrix_array_consistency():
         for b in range(8):
             assert int(D[a, b]) == distance(cfg.unrank(a), cfg.unrank(b))
             assert int(D[a, b]) == dist_ranks(cfg, a, b)
+
+
+# q = 2, 3, 4 and mixed widths; 16 points or more, so that ranks
+# 0..WITNESS_ANCHORS-1 can all be scanned
+WITNESS_SPACES = [
+    make_config(2, 2, 2, [[1, 2], [1, 1]]),
+    make_config(2, 1, 3, [[2, 1, 1]]),
+    make_config(3, 2, 1, [[1], [2]]),
+    make_config(3, 2, 2, [[1, 1], [1, 1]]),
+    make_config(2, 1, 2, [[1, 1]], e=2),
+    make_config(2, 2, 2, [[1, 1], [1, 1]], e=2),
+]
+
+
+@cache
+def block_distances(cfg):
+    """The distance matrix read off the block grids: per chain, the
+    highest level whose blocks differ."""
+    B = np.array([[[block_rank(cfg.q, b) for b in row] for row in cfg.unrank(r).blocks]
+                  for r in range(cfg.size)])
+    diff = B[:, None] != B[None, :]
+    return np.where(diff.any(-1), cfg.n - diff[..., ::-1].argmax(-1), 0).sum(-1)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_distance_witness_is_the_first_bad_pair_of_the_rows_it_scans(data):
+    cfg = data.draw(st.sampled_from(WITNESS_SPACES))
+    S = cfg.size
+    if data.draw(st.booleans()):
+        f = np.array(data.draw(st.permutations(range(S))))
+    else:
+        f = as_rank_table(random_symmetry(cfg, data.draw(st.integers(0, 2**32)))).copy()
+        for _ in range(data.draw(st.integers(1, 3))):
+            u, v = data.draw(st.integers(0, S - 1)), data.draw(st.integers(0, S - 1))
+            f[[u, v]] = f[[v, u]]
+    anchors = data.draw(st.lists(st.integers(0, S - 1), max_size=3))
+    cap = data.draw(st.sampled_from([CAPS["witness_matrix"], S, S - 1, 1]))
+    D = block_distances(cfg)
+    bad = D[f][:, f] != D
+    if cap >= S:
+        # the first bad pair in row-major order of the whole matrix
+        pairs = np.argwhere(bad)
+        want = tuple(int(x) for x in pairs[0]) if len(pairs) else None
+    else:
+        # the first bad column of the first bad row among the anchors,
+        # then ranks 0..WITNESS_ANCHORS-1
+        rows = [u for u in dict.fromkeys([*anchors, *range(WITNESS_ANCHORS)]) if bad[u].any()]
+        want = (rows[0], int(np.flatnonzero(bad[rows[0]])[0])) if rows else None
+    with patch.dict(CAPS, {"witness_matrix": cap}):
+        assert distance_witness(cfg.q, cfg.pi, f, anchors) == want
 
 
 def test_materialization_guard():

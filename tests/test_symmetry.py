@@ -367,6 +367,31 @@ def test_large_swap_rejections_name_a_witness(cfg):
         a, b = exc.value.witness
         assert dist_ranks(cfg, a, b) != dist_ranks(cfg, table[a], table[b])
 
+@pytest.mark.parametrize(
+    "seed, swap, witness",
+    [(0, (100, 3000), (0, 100)), (None, (2048, 4095), (2048, 2049))],
+    ids=["early-row", "late-row"],
+)
+def test_a_rejection_at_the_witness_cap_builds_no_distance_matrix(seed, swap, witness):
+    # 4096 points, the witness_matrix cap: every row is scanned and the
+    # witness is the first bad pair in row-major order, found without the
+    # 4096 x 4096 matrices (16 MB each in int8).  The identity with 2048
+    # and 4095 swapped keeps every row before 2048.
+    cfg = make_config(2, 1, 12, [[1] * 12])
+    T = identity_symmetry(cfg) if seed is None else random_symmetry(cfg, seed)
+    table = as_rank_table(T).copy()
+    table[list(swap)] = table[list(swap[::-1])]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotIsometryError) as exc:
+            decompose_full(cfg, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.witness == witness
+    assert peak < 8 << 20
+
+
 def test_enumeration_matches_full_order():
     for cfg in [make_config(2, 1, 2, [[1, 1]]), make_config(2, 2, 1, [[1], [1]])]:
         syms = list(all_symmetries(cfg))
