@@ -395,26 +395,29 @@ def bijection_array(table, size: int) -> np.ndarray:
 def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
     """A rank pair (u, v) with d(u, v) != d(f(u), f(v)), or None.
 
-    Rows u of the distance matrix are compared with the rows of f in
-    turn, and the first bad column of the first bad row is returned.
-    Up to CAPS["witness_matrix"] points every row is scanned in rank
-    order, which gives the first bad pair in row-major order.  Beyond
-    that, only the rows of the given anchors and then of ranks
-    0..WITNESS_ANCHORS-1 are scanned, so a non-isometry can go
-    unwitnessed.
+    Rows u of the distance matrix are compared with the rows of f, and
+    the first bad column of the first bad row is returned.  Up to
+    CAPS["witness_matrix"] points every row is scanned in rank order,
+    max(1, 2^16 // S) rows per comparison, which gives the first bad
+    pair in row-major order.  Beyond that, only the rows of the given
+    anchors and then of ranks 0..WITNESS_ANCHORS-1 are scanned, one at
+    a time, so a non-isometry can go unwitnessed.
     """
     S = len(f)
     ranks = np.arange(S)
     if S <= CAPS["witness_matrix"]:
-        rows = range(S)
+        step = max(1, (1 << 16) // S)
+        blocks = (ranks[i:i + step] for i in range(0, S, step))
     else:
-        rows = dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))])
-    for u in rows:
+        blocks = ([u] for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))]))
+    for us in blocks:
+        us = np.asarray(us, dtype=np.int64)[:, None]
         bad = np.flatnonzero(
-            rank_distance(q, pi, u, ranks, np.int8) != rank_distance(q, pi, f[u], f, np.int8)
+            rank_distance(q, pi, us, ranks, np.int8) != rank_distance(q, pi, f[us], f, np.int8)
         )
         if len(bad):
-            return int(u), int(bad[0])
+            i, v = divmod(int(bad[0]), S)
+            return int(us[i, 0]), v
     return None
 
 

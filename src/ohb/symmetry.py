@@ -41,6 +41,7 @@ from .errors import (
     json_int,
 )
 from .space import (
+    BLOCK_TABLE_LIMIT,
     BlockVector,
     SpaceConfig,
     add_ranks,
@@ -138,7 +139,7 @@ class Symmetry:
     chains[sigma[i]].  chains[k] acts on chain k of the input.
     """
 
-    __slots__ = ("config", "sigma", "chains")
+    __slots__ = ("config", "sigma", "chains", "_rows")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
         sigma = tuple(int(x) for x in sigma)
@@ -158,26 +159,49 @@ class Symmetry:
         self.config = config
         self.sigma = sigma
         self.chains = chains
+        self._rows = None  # per chain, the row images apply has met
 
     def apply(self, v: BlockVector) -> BlockVector:
+        """The image T(v).  The image of input chain k's row depends on
+        that row alone, so the images of each chain with at most
+        BLOCK_TABLE_LIMIT rows are remembered, keyed by the input row,
+        on the first apply that meets them: one symmetry keeps at most
+        m * BLOCK_TABLE_LIMIT row images.  Longer chains are mapped
+        afresh on every call."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
+        memo = self._rows
+        if memo is None:
+            memo = self._rows = tuple(
+                {} if size <= BLOCK_TABLE_LIMIT else None for size in cfg.chain_size
+            )
         out = []
         for k in self.sigma:
-            ch, codecs = self.chains[k], cfg._codec[k]
-            place = ch._place
-            # the row rank of chain k, read like a vector rank
-            r = 0
-            for b, p, (_, ranks) in zip(v.blocks[k], place, codecs):
-                r += ranks[b] * p
-            out.append(tuple([
-                blocks[level.item(r // p)]
-                for level, p, (blocks, _) in zip(ch.tables, place, codecs)
-            ]))
+            row, images = v.blocks[k], memo[k]
+            if images is None:
+                out.append(self._row_image(k, row))
+                continue
+            image = images.get(row)
+            if image is None:
+                image = images[row] = self._row_image(k, row)
+            out.append(image)
         # every block is the codec's block for an entry of a permutation
         # table, so the result needs no checks
         return BlockVector._trusted(cfg, tuple(out))
+
+    def _row_image(self, k, row):
+        """chains[k] on one row of chain k's blocks."""
+        ch, codecs = self.chains[k], self.config._codec[k]
+        place = ch._place
+        # the row rank of chain k, read like a vector rank
+        r = 0
+        for b, p, (_, ranks) in zip(row, place, codecs):
+            r += ranks[b] * p
+        return tuple([
+            blocks[level.item(r // p)]
+            for level, p, (blocks, _) in zip(ch.tables, place, codecs)
+        ])
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,8 @@
 """Seeded CLI outputs pinned byte for byte.
 
-Each case runs one `ohb ... --format json` call and compares its exit
-code and stdout with bytes recorded from ohb 0.1.0.  A mismatch means
+Each case runs one `ohb ... --format json` call (`sym apply` also in
+the human format) and compares its exit code and stdout with bytes
+recorded from ohb 0.1.0.  A mismatch means
 the JSON format, the order of the seeded draws, the choice of a
 rejection witness, or a group count or cap refusal changed.  The order
 in which the isometry and automorphism listings come out is pinned by
@@ -27,6 +28,7 @@ from ohb import (
     code_invariants,
     enumerate_automorphisms,
     equivalent,
+    format_vector,
     random_symmetry,
 )
 from ohb.cli import main
@@ -139,6 +141,68 @@ def test_seeded_draws_are_pinned(space, seed, tmp_path, capsys):
     assert main(["sym", "gen", "--space", str(space_file), "--seed", str(seed), "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_GEN[space, seed]
+
+
+# `sym apply` of seeded vectors under `sym gen --seed 7` and `--seed 8`,
+# in both output formats; each label is "seed vector format"
+APPLY_SPACES = {
+    "mixed": {"field": {"p": 2}, "m": 2, "n": 2, "pi": [[2, 1], [1, 1]]},
+    "gf3": {"field": {"p": 3}, "m": 1, "n": 3, "pi": [[1, 2, 1]]},
+    "gf4": {"field": {"p": 2, "e": 2}, "m": 4, "n": 2, "pi": [[1, 1]] * 4},
+}
+
+PINNED_APPLY = {
+    'mixed': [
+        ('7 01,1;1,1 json', 0, '{"op":"sym.apply","vector":"01,1;0,0"}\n'),
+        ('7 01,1;1,1 human', 0, '01,1;0,0\n'),
+        ('7 10,0;0,1 json', 0, '{"op":"sym.apply","vector":"00,0;1,0"}\n'),
+        ('7 10,0;0,1 human', 0, '00,0;1,0\n'),
+        ('8 01,1;0,1 json', 0, '{"op":"sym.apply","vector":"11,0;0,0"}\n'),
+        ('8 01,1;0,1 human', 0, '11,0;0,0\n'),
+        ('8 10,0;1,0 json', 0, '{"op":"sym.apply","vector":"01,1;0,1"}\n'),
+        ('8 10,0;1,0 human', 0, '01,1;0,1\n'),
+    ],
+    'gf3': [
+        ('7 0,20,2 json', 0, '{"op":"sym.apply","vector":"1,22,2"}\n'),
+        ('7 0,20,2 human', 0, '1,22,2\n'),
+        ('7 1,20,1 json', 0, '{"op":"sym.apply","vector":"1,02,1"}\n'),
+        ('7 1,20,1 human', 0, '1,02,1\n'),
+        ('8 1,11,2 json', 0, '{"op":"sym.apply","vector":"0,00,0"}\n'),
+        ('8 1,11,2 human', 0, '0,00,0\n'),
+        ('8 2,21,1 json', 0, '{"op":"sym.apply","vector":"2,20,1"}\n'),
+        ('8 2,21,1 human', 0, '2,20,1\n'),
+    ],
+    'gf4': [
+        ('7 2,2;3,3;2,0;3,3 json', 0, '{"op":"sym.apply","vector":"2,0;0,0;0,2;0,3"}\n'),
+        ('7 2,2;3,3;2,0;3,3 human', 0, '2,0;0,0;0,2;0,3\n'),
+        ('7 1,2;3,2;1,2;0,2 json', 0, '{"op":"sym.apply","vector":"3,2;2,0;3,1;3,1"}\n'),
+        ('7 1,2;3,2;1,2;0,2 human', 0, '3,2;2,0;3,1;3,1\n'),
+        ('8 3,1;1,0;3,0;3,2 json', 0, '{"op":"sym.apply","vector":"1,2;3,3;3,2;0,0"}\n'),
+        ('8 3,1;1,0;3,0;3,2 human', 0, '1,2;3,3;3,2;0,0\n'),
+        ('8 2,0;0,0;1,2;0,1 json', 0, '{"op":"sym.apply","vector":"2,2;0,1;0,1;2,2"}\n'),
+        ('8 2,0;0,0;1,2;0,1 human', 0, '2,2;0,1;0,1;2,2\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("space", sorted(APPLY_SPACES))
+def test_apply_outputs_are_pinned(space, tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(APPLY_SPACES[space]))
+    cfg = SpaceConfig.from_json(APPLY_SPACES[space])
+    common = ["--space", str(space_file)]
+    rng = random.Random(12)
+    got = []
+    for seed in (7, 8):
+        assert main(["sym", "gen", *common, "--seed", str(seed), "--format", "json"]) == 0
+        sym = tmp_path / f"sym{seed}.json"
+        sym.write_text(capsys.readouterr().out)
+        for _ in range(2):
+            vec = format_vector(cfg.unrank(rng.randrange(cfg.size)))
+            for fmt in ("json", "human"):
+                code = main(["sym", "apply", *common, "--sym", str(sym), "--vec", vec, "--format", fmt])
+                got.append((f"{seed} {vec} {fmt}", code, capsys.readouterr().out))
+    assert got == PINNED_APPLY[space]
 
 
 # the counting commands; every label is also the command line

@@ -268,22 +268,56 @@ def test_wide_blocks_are_coded_without_a_table():
     ids=["q2-mixed", "gf3-121", "gf4-m4-n2", "q2-chain13"],
 )
 def test_apply_builds_a_valid_vector(cfg):
-    # apply skips the vector checks on its output: it must build exactly
-    # what the checking constructor would, at the rank table's image
+    # apply skips the vector checks on its output and remembers the row
+    # images of chains of up to BLOCK_TABLE_LIMIT rows: computed or
+    # remembered, it must build exactly what the checking constructor
+    # would, at the rank table's image.  Every point (2000 sampled ones
+    # past that) goes through two symmetries twice, interleaved
     rng = random.Random(30)
     other = make_config(3 if cfg.q == 2 else 2, cfg.m, cfg.n, cfg.pi)
-    for _ in range(5):
-        T = random_symmetry(cfg, rng.randrange(10**9))
-        table = as_rank_table(T)
-        for _ in range(20):
-            v = random_vector(cfg, rng)
-            image = T.apply(v)
+    ranks = range(cfg.size) if cfg.size <= 2000 else rng.sample(range(cfg.size), 2000)
+    for _ in range(2):
+        pair = [random_symmetry(cfg, rng.randrange(10**9)) for _ in range(2)]
+        identity = [(T, hash(T), T.to_json(), Symmetry.from_json(T.to_json(), cfg)) for T in pair]
+        tables = [as_rank_table(T) for T in pair]
+        calls = [(i, r) for i in range(2) for r in ranks] * 2
+        rng.shuffle(calls)
+        for i, r in calls:
+            image = pair[i].apply(cfg.unrank(r))
             checked = BlockVector(cfg, image.blocks)
             assert image == checked and hash(image) == hash(checked)
             assert all(type(x) is int for row in image.blocks for b in row for x in b)
-            assert image.rank() == table[v.rank()]
-        with pytest.raises(UsageError):
-            T.apply(other.unrank(0))
+            assert image.rank() == tables[i][r]
+        for T, h, doc, fresh in identity:
+            # the remembered rows are no part of the symmetry's identity
+            assert T == fresh and hash(T) == h == hash(fresh)
+            assert T.to_json() == doc == fresh.to_json()
+            # a vector of another space is refused even when its blocks
+            # are those of a row that was just remembered
+            T.apply(cfg.unrank(0))
+            with pytest.raises(UsageError):
+                T.apply(other.unrank(0))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_apply_remembers_rows_only_of_short_chains(n):
+    # one chain of n unit levels has 2^n rows: at n = 10, BLOCK_TABLE_LIMIT,
+    # apply remembers every row image it meets, and at n = 11 none, so
+    # applying every point and dropping the vectors keeps a few hundred
+    # KB at n = 10 and next to nothing at n = 11
+    cfg = make_config(2, 1, n, [[1] * n])
+    T = random_symmetry(cfg, 32)
+    table = as_rank_table(T)
+    T.apply(cfg.unrank(0)).rank()  # builds the codecs and place values
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for r in range(cfg.size):
+            assert T.apply(cfg.unrank(r)).rank() == table[r]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (kept > 64 << 10) == (cfg.size <= BLOCK_TABLE_LIMIT)
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():
