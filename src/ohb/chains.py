@@ -17,7 +17,8 @@ A row is given by its rank or, to `apply`, as a tuple of block ranks,
 one per level.  Row ranks are mixed radix with level 1 least
 significant, matching the canonical vector ordering.  So the tail of
 level j in a row of rank r is r // place[j+1], and (tail, block value)
-flattened is r // place[j].
+flattened is r // place[j].  As F_j reads only its tail, rank tables
+are built top level first, one multiply-add per level and no division.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def chain_space_size(q, chain_pi):
     return q ** sum(chain_pi)
 
 
+def _first_bad_row(level):
+    """The first row of a (tails, sz) integer array that is not a permutation
+    of [0, sz), or None.  An entry out of range counts in a spare last cell."""
+    tails, sz = level.shape
+    cells = np.where((level >= 0) & (level < sz), level + np.arange(0, tails * sz, sz)[:, None], tails * sz)
+    holes = np.flatnonzero(np.bincount(cells.ravel(), minlength=tails * sz + 1)[:-1] == 0)
+    return int(holes[0]) // sz if len(holes) else None
+
+
 class ChainSymmetry:
     """A triangular symmetry, stored as one integer array per level.
 
@@ -105,11 +115,9 @@ class ChainSymmetry:
                 arr = None
             if arr is None or arr.shape != (tails, sz):
                 raise ValidationError(f"level {j + 1}: entries are not permutations of [0, {sz})")
-            bad = np.nonzero((np.sort(arr, axis=1) != np.arange(sz)).any(axis=1))[0]
-            if len(bad):
-                raise ValidationError(
-                    f"level {j + 1}, tail {bad[0]}: entry is not a permutation of [0, {sz})"
-                )
+            t = _first_bad_row(arr)
+            if t is not None:
+                raise ValidationError(f"level {j + 1}, tail {t}: entry is not a permutation of [0, {sz})")
             clean.append(arr)
         self._store(q, chain_pi, clean)
 
@@ -161,15 +169,17 @@ class ChainSymmetry:
             out += level.ravel()[ranks // p].astype(np.int64) * p
         return out
 
+    def _suffix_images(self) -> list:
+        """Entry j: the int64 image of every rank of levels j+1..n over those
+        levels alone; entry 0 is the rank table, entry j the images of level j's tails."""
+        U = [np.zeros(1, dtype=np.int64)]
+        for level in reversed(self.tables):
+            U.append((U[-1][:, None] * level.shape[1] + level).ravel())
+        return U[::-1]
+
     def rank_table(self) -> np.ndarray:
         """Dense table: image rank of every row rank."""
-        return self.apply_ranks(np.arange(self._place[-1]))
-
-    def _tail_images(self) -> list:
-        """For each level, the image of every tail rank under this map
-        (levels above a tail depend only on that tail)."""
-        rt = self.rank_table()
-        return [rt[::p] // p for p in self._place[1:]]
+        return self._suffix_images()[0]
 
     def __eq__(self, other):
         return (
@@ -215,13 +225,13 @@ def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
     if A.q != B.q or A.chain_pi != B.chain_pi:
         raise UsageError("cannot compose chain symmetries of different shapes")
     # A's level-j row is selected by B's image of the tail
-    tables = [a[t[:, None], b] for a, b, t in zip(A.tables, B.tables, B._tail_images())]
+    tables = [a[t[:, None], b] for a, b, t in zip(A.tables, B.tables, B._suffix_images()[1:])]
     return ChainSymmetry._trusted(A.q, A.chain_pi, tables)
 
 
 def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
     tables = []
-    for a, t in zip(A.tables, A._tail_images()):
+    for a, t in zip(A.tables, A._suffix_images()[1:]):
         inv = np.empty_like(a)
         inv[t[:, None], a] = np.arange(a.shape[1])
         tables.append(inv)
@@ -273,9 +283,10 @@ def _replay_shuffles(rng, rows, sz):
     """`rows` calls of rng.shuffle(list(range(sz))) as one (rows, sz) array.
 
     Each shuffle draws randbelow(n) for n = sz, ..., 2: the top k bits of
-    the first 32-bit word below n << (32 - k), k = n.bit_length().  Pointer
-    doubling on F (word after a shuffle from word x) finds every row's
-    first word; then the swaps run over all rows at once.
+    the first 32-bit word below n << (32 - k), k = n.bit_length().  A row
+    of two values is [1 - j, j], j the top bits of its one word below
+    2 << 30.  Longer rows find their first words by pointer doubling on F
+    (word after a shuffle from word x); then the swaps run on all at once.
     """
     bounds = range(sz, 1, -1)
     limits = [n << (32 - n.bit_length()) for n in bounds]
@@ -294,23 +305,30 @@ def _replay_shuffles(rng, rows, sz):
     while True:
         more = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
         words = np.concatenate([words, np.frombuffer(more, dtype="<u4")])
-        F = np.arange(len(words) + 2)
-        for c in limits:
-            F = after(c)[F]
-        starts, G = np.zeros(1, dtype=np.int64), F
-        while len(starts) < rows:
-            starts, G = np.concatenate([starts, G[starts]]), G[G]
-        used = int(F[starts[rows - 1]])
-        if used <= len(words):
+        if sz == 2:
+            ends = np.append(np.flatnonzero(words < limits[0]) + 1, len(words) + 1)[:rows]
+        else:
+            F = np.arange(len(words) + 2)
+            for c in limits:
+                F = after(c)[F]
+            starts, G = np.zeros(1, dtype=np.int64), F
+            while len(starts) < rows:
+                starts, G = np.concatenate([starts, G[starts]]), G[G]
+            ends = F[starts[:rows]]
+        if ends[-1] <= len(words):  # ends: the word after each row's shuffle, or len(words) + 1
             break
-    perms = np.repeat(np.arange(sz), rows).reshape(sz, rows)  # perms[i]: entry i of each row
-    every, pos = np.arange(rows), starts[:rows]
-    for n, c in zip(bounds, limits):
-        pos = after(c)[pos]
-        j = words[pos - 1] >> (32 - n.bit_length())
-        perms[n - 1], perms[j, every] = perms[j, every], perms[n - 1].copy()
+    if sz == 2:
+        j = words[ends - 1] >> 30
+        perms = np.stack([1 - j, j])
+    else:
+        perms = np.repeat(np.arange(sz), rows).reshape(sz, rows)  # perms[i]: entry i of each row
+        every, pos = np.arange(rows), starts[:rows]
+        for n, c in zip(bounds, limits):
+            pos = after(c)[pos]
+            j = words[pos - 1] >> (32 - n.bit_length())
+            perms[n - 1], perms[j, every] = perms[j, every], perms[n - 1].copy()
     rng.setstate(state)
-    rng.getrandbits(32 * used)
+    rng.getrandbits(32 * int(ends[-1]))
     return perms.T
 
 
@@ -387,19 +405,16 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
         # row t, column x: the level-j digit of f at the rank with tail t,
         # level-j digit x and zeros below
         level = f[::place[j]].reshape(tails, sz) // place[j] % sz
-        order = np.argsort(level, axis=1, kind="stable")
-        repeats = np.argwhere(np.diff(np.take_along_axis(level, order, axis=1), axis=1) == 0)
-        if len(repeats):
-            t, i = (int(x) for x in repeats[0])
-            base = t * place[j + 1]
-            reject(
-                f"level {j + 1}, tail {t}: extracted entry is not a permutation",
-                base + int(order[t, i]) * place[j],
-                base + int(order[t, i + 1]) * place[j],
-            )
+        t = _first_bad_row(level)
+        if t is not None:
+            # the anchors: the row's first two equal entries in sorted order
+            order = np.argsort(level[t], kind="stable")
+            i = int(np.flatnonzero(np.diff(level[t, order]) == 0)[0])
+            anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
+            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
         tables.append(level)
 
-    # every level passed the repeats check above, so its rows are permutations
+    # every level passed the permutation check above
     T = ChainSymmetry._trusted(q, chain_pi, tables)
     rt = T.rank_table()
     bad = np.nonzero(rt != f)[0]

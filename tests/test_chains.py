@@ -7,25 +7,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ohb.chains
+import ohb.space
+import ohb.symmetry
 from conftest import make_config
 from ohb import (
     ChainSymmetry,
     NotIsometryError,
+    StructureError,
     UsageError,
     ValidationError,
     all_chain_symmetries,
     alt_chain_order_unit,
+    as_rank_table,
     chain_order,
     compose_chain,
     decompose_chain,
+    decompose_full,
     identity_chain,
     invert_chain,
     make_translation,
     random_chain,
     random_symmetry,
 )
-from ohb.chains import chain_space_size, level_places
-from ohb.space import rank_distance
+from ohb.chains import chain_space_size, level_places, level_shapes
+from ohb.errors import CAPS
+from ohb.space import bijection_array, rank_distance
 
 
 def row_of(q, chain_pi, r):
@@ -129,14 +136,48 @@ def test_invert_round_trip():
 
 
 
-def test_rank_table_matches_apply():
-    rng = random.Random(9)
-    for q, chain_pi in [(2, (1, 1, 1)), (3, (1, 2)), (2, (2, 1, 3))]:
-        T = random_chain(q, chain_pi, rng.randrange(10**6))
-        rows = enumerate_rows(q, chain_pi)
-        assert T.rank_table().tolist() == [rank_of(q, chain_pi, T.apply(r)) for r in rows]
-        ranks = np.arange(len(rows))[::-1] // 2
-        assert T.apply_ranks(ranks).tolist() == T.rank_table()[ranks].tolist()
+@st.composite
+def chain_shapes(draw, max_points=1 << 12):
+    """(q, widths) with widths of 1 to 3 and q^(sum of widths) <= max_points."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    while chain_space_size(q, widths) > max_points:
+        widths = widths[:-1] or [1]
+    return q, tuple(widths)
+
+
+@settings(max_examples=60)
+@given(chain_shapes(), st.integers(0, 2 ** 32 - 1))
+@example((2, (1, 1, 1)), 0)
+@example((3, (1, 2)), 1)
+@example((2, (2, 1, 3)), 2)
+@example((2, (1,) * 13), 3)  # one long chain of rows of two values
+@example((2, (1, 9, 1)), 4)  # a uint16 level between uint8 ones
+@example((2, (17, 1)), 5)  # an int64 level of 2^17 values
+def test_rank_table_matches_apply(shape, seed):
+    # the top-down suffix pass against apply and against the formulas it
+    # replaced: apply_ranks over every rank, and each tail's image read
+    # off the rank table by division
+    q, chain_pi = shape
+    T = random_chain(q, chain_pi, seed)
+    place = level_places(q, chain_pi)
+    S = place[-1]
+    suffixes = T._suffix_images()
+    rt = T.rank_table()
+    assert rt.dtype == np.int64 and np.array_equal(rt, suffixes[0])
+    assert np.array_equal(rt, T.apply_ranks(np.arange(S)))
+    assert len(suffixes) == len(chain_pi) + 1
+    for images, p in zip(suffixes[1:], place[1:]):
+        assert images.dtype == np.int64
+        assert np.array_equal(images, rt[::p] // p)
+    sample = range(S) if S <= 1 << 12 else random.Random(seed).sample(range(S), 256)
+    assert [int(rt[r]) for r in sample] == [rank_of(q, chain_pi, T.apply(row_of(q, chain_pi, r)))
+                                            for r in sample]
+    ranks = np.arange(S)[::-1] // 2
+    assert T.apply_ranks(ranks).tolist() == rt[ranks].tolist()
+    U = random_chain(q, chain_pi, seed + 1)
+    assert np.array_equal(compose_chain(T, U).rank_table(), rt[U.rank_table()])
+    assert np.array_equal(invert_chain(T).rank_table()[rt], np.arange(S))
 
 
 def test_narrow_levels_keep_exact_arithmetic():
@@ -240,6 +281,138 @@ def test_top_level_swap_is_rejected_with_witness():
 def test_decompose_rejects_non_bijection():
     with pytest.raises(NotIsometryError):
         decompose_chain(2, (1, 1), [0, 0, 2, 3])
+
+
+def reference_decompose_chain(q, chain_pi, table):
+    """decompose_chain with its former permutation check, kept as the
+    reference for refusals: every level argsorted row by row, and the first
+    repeat in sorted order names the level, the tail and the anchors."""
+    place = level_places(q, chain_pi)
+    f = bijection_array(table, place[-1])
+
+    def reject(context, *anchors):
+        w = ohb.space.distance_witness(q, (chain_pi,), f, anchors)
+        if w is not None:
+            raise NotIsometryError(f"distance not preserved for row ranks {w[0]} and {w[1]}", witness=w)
+        raise StructureError(f"bijection has no triangular form: {context}")
+
+    tables = []
+    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
+        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
+        order = np.argsort(level, axis=1, kind="stable")
+        repeats = np.argwhere(np.diff(np.take_along_axis(level, order, axis=1), axis=1) == 0)
+        if len(repeats):
+            t, i = (int(x) for x in repeats[0])
+            base = t * place[j + 1]
+            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation",
+                   base + int(order[t, i]) * place[j], base + int(order[t, i + 1]) * place[j])
+        tables.append(level)
+    T = ChainSymmetry(q, chain_pi, tables)
+    rt = T.apply_ranks(np.arange(place[-1]))
+    bad = np.nonzero(rt != f)[0]
+    if len(bad):
+        r = int(bad[0])
+        reject(f"rank {r}: map disagrees with its zero-prefix extraction "
+               f"({f[r]} vs {rt[r]}), so some level reads a lower level", r)
+    return T
+
+
+def corrupted(q, chain_pi, f, how, rng):
+    """A copy of the chain table f, still a bijection, broken one way:
+    'repeat' gives one or two pairs of entries of one extracted row equal
+    digits, 'reads_lower' makes a level shift by whether a lower level is
+    zero, 'swap' exchanges the images of two points."""
+    place = level_places(q, chain_pi)
+    sizes = [b // a for a, b in zip(place, place[1:])]
+    digit = lambda r, j: r // place[j] % sizes[j]  # noqa: E731
+    f = f.copy()
+    if how == "repeat":
+        j, i = rng.sample(range(len(chain_pi)), 2)
+        columns = rng.sample(range(sizes[j]), 4 if sizes[j] >= 4 and rng.random() < 0.5 else 2)
+        base = rng.randrange(place[-1] // place[j + 1]) * place[j + 1]
+        for x, y in zip(columns[::2], columns[1::2]):
+            a, b = base + x * place[j], base + y * place[j]
+            # f[a] with its level-i digit moved on, so its level-j digit stays
+            image = int(f[a]) + ((digit(f[a], i) + 1) % sizes[i] - digit(f[a], i)) * place[i]
+            c = int(np.flatnonzero(f == image)[0])
+            f[b], f[c] = f[c], f[b]
+    elif how == "reads_lower":
+        i, j = sorted(rng.sample(range(len(chain_pi)), 2))
+        r = np.arange(place[-1])
+        moved = (digit(r, j) + (digit(r, i) != 0)) % sizes[j]
+        f = f[r + (moved - digit(r, j)) * place[j]]
+    else:
+        a, b = rng.sample(range(place[-1]), 2)
+        f[a], f[b] = f[b], f[a]
+    return f
+
+
+def outcome(decompose, *args):
+    """What a decomposition returned or how it refused, three times: with
+    every row scanned for a witness; with only the anchors the refusal
+    names and ranks 0..15 scanned, so the anchors show; and with no witness
+    found, so the message of the failing level or rank shows."""
+    out = []
+    for regime in ("every row", "anchors", "none"):
+        with pytest.MonkeyPatch.context() as mp:
+            if regime == "anchors":
+                mp.setitem(CAPS, "witness_matrix", 0)
+            if regime == "none":
+                for module in (ohb.space, ohb.chains, ohb.symmetry):
+                    mp.setattr(module, "distance_witness", lambda *args: None)
+            try:
+                out.append(decompose(*args).to_json())
+            except (NotIsometryError, StructureError) as exc:
+                out.append((type(exc), str(exc), exc.witness, exc.chain_index))
+    return out
+
+
+CORRUPTIONS = ["repeat", "reads_lower", "swap"]
+
+
+@settings(max_examples=120)
+@given(st.sampled_from([2, 3, 4]), st.lists(st.integers(1, 2), min_size=2, max_size=4),
+       st.sampled_from(CORRUPTIONS), st.integers(0, 2 ** 32 - 1))
+@example(2, [1] * 8, "repeat", 1)
+@example(3, [1, 2, 1], "reads_lower", 2)
+@example(4, [1, 1, 2], "swap", 3)
+def test_decompose_chain_refuses_as_the_argsort_check_did(q, widths, how, seed):
+    while len(widths) > 2 and chain_space_size(q, widths) > 1 << 8:
+        widths = widths[:-1]
+    chain_pi = tuple(widths)
+    rng = random.Random(seed)
+    f = corrupted(q, chain_pi, random_chain(q, chain_pi, rng).rank_table(), how, rng)
+    assert outcome(decompose_chain, q, chain_pi, f) == outcome(reference_decompose_chain, q, chain_pi, f)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 4]), st.lists(st.integers(1, 2), min_size=2, max_size=3),
+       st.booleans(), st.sampled_from(CORRUPTIONS), st.integers(0, 2 ** 32 - 1))
+@example(2, [1, 1, 1], True, "repeat", 1)
+@example(3, [1, 2], False, "reads_lower", 2)
+@example(4, [1, 1], True, "swap", 3)
+def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, seed):
+    # one chain's map is corrupted inside a random symmetry of a two-chain
+    # space; decompose_full with the reference decompose_chain patched in
+    # must refuse the same way
+    other = widths if twins else [1] * len(widths)
+    while len(widths) > 2 and chain_space_size(q, widths + other) > 1 << 8:
+        widths, other = widths[:-1], other[:-1]
+    if chain_space_size(q, widths + other) > 1 << 8:
+        widths = other = [1, 1]
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    cfg = make_config(p, 2, len(widths), [widths, other], e=e)
+    rng = random.Random(seed)
+    k = rng.randrange(2)
+    chain_pi = cfg.pi[k]
+    g = corrupted(q, chain_pi, random_chain(q, chain_pi, rng).rank_table(), how, rng)
+    r = np.arange(cfg.size)
+    d = r // cfg.chain_place[k] % cfg.chain_size[k]
+    f = as_rank_table(random_symmetry(cfg, rng))[r + (g[d] - d) * cfg.chain_place[k]]
+    got = outcome(decompose_full, cfg, f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ohb.symmetry, "decompose_chain", reference_decompose_chain)
+        assert got == outcome(decompose_full, cfg, f)
 
 
 def test_random_chain_is_deterministic():

@@ -74,6 +74,7 @@ def chain_shapes(draw, max_points=POINTS):
 @given(chain_shapes(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 # rows of 2, 3, 4 and 8 values that are replayed, and of 4096 that are not
 @example((2, (1, 1, 1, 1, 1, 2)), 1, 2)
+@example((2, (1,) * 13), 6, 2)  # one chain of 8191 rows of two values
 @example((3, (1, 1, 1, 1, 1)), 2, 1)
 @example((4, (1, 1, 1, 1, 1)), 3, 1)
 @example((2, (3, 3, 3, 3)), 4, 1)
@@ -125,6 +126,17 @@ def test_run_rule_boundary(sz):
         got, want = random.Random(rows), random.Random(rows)
         levels = random_levels(got, shapes)
         assert [np.asarray(a).tolist() for a in levels] == shuffled_rows(want, shapes)
+        assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 8191])
+def test_rows_of_two_values_replay_the_shuffle_loop(rows):
+    # a row of two values takes one draw, so it ends at its first word
+    # below 2 << 30; 63 rows are shuffled one by one, 64 or more replayed
+    for seed in range(40):
+        got, want = random.Random(seed), random.Random(seed)
+        [level] = random_levels(got, [(rows, 2)])
+        assert np.asarray(level).tolist() == shuffled_rows(want, [(rows, 2)])[0]
         assert got.getstate() == want.getstate()
 
 
