@@ -285,9 +285,19 @@ def _replay_shuffles(rng, rows, sz):
     Each shuffle draws randbelow(n) for n = sz, ..., 2: the top k bits of
     the first 32-bit word below n << (32 - k), k = n.bit_length().  A row
     of two values is [1 - j, j], j the top bits of its one word below
-    2 << 30.  Longer rows find their first words by pointer doubling on F
-    (word after a shuffle from word x); then the swaps run on all at once.
+    2 << 30; as each row takes at least one word, fetching only the rows
+    still missing never draws a word too many.  Longer rows find their
+    first words by pointer doubling on F (word after a shuffle from word
+    x); then the swaps run on all at once.
     """
+    if sz == 2:
+        found = []
+        while rows:
+            words = np.frombuffer(rng.getrandbits(32 * rows).to_bytes(4 * rows, "little"), dtype="<u4")
+            found.append(words[words < 2 << 30] >> 30)
+            rows -= len(found[-1])
+        j = np.concatenate(found)
+        return np.stack([1 - j, j], axis=1)
     bounds = range(sz, 1, -1)
     limits = [n << (32 - n.bit_length()) for n in bounds]
     # mean word count plus two deviations: about 1 call in 40 fetches twice
@@ -305,28 +315,21 @@ def _replay_shuffles(rng, rows, sz):
     while True:
         more = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
         words = np.concatenate([words, np.frombuffer(more, dtype="<u4")])
-        if sz == 2:
-            ends = np.append(np.flatnonzero(words < limits[0]) + 1, len(words) + 1)[:rows]
-        else:
-            F = np.arange(len(words) + 2)
-            for c in limits:
-                F = after(c)[F]
-            starts, G = np.zeros(1, dtype=np.int64), F
-            while len(starts) < rows:
-                starts, G = np.concatenate([starts, G[starts]]), G[G]
-            ends = F[starts[:rows]]
+        F = np.arange(len(words) + 2)
+        for c in limits:
+            F = after(c)[F]
+        starts, G = np.zeros(1, dtype=np.int64), F
+        while len(starts) < rows:
+            starts, G = np.concatenate([starts, G[starts]]), G[G]
+        ends = F[starts[:rows]]
         if ends[-1] <= len(words):  # ends: the word after each row's shuffle, or len(words) + 1
             break
-    if sz == 2:
-        j = words[ends - 1] >> 30
-        perms = np.stack([1 - j, j])
-    else:
-        perms = np.repeat(np.arange(sz), rows).reshape(sz, rows)  # perms[i]: entry i of each row
-        every, pos = np.arange(rows), starts[:rows]
-        for n, c in zip(bounds, limits):
-            pos = after(c)[pos]
-            j = words[pos - 1] >> (32 - n.bit_length())
-            perms[n - 1], perms[j, every] = perms[j, every], perms[n - 1].copy()
+    perms = np.repeat(np.arange(sz), rows).reshape(sz, rows)  # perms[i]: entry i of each row
+    every, pos = np.arange(rows), starts[:rows]
+    for n, c in zip(bounds, limits):
+        pos = after(c)[pos]
+        j = words[pos - 1] >> (32 - n.bit_length())
+        perms[n - 1], perms[j, every] = perms[j, every], perms[n - 1].copy()
     rng.setstate(state)
     rng.getrandbits(32 * int(ends[-1]))
     return perms.T

@@ -15,9 +15,10 @@ is a bit field of the rank, so rank_distance reads a ^ b by masks and
 add_ranks is XOR.  BlockVector, an immutable grid of block values, is
 the value type of text I/O and of the scalar entry points; weight,
 distance and make_translation rank it and compute on the rank.  Its
-blocks are decoded and encoded through one codec per block width
-(block_codec), which SpaceConfig.rank, SpaceConfig.unrank and
-Symmetry.apply share.
+rows are coded run by run: each chain's levels are cut into runs of at
+most BLOCK_TABLE_LIMIT rows, each a tuple of rows and its inverse dict
+built from the block codecs of its widths (block_codec).
+SpaceConfig.rank, SpaceConfig.unrank and Symmetry.apply share them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate
+from itertools import product
 
 import numpy as np
 
@@ -59,11 +60,35 @@ class SpaceConfig:
         self.chain_place = tuple(math.prod(self.chain_size[:i]) for i in range(m))
 
     @cached_property
-    def _codec(self):
-        """Per chain, per level: the (blocks, ranks) codec of that level's
-        width (see block_codec), built on first use, once per width."""
-        by_width = {k: block_codec(self.q, k) for k in {k for row in self.pi for k in row}}
-        return tuple(tuple(by_width[k] for k in row) for row in self.pi)
+    def _runs(self):
+        """Per chain, its levels cut into runs of consecutive levels with at
+        most BLOCK_TABLE_LIMIT rows together, lowest first.  (lo, hi, place,
+        size, rows, ranks) codes levels lo..hi-1, the digit of that place and
+        radix in a row rank: rows[x] is their blocks at digit x, ranks[rows[x]]
+        is x.  A wider level is a run of its own, coded through its computed
+        block codec.  Built on first use, once per chain shape."""
+        q, by_shape = self.q, {}
+        by_width = {k: block_codec(q, k) for k in {k for row in self.pi for k in row}}
+        for widths in dict.fromkeys(self.pi):
+            codecs = [by_width[k] for k in widths]
+            cuts, size = [0], 1
+            for j, k in enumerate(widths):
+                if size > 1 and size * q ** k > BLOCK_TABLE_LIMIT:
+                    cuts.append(j)
+                    size = 1
+                size *= q ** k
+            runs = []
+            for lo, hi in zip(cuts, cuts[1:] + [len(widths)]):
+                blocks, ranks = codecs[lo]
+                size = q ** sum(widths[lo:hi])
+                if size > BLOCK_TABLE_LIMIT:
+                    rows, ranks = _Lookup(lambda x, b=blocks: (b[x],)), _Lookup(lambda row, r=ranks: r[row[0]])
+                else:
+                    rows = tuple(r[::-1] for r in product(*[codecs[j][0] for j in reversed(range(lo, hi))]))
+                    ranks = {row: x for x, row in enumerate(rows)}
+                runs.append((lo, hi, q ** sum(widths[:lo]), size, rows, ranks))
+            by_shape[widths] = tuple(runs)
+        return tuple(by_shape[widths] for widths in self.pi)
 
     def check_materialize(self):
         """Refuse a dense table over every point of a space over the points cap."""
@@ -71,31 +96,24 @@ class SpaceConfig:
 
     # canonical ranking
 
-    @cached_property
-    def _block_places(self):
-        """Per block in canonical order: its codec's rank lookup and its
-        place value in a vector rank."""
-        sizes = [self.q ** k for row in self.pi for k in row]
-        places = accumulate(sizes[:-1], operator.mul, initial=1)
-        return tuple(zip([ranks for codecs in self._codec for _, ranks in codecs], places))
-
     def rank(self, v: "BlockVector") -> int:
         self._check_vector(v)
         r = 0
-        for b, (ranks, place) in zip([b for row in v.blocks for b in row], self._block_places):
-            r += ranks[b] * place
+        for row, runs, place in zip(v.blocks, self._runs, self.chain_place):
+            for lo, hi, p, _, _, ranks in runs:
+                r += ranks[row[lo:hi]] * p * place
         return r
 
     def unrank(self, r: int) -> "BlockVector":
         if not 0 <= r < self.size:
             raise UsageError(f"vector rank {r} out of [0, {self.size})")
         blocks = []
-        for codecs, widths in zip(self._codec, self.pi):
-            row = []
-            for (decode, _), k in zip(codecs, widths):
-                r, x = divmod(r, self.q ** k)
-                row.append(decode[x])
-            blocks.append(tuple(row))
+        for runs in self._runs:
+            row = ()
+            for _, _, _, size, rows, _ in runs:
+                r, x = divmod(r, size)
+                row += rows[x]
+            blocks.append(row)
         return BlockVector._trusted(self, tuple(blocks))
 
     def chain_subrank(self, r: int, i: int) -> int:
@@ -143,9 +161,9 @@ class SpaceConfig:
             raise UsageError(f"bad space config: {exc}") from exc
 
 
-# blocks of a width with at most this many values are coded by table
-# lookup; wider ones compute each lookup, so a codec holds at most this
-# many blocks however wide a level is
+# runs of levels with at most this many rows are coded by table lookup;
+# a wider level computes each lookup, so a codec holds at most this many
+# rows however long a chain or wide a level is
 BLOCK_TABLE_LIMIT = 1 << 10
 
 

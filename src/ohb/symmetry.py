@@ -139,7 +139,7 @@ class Symmetry:
     chains[sigma[i]].  chains[k] acts on chain k of the input.
     """
 
-    __slots__ = ("config", "sigma", "chains", "_rows")
+    __slots__ = ("config", "sigma", "chains", "_images")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
         sigma = tuple(int(x) for x in sigma)
@@ -159,49 +159,41 @@ class Symmetry:
         self.config = config
         self.sigma = sigma
         self.chains = chains
-        self._rows = None  # per chain, the row images apply has met
+        self._images = None  # per chain, its image as apply reads it
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v).  The image of input chain k's row depends on
-        that row alone, so the images of each chain with at most
-        BLOCK_TABLE_LIMIT rows are remembered, keyed by the input row,
-        on the first apply that meets them: one symmetry keeps at most
-        m * BLOCK_TABLE_LIMIT row images.  Longer chains are mapped
-        afresh on every call."""
+        """The image T(v).  The first call keeps one image per chain, from
+        its rank table: a chain of at most BLOCK_TABLE_LIMIT rows, one run
+        of the space's row codecs, keeps the image row of each row rank, and
+        a longer chain keeps its rank table in the narrowest dtype, read and
+        written run by run.  So a symmetry keeps at most 8 bytes per row."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
-        memo = self._rows
-        if memo is None:
-            memo = self._rows = tuple(
-                {} if size <= BLOCK_TABLE_LIMIT else None for size in cfg.chain_size
+        images = self._images
+        if images is None:
+            images = self._images = tuple(
+                (runs[0][5], [runs[0][4][x] for x in ch.rank_table().tolist()])
+                if size <= BLOCK_TABLE_LIMIT else (runs, ch.rank_table().astype(np.min_scalar_type(size - 1)))
+                for ch, runs, size in zip(self.chains, cfg._runs, cfg.chain_size)
             )
         out = []
         for k in self.sigma:
-            row, images = v.blocks[k], memo[k]
-            if images is None:
-                out.append(self._row_image(k, row))
+            row, (codec, image) = v.blocks[k], images[k]
+            if type(image) is list:  # codec: the ranks of the chain's one run
+                out.append(image[codec[row]])
                 continue
-            image = images.get(row)
-            if image is None:
-                image = images[row] = self._row_image(k, row)
-            out.append(image)
-        # every block is the codec's block for an entry of a permutation
-        # table, so the result needs no checks
+            r = 0
+            for lo, hi, place, _, _, ranks in codec:
+                r += ranks[row[lo:hi]] * place
+            r, row = image.item(r), ()
+            for _, _, _, size, rows, _ in codec:
+                r, x = divmod(r, size)
+                row += rows[x]
+            out.append(row)
+        # every row is a codec's row for an entry of a permutation table,
+        # so the result needs no checks
         return BlockVector._trusted(cfg, tuple(out))
-
-    def _row_image(self, k, row):
-        """chains[k] on one row of chain k's blocks."""
-        ch, codecs = self.chains[k], self.config._codec[k]
-        place = ch._place
-        # the row rank of chain k, read like a vector rank
-        r = 0
-        for b, p, (_, ranks) in zip(row, place, codecs):
-            r += ranks[b] * p
-        return tuple([
-            blocks[level.item(r // p)]
-            for level, p, (blocks, _) in zip(ch.tables, place, codecs)
-        ])
 
     def __eq__(self, other):
         return (
@@ -385,7 +377,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         if len(off):
             reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:
-            chains[k] = decompose_chain(q, config.pi[k], sub)
+            ch = decompose_chain(q, config.pi[k], sub)
         except NotIsometryError as exc:
             u, v = (x * place for x in exc.witness)
             raise NotIsometryError(
@@ -393,12 +385,17 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
             ) from exc
         except StructureError as exc:
             raise StructureError(str(exc), chain_index=k + 1) from exc
+        # adding w back, as make_translation does: each level adds w's
+        # block at that level of the chain it lands on
+        wk = config.chain_subrank(w_rank, tau[k])
+        chains[k] = ChainSymmetry._trusted(q, config.pi[k], [
+            add_ranks(config, level, wk // p % level.shape[1]) for level, p in zip(ch.tables, ch._place)
+        ]) if wk else ch
 
     cand = Symmetry(config, inverse(tau), chains)
-    if w_rank:
-        cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
-
-    bad = np.nonzero(_rank_table(cand) != f)[0]
+    # with one chain, decompose_chain has already compared its axis, the
+    # whole table
+    bad = np.nonzero(_rank_table(cand) != f)[0] if m > 1 else ()
     if len(bad):
         r = int(bad[0])
         reject(None, f"map disagrees with its chain decomposition at rank {r}", r)

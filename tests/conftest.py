@@ -2,9 +2,22 @@
 
 import random
 
+import pytest
 from hypothesis import settings
 
-from ohb import BlockVector, Field, SpaceConfig, block_rank, block_unrank
+import ohb.chains
+import ohb.space
+import ohb.symmetry
+from ohb import (
+    BlockVector,
+    Field,
+    NotIsometryError,
+    SpaceConfig,
+    StructureError,
+    block_rank,
+    block_unrank,
+)
+from ohb.errors import CAPS
 
 # every hypothesis test draws the same examples on every run, so tier-1
 # stays deterministic; max_examples is set per test
@@ -44,3 +57,23 @@ SMALL_CONFIGS = [
     make_config(3, 2, 1, [[1], [2]]),
     make_config(2, 2, 1, [[2], [2]]),
 ]
+
+
+def outcome(decompose, *args):
+    """What a decomposition returned or how it refused, three times: with
+    every row scanned for a witness; with only the anchors the refusal
+    names and ranks 0..15 scanned, so the anchors show; and with no witness
+    found, so the message of the failing level or rank shows."""
+    out = []
+    for regime in ("every row", "anchors", "none"):
+        with pytest.MonkeyPatch.context() as mp:
+            if regime == "anchors":
+                mp.setitem(CAPS, "witness_matrix", 0)
+            if regime == "none":
+                for module in (ohb.space, ohb.chains, ohb.symmetry):
+                    mp.setattr(module, "distance_witness", lambda *args: None)
+            try:
+                out.append(decompose(*args).to_json())
+            except (NotIsometryError, StructureError) as exc:
+                out.append((type(exc), str(exc), exc.witness, exc.chain_index))
+    return out

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ohb.chains
 import ohb.space
 import ohb.symmetry
-from conftest import make_config
+from conftest import make_config, outcome
 from ohb import (
     ChainSymmetry,
     NotIsometryError,
@@ -31,7 +30,6 @@ from ohb import (
     random_symmetry,
 )
 from ohb.chains import chain_space_size, level_places, level_shapes
-from ohb.errors import CAPS
 from ohb.space import bijection_array, rank_distance
 
 
@@ -345,26 +343,6 @@ def corrupted(q, chain_pi, f, how, rng):
         a, b = rng.sample(range(place[-1]), 2)
         f[a], f[b] = f[b], f[a]
     return f
-
-
-def outcome(decompose, *args):
-    """What a decomposition returned or how it refused, three times: with
-    every row scanned for a witness; with only the anchors the refusal
-    names and ranks 0..15 scanned, so the anchors show; and with no witness
-    found, so the message of the failing level or rank shows."""
-    out = []
-    for regime in ("every row", "anchors", "none"):
-        with pytest.MonkeyPatch.context() as mp:
-            if regime == "anchors":
-                mp.setitem(CAPS, "witness_matrix", 0)
-            if regime == "none":
-                for module in (ohb.space, ohb.chains, ohb.symmetry):
-                    mp.setattr(module, "distance_witness", lambda *args: None)
-            try:
-                out.append(decompose(*args).to_json())
-            except (NotIsometryError, StructureError) as exc:
-                out.append((type(exc), str(exc), exc.witness, exc.chain_index))
-    return out
 
 
 CORRUPTIONS = ["repeat", "reads_lower", "swap"]

@@ -141,8 +141,9 @@ def test_rows_of_two_values_replay_the_shuffle_loop(rows):
 
 
 def test_a_short_fetch_is_topped_up(monkeypatch):
-    # the first fetch covers the expected words plus two deviations, so
-    # some seeds need a second one; the draw must not change
+    # for rows of three values the first fetch covers the expected words
+    # plus two deviations, so some seeds need a second one; the draw must
+    # not change (rows of two values fetch only the rows still missing)
     bulk = []
     getrandbits = random.Random.getrandbits
     monkeypatch.setattr(random.Random, "getrandbits",
@@ -151,7 +152,7 @@ def test_a_short_fetch_is_topped_up(monkeypatch):
     for seed in range(120):
         got, want = random.Random(seed), random.Random(seed)
         del bulk[:]
-        assert random_chain(2, (1,) * 7, got) == reference_chain(2, (1,) * 7, want)
+        assert random_chain(3, (1,) * 5, got) == reference_chain(3, (1,) * 5, want)
         topped += sum(bulk) == 3  # two fetches and one advance
         assert got.getstate() == want.getstate()
     assert topped > 0

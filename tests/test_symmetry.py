@@ -6,13 +6,15 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import elementwise, make_config, random_vector
+import ohb.symmetry
+from conftest import elementwise, make_config, outcome, random_vector
 from ohb import (
     BlockVector,
     NotIsometryError,
+    StructureError,
     Symmetry,
     UsageError,
     ValidationError,
@@ -35,7 +37,7 @@ from ohb import (
     weight,
 )
 from ohb.chains import level_places
-from ohb.space import BLOCK_TABLE_LIMIT, dist_ranks
+from ohb.space import BLOCK_TABLE_LIMIT, add_ranks, bijection_array, dist_ranks, sub_ranks
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
 
@@ -248,10 +250,10 @@ def test_rank_table_and_apply_match_the_per_rank_action(T, rng):
 
 
 def test_wide_blocks_are_coded_without_a_table():
-    # q^11 = 2048 block values: the codec computes each lookup
+    # q^11 = 2048 block values: that level's run computes each lookup
     cfg = make_config(2, 1, 2, [[11, 1]])
-    assert 2 ** 11 > BLOCK_TABLE_LIMIT and not isinstance(cfg._codec[0][0][0], tuple)
-    assert isinstance(cfg._codec[0][1][0], tuple)
+    assert 2 ** 11 > BLOCK_TABLE_LIMIT and not isinstance(cfg._runs[0][0][4], tuple)
+    assert isinstance(cfg._runs[0][1][4], tuple)
     rng = random.Random(43)
     for _ in range(3):
         check_table_and_apply(random_symmetry(cfg, rng.randrange(10**9)), rng)
@@ -264,15 +266,18 @@ def test_wide_blocks_are_coded_without_a_table():
         make_config(3, 1, 3, [[1, 2, 1]]),
         make_config(2, 4, 2, [[1, 1]] * 4, e=2),
         make_config(2, 1, 13, [[1] * 13]),
+        make_config(3, 1, 7, [[1] * 7]),
+        make_config(2, 1, 3, [[1, 11, 1]]),
     ],
-    ids=["q2-mixed", "gf3-121", "gf4-m4-n2", "q2-chain13"],
+    ids=["q2-mixed", "gf3-121", "gf4-m4-n2", "q2-chain13", "gf3-chain7", "q2-1-11-1"],
 )
 def test_apply_builds_a_valid_vector(cfg):
-    # apply skips the vector checks on its output and remembers the row
-    # images of chains of up to BLOCK_TABLE_LIMIT rows: computed or
-    # remembered, it must build exactly what the checking constructor
-    # would, at the rank table's image.  Every point (2000 sampled ones
-    # past that) goes through two symmetries twice, interleaved
+    # apply skips the vector checks on its output and reads a chain of
+    # more than BLOCK_TABLE_LIMIT rows run by run (GF(3) n=7: runs of 729
+    # and 3 rows; (1, 11, 1): a computed level between two tabled ones):
+    # it must build exactly what the checking constructor would, at the
+    # rank table's image.  Every point (2000 sampled ones past that) goes
+    # through two symmetries twice, interleaved
     rng = random.Random(30)
     other = make_config(3 if cfg.q == 2 else 2, cfg.m, cfg.n, cfg.pi)
     ranks = range(cfg.size) if cfg.size <= 2000 else rng.sample(range(cfg.size), 2000)
@@ -289,26 +294,26 @@ def test_apply_builds_a_valid_vector(cfg):
             assert all(type(x) is int for row in image.blocks for b in row for x in b)
             assert image.rank() == tables[i][r]
         for T, h, doc, fresh in identity:
-            # the remembered rows are no part of the symmetry's identity
+            # the kept images are no part of the symmetry's identity
             assert T == fresh and hash(T) == h == hash(fresh)
             assert T.to_json() == doc == fresh.to_json()
             # a vector of another space is refused even when its blocks
-            # are those of a row that was just remembered
+            # are those of a row whose image is kept
             T.apply(cfg.unrank(0))
             with pytest.raises(UsageError):
                 T.apply(other.unrank(0))
 
 
-@pytest.mark.parametrize("n", [10, 11])
-def test_apply_remembers_rows_only_of_short_chains(n):
+@pytest.mark.parametrize("n", [10, 11, 13])
+def test_apply_keeps_one_image_per_chain(n):
     # one chain of n unit levels has 2^n rows: at n = 10, BLOCK_TABLE_LIMIT,
-    # apply remembers every row image it meets, and at n = 11 none, so
-    # applying every point and dropping the vectors keeps a few hundred
-    # KB at n = 10 and next to nothing at n = 11
+    # apply keeps the image row of every row rank, and past it the chain's
+    # rank table.  Either is made on the first apply and takes at most 8
+    # bytes a row, so applying every point keeps no more than that
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
     table = as_rank_table(T)
-    T.apply(cfg.unrank(0)).rank()  # builds the codecs and place values
+    cfg.unrank(0)  # builds the space's row codecs, which all its symmetries share
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -317,13 +322,15 @@ def test_apply_remembers_rows_only_of_short_chains(n):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert (kept > 64 << 10) == (cfg.size <= BLOCK_TABLE_LIMIT)
+    assert cfg.size <= kept <= 8 * cfg.size + (16 << 10)
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():
-    # GF(4), m=4, n=2 has S=65536 points of N*e=16 base-2 digits: an
-    # (S, N*e) int64 digit grid of the whole table alone takes 8 MB.  On
-    # q=2, one chain of n=13, the chain axis is the whole table, so only
+    # decompose_full subtracts the translation w = f(0) on the chain axes
+    # alone and adds it back inside the chain maps, so it builds no digit
+    # grid of the whole table.  GF(4), m=4, n=2 has S=65536 points of N*e=16
+    # base-2 digits: an (S, N*e) int64 grid alone would take 8 MB.  On q=2,
+    # one chain of n=13, the chain axis is the whole table, so only
     # subtraction by XOR keeps the (8192, 13) grids out (2.5 MB with them)
     cases = [
         (make_config(2, 4, 2, [[1, 1]] * 4, e=2), 8 << 20),
@@ -342,6 +349,142 @@ def test_decompose_full_strips_the_translation_on_chain_axes_only():
             tracemalloc.stop()
         assert R.to_json() == T.to_json()
         assert peak < bound
+
+
+def reference_decompose_full(config, table):
+    """decompose_full as it was before the translation went into the chain
+    maps, kept as the reference: subtract w = f(0) on the chain axes,
+    decompose each chain, compose make_translation(w) after the result and
+    compare it with f on every rank, whatever m is."""
+    f = bijection_array(table, config.size)
+
+    def reject(chain_index, context, *anchors):
+        w = ohb.symmetry.distance_witness(config.q, config.pi, f, anchors)
+        if w is not None:
+            raise NotIsometryError(f"distance not preserved for ranks {w[0]} and {w[1]}", witness=w)
+        raise StructureError(context, chain_index=chain_index)
+
+    q, m = config.q, config.m
+    w_rank = int(f[0])
+    axes = []
+    for k in range(m):
+        img = f[np.arange(config.chain_size[k]) * config.chain_place[k]]
+        axes.append(sub_ranks(config, img, w_rank) if w_rank else img)
+    tau = [None] * m
+    for k in range(m):
+        target = None
+        for x in range(1, q ** config.pi[k][0]):
+            r = x * config.chain_place[k]
+            img = int(axes[k][x])
+            hit = [i for i in range(m) if config.chain_subrank(img, i) != 0]
+            if len(hit) != 1:
+                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1", r)
+            j = hit[0]
+            if config.chain_subrank(img, j) >= q ** config.pi[j][0]:
+                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1", r)
+            if target is None:
+                target = j
+            elif target != j:
+                reject(k + 1, f"chain {k + 1} maps into two different chains", r)
+        tau[k] = target
+    if sorted(tau) != list(range(m)):
+        dup = next(j for j in range(m) if tau.count(j) > 1)
+        second = [k for k in range(m) if tau[k] == dup][1]
+        reject(dup + 1, f"two chains map into chain {dup + 1}", config.chain_place[second])
+    for k in range(m):
+        if config.pi[k] != config.pi[tau[k]]:
+            reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")
+    chains = [None] * m
+    for k in range(m):
+        place, t_place = config.chain_place[k], config.chain_place[tau[k]]
+        sub = axes[k] // t_place
+        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != axes[k])[0]
+        if len(off):
+            reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
+        try:
+            chains[k] = ohb.symmetry.decompose_chain(q, config.pi[k], sub)
+        except NotIsometryError as exc:
+            u, v = (x * place for x in exc.witness)
+            raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
+        except StructureError as exc:
+            raise StructureError(str(exc), chain_index=k + 1) from exc
+    cand = Symmetry(config, [tau.index(i) for i in range(m)], chains)
+    if w_rank:
+        cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
+    bad = np.nonzero(as_rank_table(cand) != f)[0]
+    if len(bad):
+        r = int(bad[0])
+        reject(None, f"map disagrees with its chain decomposition at rank {r}", r)
+    return cand
+
+
+@st.composite
+def small_spaces(draw, points=1 << 9):
+    """A space of 1-3 chains of 1-3 levels over GF(2, 3, 4) with widths 1-2
+    from at most two profiles, so that sigma can move chains; levels go
+    first, then chains, until it has at most `points` points."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    q = p ** e
+    n = draw(st.integers(1, 3))
+    profiles = draw(st.lists(st.lists(st.integers(1, 2), min_size=n, max_size=n), min_size=1, max_size=2))
+    pi = [draw(st.sampled_from(profiles)) for _ in range(draw(st.integers(1, 3)))]
+    while q ** sum(map(sum, pi)) > points:
+        pi = [row[:-1] for row in pi] if len(pi[0]) > 1 else pi[:-1]
+    return make_config(p, len(pi), len(pi[0]), pi, e=e)
+
+
+FULL_CORRUPTIONS = ["cross", "merge", "swap_axes", "swap_off", "swap", "none"]
+
+
+def corrupted_table(cfg, f, how, rng):
+    """A copy of f, still a bijection: 'swap' exchanges the images of two
+    points, 'swap_axes' of two points on chain axes (0 among them) and
+    'swap_off' of two points off every axis; 'cross' of a point on one
+    chain's axis and a point on another's; 'merge' gives chain k's
+    weight-1 points the images of the top points of chain i's axis."""
+    f = f.copy()
+    axis = [[x * cfg.chain_place[k] for x in range(1, cfg.chain_size[k])] for k in range(cfg.m)]
+    on = {0, *(r for points in axis for r in points)}
+    off = sorted(set(range(cfg.size)) - on)
+    if how in ("cross", "merge") and cfg.m > 1:
+        k, i = rng.sample(range(cfg.m), 2)
+        if how == "cross":
+            pairs = [(rng.choice(axis[k]), rng.choice(axis[i]))]
+        else:
+            pairs = zip(axis[k][:cfg.q ** cfg.pi[k][0] - 1], axis[i][::-1])
+    elif how == "swap_axes" or how in ("cross", "merge"):
+        pairs = [rng.sample(sorted(on), 2)]
+    elif how == "swap_off" and len(off) > 1:
+        pairs = [rng.sample(off, 2)]
+    elif how != "none":
+        pairs = [rng.sample(range(cfg.size), 2)]
+    else:
+        pairs = []
+    for a, b in pairs:
+        f[a], f[b] = f[b], f[a]
+    return f
+
+
+@settings(max_examples=200)
+@given(small_spaces(), st.sampled_from(FULL_CORRUPTIONS), st.integers(0, 2 ** 32 - 1))
+@example(make_config(2, 1, 3, [[1, 2, 1]]), "none", 1)
+@example(make_config(3, 2, 2, [[1, 1], [1, 1]]), "merge", 2)
+@example(make_config(2, 3, 1, [[2], [1], [2]], e=2), "cross", 3)
+def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
+    # decompose_full adds the translation w = f(0) to the chain maps it
+    # decomposes, and with one chain skips the final whole-table check; a
+    # good table moved by a nonzero w must decompose to the symmetry that
+    # composing make_translation(w) after them gave, and a corrupted one
+    # be refused the same way under every witness regime
+    rng = random.Random(seed)
+    f = as_rank_table(random_symmetry(cfg, rng))
+    if f[0] == 0:
+        f = add_ranks(cfg, f, rng.randrange(1, cfg.size))
+    f = corrupted_table(cfg, f, how, rng)
+    got = outcome(decompose_full, cfg, f)
+    assert got == outcome(reference_decompose_full, cfg, f)
+    if how == "none":
+        assert all(isinstance(doc, dict) for doc in got)
 
 
 def test_decompose_full_round_trip():
