@@ -17,8 +17,10 @@ A row is given by its rank or, to `apply`, as a tuple of block ranks,
 one per level.  Row ranks are mixed radix with level 1 least
 significant, matching the canonical vector ordering.  So the tail of
 level j in a row of rank r is r // place[j+1], and (tail, block value)
-flattened is r // place[j].  As F_j reads only its tail, rank tables
-are built top level first, one multiply-add per level and no division.
+flattened is r // place[j].  As F_j reads only its tail, a rank table is
+built top level first, one multiply-add per level and no division, and
+kept; the levels are read back off it at the zero prefix, so compose is
+one gather of rank tables and invert one scatter.
 """
 
 from __future__ import annotations
@@ -77,6 +79,14 @@ def chain_space_size(q, chain_pi):
     return q ** sum(chain_pi)
 
 
+def _levels(q, chain_pi, f) -> list:
+    """The level tables read off a rank table f: row t, column x of level j is
+    f's level-j digit at tail t, level-j digit x and zeros below."""
+    two = q & (q - 1) == 0  # shift and mask
+    return [((f[::p] >> (p.bit_length() - 1)) & (sz - 1) if two else f[::p] // p % sz).reshape(tails, sz)
+            for p, (tails, sz) in zip(level_places(q, chain_pi), level_shapes(q, chain_pi))]
+
+
 def _first_bad_row(level):
     """The first row of a (tails, sz) integer array that is not a permutation
     of [0, sz), or None.  An entry out of range counts in a spare last cell."""
@@ -96,9 +106,12 @@ class ChainSymmetry:
     narrowest unsigned type that holds them (uint8 up to 256 block
     values), so a map costs a byte per entry where int64 would cost
     eight; arithmetic on them goes through int64.
+
+    _table is the read-only int64 rank table, 8 bytes a row, once
+    rank_table() has built it or compose or invert has read the map off it.
     """
 
-    __slots__ = ("q", "chain_pi", "tables", "_place")
+    __slots__ = ("q", "chain_pi", "tables", "_place", "_table")
 
     def __init__(self, q, chain_pi, tables):
         chain_pi = _check_dims(q, chain_pi)
@@ -131,6 +144,14 @@ class ChainSymmetry:
         T._store(q, chain_pi, tables)
         return T
 
+    @classmethod
+    def _from_table(cls, q, chain_pi, f) -> "ChainSymmetry":
+        """The map whose rank table is f, a fresh int64 array; it keeps f."""
+        T = cls._trusted(q, chain_pi, _levels(q, chain_pi, f))
+        f.flags.writeable = False
+        T._table = f
+        return T
+
     def _store(self, q, chain_pi, tables):
         clean = []
         for level in tables:
@@ -145,6 +166,7 @@ class ChainSymmetry:
         self.chain_pi = chain_pi
         self.tables = tuple(clean)
         self._place = level_places(q, chain_pi)
+        self._table = None
 
     @property
     def n(self):
@@ -169,17 +191,17 @@ class ChainSymmetry:
             out += level.ravel()[ranks // p].astype(np.int64) * p
         return out
 
-    def _suffix_images(self) -> list:
-        """Entry j: the int64 image of every rank of levels j+1..n over those
-        levels alone; entry 0 is the rank table, entry j the images of level j's tails."""
-        U = [np.zeros(1, dtype=np.int64)]
-        for level in reversed(self.tables):
-            U.append((U[-1][:, None] * level.shape[1] + level).ravel())
-        return U[::-1]
-
     def rank_table(self) -> np.ndarray:
-        """Dense table: image rank of every row rank."""
-        return self._suffix_images()[0]
+        """Dense read-only int64 table: image rank of every row rank.  Built
+        top level first on the first call, as a level's images are its
+        tail's image times the level size plus its table; then kept."""
+        if self._table is None:
+            table = np.zeros(1, dtype=np.int64)
+            for level in reversed(self.tables):
+                table = (table[:, None] * level.shape[1] + level).ravel()
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
     def __eq__(self, other):
         return (
@@ -224,18 +246,14 @@ def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
     """The map u -> A(B(u))."""
     if A.q != B.q or A.chain_pi != B.chain_pi:
         raise UsageError("cannot compose chain symmetries of different shapes")
-    # A's level-j row is selected by B's image of the tail
-    tables = [a[t[:, None], b] for a, b, t in zip(A.tables, B.tables, B._suffix_images()[1:])]
-    return ChainSymmetry._trusted(A.q, A.chain_pi, tables)
+    return ChainSymmetry._from_table(A.q, A.chain_pi, A.rank_table()[B.rank_table()])
 
 
 def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
-    tables = []
-    for a, t in zip(A.tables, A._suffix_images()[1:]):
-        inv = np.empty_like(a)
-        inv[t[:, None], a] = np.arange(a.shape[1])
-        tables.append(inv)
-    return ChainSymmetry._trusted(A.q, A.chain_pi, tables)
+    table = A.rank_table()
+    inv = np.empty_like(table)
+    inv[table] = np.arange(len(table))
+    return ChainSymmetry._from_table(A.q, A.chain_pi, inv)
 
 
 def chain_order(q, chain_pi) -> int:
@@ -385,10 +403,12 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
     """Recover the triangular form of a distance-preserving bijection
     given as a dense table over row ranks.
 
-    Tables are extracted at the zero prefix, then the reconstruction is
-    checked against f on every point; any mismatch is reported as a
-    distance violation with a witness pair when one exists.  The ranks
-    where the mismatch showed are tried first as witness anchors.
+    Tables are extracted at the zero prefix and their rank table compared
+    with f.  If the two agree, every extracted row is a permutation, since
+    a row that is not sends two fibres into one.  If not, the first row
+    that is no permutation, level by level, or else the first rank where
+    they disagree is reported as a distance violation with a witness pair
+    when one exists, its ranks tried first as witness anchors.
     """
     chain_pi = _check_dims(q, chain_pi)
     place = level_places(q, chain_pi)
@@ -403,11 +423,12 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
             )
         raise StructureError(f"bijection has no triangular form: {context}")
 
-    tables = []
-    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
-        # row t, column x: the level-j digit of f at the rank with tail t,
-        # level-j digit x and zeros below
-        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
+    tables = _levels(q, chain_pi, f)
+    T = ChainSymmetry._trusted(q, chain_pi, tables)
+    rt = T.rank_table()
+    if np.array_equal(rt, f):
+        return T
+    for j, level in enumerate(tables):
         t = _first_bad_row(level)
         if t is not None:
             # the anchors: the row's first two equal entries in sorted order
@@ -415,17 +436,9 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
             i = int(np.flatnonzero(np.diff(level[t, order]) == 0)[0])
             anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
             reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
-        tables.append(level)
-
-    # every level passed the permutation check above
-    T = ChainSymmetry._trusted(q, chain_pi, tables)
-    rt = T.rank_table()
-    bad = np.nonzero(rt != f)[0]
-    if len(bad):
-        r = int(bad[0])
-        reject(
-            f"rank {r}: map disagrees with its zero-prefix extraction "
-            f"({f[r]} vs {rt[r]}), so some level reads a lower level",
-            r,
-        )
-    return T
+    r = int(np.flatnonzero(rt != f)[0])
+    reject(
+        f"rank {r}: map disagrees with its zero-prefix extraction "
+        f"({f[r]} vs {rt[r]}), so some level reads a lower level",
+        r,
+    )

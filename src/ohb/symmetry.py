@@ -162,11 +162,12 @@ class Symmetry:
         self._images = None  # per chain, its image as apply reads it
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v).  The first call keeps one image per chain, from
-        its rank table: a chain of at most BLOCK_TABLE_LIMIT rows, one run
-        of the space's row codecs, keeps the image row of each row rank, and
-        a longer chain keeps its rank table in the narrowest dtype, read and
-        written run by run.  So a symmetry keeps at most 8 bytes per row."""
+        """The image T(v).  The first call builds each chain map's kept rank
+        table, 8 bytes a row, and keeps one image per chain: a chain of at
+        most BLOCK_TABLE_LIMIT rows, one run of the space's row codecs,
+        the image row of each row rank (8 bytes a row besides), and a
+        longer chain its map's rank table itself, read and written run by
+        run."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
@@ -174,7 +175,7 @@ class Symmetry:
         if images is None:
             images = self._images = tuple(
                 (runs[0][5], [runs[0][4][x] for x in ch.rank_table().tolist()])
-                if size <= BLOCK_TABLE_LIMIT else (runs, ch.rank_table().astype(np.min_scalar_type(size - 1)))
+                if size <= BLOCK_TABLE_LIMIT else (runs, ch.rank_table())
                 for ch, runs, size in zip(self.chains, cfg._runs, cfg.chain_size)
             )
         out = []
@@ -361,10 +362,9 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
             elif target != j:
                 reject(k + 1, f"chain {k + 1} maps into two different chains", r)
         tau[k] = target
-    if sorted(tau) != list(range(m)):
-        dup = next(j for j in range(m) if tau.count(j) > 1)
-        second = [k for k in range(m) if tau[k] == dup][1]
-        reject(dup + 1, f"two chains map into chain {dup + 1}", config.chain_place[second])
+    # tau is a permutation: the probes above are as many as the level-1
+    # weight-1 points of all chains and land on them one to one, so each
+    # chain is hit
     for k in range(m):
         if config.pi[k] != config.pi[tau[k]]:
             reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")

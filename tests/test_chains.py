@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ohb.chains
 import ohb.space
 import ohb.symmetry
 from conftest import make_config, outcome
@@ -29,7 +30,7 @@ from ohb import (
     random_chain,
     random_symmetry,
 )
-from ohb.chains import chain_space_size, level_places, level_shapes
+from ohb.chains import _first_bad_row, chain_space_size, level_places, level_shapes
 from ohb.space import bijection_array, rank_distance
 
 
@@ -153,29 +154,33 @@ def chain_shapes(draw, max_points=1 << 12):
 @example((2, (1, 9, 1)), 4)  # a uint16 level between uint8 ones
 @example((2, (17, 1)), 5)  # an int64 level of 2^17 values
 def test_rank_table_matches_apply(shape, seed):
-    # the top-down suffix pass against apply and against the formulas it
-    # replaced: apply_ranks over every rank, and each tail's image read
-    # off the rank table by division
+    # the kept rank table against apply and apply_ranks; compose and invert
+    # read their levels back off a gather and a scatter of it, so their
+    # levels are checked through apply_ranks, which reads only the levels
     q, chain_pi = shape
     T = random_chain(q, chain_pi, seed)
-    place = level_places(q, chain_pi)
-    S = place[-1]
-    suffixes = T._suffix_images()
+    S = chain_space_size(q, chain_pi)
+    assert T._table is None
     rt = T.rank_table()
-    assert rt.dtype == np.int64 and np.array_equal(rt, suffixes[0])
-    assert np.array_equal(rt, T.apply_ranks(np.arange(S)))
-    assert len(suffixes) == len(chain_pi) + 1
-    for images, p in zip(suffixes[1:], place[1:]):
-        assert images.dtype == np.int64
-        assert np.array_equal(images, rt[::p] // p)
+    assert T.rank_table() is rt and rt.dtype == np.int64 and rt.nbytes == 8 * S
+    assert not rt.flags.writeable
+    with pytest.raises(ValueError):
+        rt[0] = rt[0]
+    every = np.arange(S)
+    assert np.array_equal(rt, T.apply_ranks(every))
     sample = range(S) if S <= 1 << 12 else random.Random(seed).sample(range(S), 256)
     assert [int(rt[r]) for r in sample] == [rank_of(q, chain_pi, T.apply(row_of(q, chain_pi, r)))
                                             for r in sample]
-    ranks = np.arange(S)[::-1] // 2
-    assert T.apply_ranks(ranks).tolist() == rt[ranks].tolist()
     U = random_chain(q, chain_pi, seed + 1)
-    assert np.array_equal(compose_chain(T, U).rank_table(), rt[U.rank_table()])
-    assert np.array_equal(invert_chain(T).rank_table()[rt], np.arange(S))
+    TU, inv = compose_chain(T, U), invert_chain(T)
+    assert np.array_equal(TU.rank_table(), rt[U.rank_table()])
+    assert np.array_equal(TU.apply_ranks(every), rt[U.rank_table()])
+    assert np.array_equal(inv.rank_table()[rt], every)
+    assert np.array_equal(inv.apply_ranks(rt), every)
+    dtypes = [level.dtype for level in T.tables]
+    for V in (TU, inv, decompose_chain(q, chain_pi, rt)):
+        assert [level.dtype for level in V.tables] == dtypes
+        assert not V.rank_table().flags.writeable
 
 
 def test_narrow_levels_keep_exact_arithmetic():
@@ -391,6 +396,89 @@ def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ohb.symmetry, "decompose_chain", reference_decompose_chain)
         assert got == outcome(decompose_full, cfg, f)
+
+
+def parent_decompose_chain(q, chain_pi, table):
+    """decompose_chain as it was before it compared the rebuilt rank table
+    first, kept as the reference for refusals: each level's rows are
+    checked for permutations in turn, then the rebuilt table against f."""
+    place = level_places(q, chain_pi)
+    f = bijection_array(table, place[-1])
+
+    def reject(context, *anchors):
+        w = ohb.chains.distance_witness(q, (chain_pi,), f, anchors)
+        if w is not None:
+            raise NotIsometryError(f"distance not preserved for row ranks {w[0]} and {w[1]}", witness=w)
+        raise StructureError(f"bijection has no triangular form: {context}")
+
+    tables = []
+    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
+        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
+        t = _first_bad_row(level)
+        if t is not None:
+            order = np.argsort(level[t], kind="stable")
+            i = int(np.flatnonzero(np.diff(level[t, order]) == 0)[0])
+            anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
+            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
+        tables.append(level)
+    T = ChainSymmetry(q, chain_pi, tables)
+    rt = T.apply_ranks(np.arange(place[-1]))
+    bad = np.nonzero(rt != f)[0]
+    if len(bad):
+        r = int(bad[0])
+        reject(f"rank {r}: map disagrees with its zero-prefix extraction "
+               f"({f[r]} vs {rt[r]}), so some level reads a lower level", r)
+    return T
+
+
+DIFFERENTIAL_SPACES = {
+    "chain13": make_config(2, 1, 13, [[1] * 13]),  # more points than CAPS["witness_matrix"]
+    "gf3-chain5": make_config(3, 1, 5, [[1] * 5]),
+    "mixed-chain": make_config(2, 1, 5, [[2, 1, 3, 1, 2]]),
+    "gf4-m2": make_config(2, 2, 2, [[1, 1]] * 2, e=2),
+    "pairs-m3": make_config(2, 3, 2, [[1, 2]] * 3),
+}
+
+
+def moved(cfg, f, how, rng):
+    """A copy of the space table f with the images of some points moved
+    round: 'swap' exchanges two random points, 'top' two points of one
+    chain's axis that differ only in its top level, 'cycle' turns five
+    points round."""
+    if how == "swap":
+        points = rng.sample(range(cfg.size), 2)
+    elif how == "top":
+        k = rng.randrange(cfg.m)
+        sz = cfg.q ** cfg.pi[k][-1]
+        place = cfg.chain_place[k] * cfg.chain_size[k] // sz
+        a = rng.randrange(cfg.chain_size[k]) * cfg.chain_place[k]
+        d = a // place % sz
+        points = [a, a + ((d + rng.randrange(1, sz)) % sz - d) * place]
+    else:
+        points = rng.sample(range(cfg.size), 5)
+    f = f.copy()
+    f[points] = f[points[1:] + points[:1]]
+    return f
+
+
+@pytest.mark.parametrize("how", ["swap", "top", "cycle"])
+@pytest.mark.parametrize("space", sorted(DIFFERENTIAL_SPACES))
+def test_decompose_refuses_as_the_level_checks_first_did(space, how):
+    # decompose_chain compares the rebuilt table first and checks the levels
+    # only when it disagrees; decompose_chain, and decompose_full through
+    # it, must refuse as the level checks run first did, under every
+    # witness regime
+    cfg = DIFFERENTIAL_SPACES[space]
+    for seed in range(44):
+        rng = random.Random(f"{space}/{how}/{seed}")
+        f = moved(cfg, as_rank_table(random_symmetry(cfg, rng)), how, rng)
+        if cfg.m == 1:
+            args = (cfg.q, cfg.pi[0], f)
+            assert outcome(decompose_chain, *args) == outcome(parent_decompose_chain, *args)
+        got = outcome(decompose_full, cfg, f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ohb.symmetry, "decompose_chain", parent_decompose_chain)
+            assert got == outcome(decompose_full, cfg, f)
 
 
 def test_random_chain_is_deterministic():

@@ -113,6 +113,38 @@ def test_cli_outputs_are_pinned(space, tmp_path, capsys):
     assert all(code == 1 for _, code, _ in got[5:])
 
 
+# `sym verify --map` and `sym decompose --map` on the rank table of
+# `sym gen --seed 7` over one chain of 13 unit levels, two images swapped.
+# The chain has more points than CAPS["witness_matrix"], so the witness is
+# found from the anchors the refusal names: 100 <-> 4196 (ranks that differ
+# in the top level only) breaks a level row, whose equal entries are the
+# anchors; 6311 <-> 6890 keeps every level row a permutation, and the
+# first rank where the rebuilt table disagrees is the anchor.
+LONG_CHAIN = {"field": {"p": 2}, "m": 1, "n": 13, "pi": [[1] * 13]}
+PINNED_LONG_CHAIN = [
+    ('verify swapped 100 4196', 1, '{"error":"distance not preserved for ranks 96 and 100","op":"sym.verify","valid":false,"witness":[96,100]}\n'),
+    ('decompose swapped 100 4196', 1, '{"chain_index":null,"error":"distance not preserved for ranks 96 and 100","op":"sym.decompose","witness":[96,100]}\n'),
+    ('verify swapped 6311 6890', 1, '{"error":"distance not preserved for ranks 6311 and 6144","op":"sym.verify","valid":false,"witness":[6311,6144]}\n'),
+    ('decompose swapped 6311 6890', 1, '{"chain_index":null,"error":"distance not preserved for ranks 6311 and 6144","op":"sym.decompose","witness":[6311,6144]}\n'),
+]
+
+
+def test_long_chain_refusals_are_pinned(tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(LONG_CHAIN))
+    table = as_rank_table(random_symmetry(SpaceConfig.from_json(LONG_CHAIN), 7))
+    got = []
+    for u, v in [(100, 4196), (6311, 6890)]:
+        bad = table.copy()
+        bad[[u, v]] = bad[[v, u]]
+        map_file = tmp_path / "bad.tbl"
+        map_file.write_text(json.dumps(bad.tolist()))
+        for cmd in ("verify", "decompose"):
+            code = main(["sym", cmd, "--map", str(map_file), "--space", str(space_file), "--format", "json"])
+            got.append((f"{cmd} swapped {u} {v}", code, capsys.readouterr().out))
+    assert got == PINNED_LONG_CHAIN
+
+
 # sha256 of `sym gen --seed 7` and `--seed 8` stdout on spaces whose
 # tables hold many rows of 2 values, rows of 4 across four chains, rows of
 # 512 values and rows of 3 and 9 values

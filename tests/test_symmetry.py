@@ -13,6 +13,7 @@ import ohb.symmetry
 from conftest import elementwise, make_config, outcome, random_vector
 from ohb import (
     BlockVector,
+    Code,
     NotIsometryError,
     StructureError,
     Symmetry,
@@ -21,10 +22,13 @@ from ohb import (
     all_symmetries,
     alt_full_order_unit,
     admissible_permutations,
+    apply_to_code,
     as_rank_table,
+    chain_from_pairs,
     compose_symmetry,
     decompose_full,
     distance,
+    equivalent,
     full_order,
     identity_chain,
     identity_symmetry,
@@ -306,23 +310,49 @@ def test_apply_builds_a_valid_vector(cfg):
 
 @pytest.mark.parametrize("n", [10, 11, 13])
 def test_apply_keeps_one_image_per_chain(n):
-    # one chain of n unit levels has 2^n rows: at n = 10, BLOCK_TABLE_LIMIT,
-    # apply keeps the image row of every row rank, and past it the chain's
-    # rank table.  Either is made on the first apply and takes at most 8
-    # bytes a row, so applying every point keeps no more than that
+    # one chain of n unit levels has 2^n rows.  The first apply builds the
+    # chain map's kept rank table, 8 bytes a row; at n = 10,
+    # BLOCK_TABLE_LIMIT, it also keeps the image row of every row rank, 8
+    # bytes a row more, and past it reads the kept table itself.  Applying
+    # every point keeps no more than that, and as_rank_table then keeps
+    # nothing more
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
-    table = as_rank_table(T)
+    ch = T.chains[0]
+    table = ch.apply_ranks(np.arange(cfg.size))
     cfg.unrank(0)  # builds the space's row codecs, which all its symmetries share
+    assert ch._table is None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for r in range(cfg.size):
             assert T.apply(cfg.unrank(r)).rank() == table[r]
         kept = tracemalloc.get_traced_memory()[0] - before
+        full = as_rank_table(T)
+        again = tracemalloc.get_traced_memory()[0] - before - full.nbytes
     finally:
         tracemalloc.stop()
-    assert cfg.size <= kept <= 8 * cfg.size + (16 << 10)
+    per_row = 16 if cfg.size <= BLOCK_TABLE_LIMIT else 8
+    assert 8 * cfg.size <= kept <= per_row * cfg.size + (16 << 10)
+    assert again <= kept + (4 << 10)
+    assert ch._table.nbytes == 8 * cfg.size and np.array_equal(full, table)
+    if cfg.size > BLOCK_TABLE_LIMIT:
+        assert T._images[0][1] is ch.rank_table()
+
+
+def test_draws_and_code_maps_build_no_rank_table():
+    # search keeps these objects for a whole run: they must hold their
+    # levels only, and build a rank table only when one is asked for
+    cfg = make_config(2, 2, 6, [[1] * 6] * 2)
+    T = random_symmetry(cfg, 5)
+    rng = random.Random(5)
+    C = Code(cfg, [rng.randrange(cfg.size) for _ in range(20)])
+    D = apply_to_code(T, C)
+    found = equivalent(C, D)
+    assert found.verdict == "equivalent"
+    pairs = chain_from_pairs(2, cfg.pi[0], [0, 1, 2], [5, 4, 7])
+    for ch in (*T.chains, *found.witness.chains, pairs):
+        assert ch._table is None
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():
