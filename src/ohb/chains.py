@@ -108,7 +108,9 @@ class ChainSymmetry:
     eight; arithmetic on them goes through int64.
 
     _table is the read-only int64 rank table, 8 bytes a row, once
-    rank_table() has built it or compose or invert has read the map off it.
+    rank_table() has built it or compose or invert has read the map off
+    it.  So compose_chain, invert_chain and as_rank_table leave a table
+    kept on their operands as well as on their result.
     """
 
     __slots__ = ("q", "chain_pi", "tables", "_place", "_table")

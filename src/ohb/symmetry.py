@@ -162,19 +162,18 @@ class Symmetry:
         self._images = None  # per chain, its image as apply reads it
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v).  The first call builds each chain map's kept rank
-        table, 8 bytes a row, and keeps one image per chain: a chain of at
-        most BLOCK_TABLE_LIMIT rows, one run of the space's row codecs,
-        the image row of each row rank (8 bytes a row besides), and a
-        longer chain its map's rank table itself, read and written run by
-        run."""
+        """The image T(v).  The first call keeps one image per chain: a
+        chain of at most BLOCK_TABLE_LIMIT rows, one run of the space's row
+        codecs, the image row of each row rank, and builds no rank table
+        for it; a longer chain its map's kept rank table, read and written
+        run by run.  So apply keeps at most 8 bytes per row."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
         images = self._images
         if images is None:
             images = self._images = tuple(
-                (runs[0][5], [runs[0][4][x] for x in ch.rank_table().tolist()])
+                (runs[0][5], [runs[0][4][x] for x in ch.apply_ranks(np.arange(size)).tolist()])
                 if size <= BLOCK_TABLE_LIMIT else (runs, ch.rank_table())
                 for ch, runs, size in zip(self.chains, cfg._runs, cfg.chain_size)
             )

@@ -310,12 +310,12 @@ def test_apply_builds_a_valid_vector(cfg):
 
 @pytest.mark.parametrize("n", [10, 11, 13])
 def test_apply_keeps_one_image_per_chain(n):
-    # one chain of n unit levels has 2^n rows.  The first apply builds the
-    # chain map's kept rank table, 8 bytes a row; at n = 10,
-    # BLOCK_TABLE_LIMIT, it also keeps the image row of every row rank, 8
-    # bytes a row more, and past it reads the kept table itself.  Applying
-    # every point keeps no more than that, and as_rank_table then keeps
-    # nothing more
+    # one chain of n unit levels has 2^n rows.  At n = 10, BLOCK_TABLE_LIMIT,
+    # the first apply keeps the image row of every row rank and builds no
+    # rank table for it; past it, apply keeps the chain map's rank table and
+    # reads it.  Either takes 8 bytes a row, so applying every point keeps
+    # no more than that.  as_rank_table then keeps the chain map's table,
+    # which a long chain has kept already
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
     ch = T.chains[0]
@@ -328,15 +328,16 @@ def test_apply_keeps_one_image_per_chain(n):
         for r in range(cfg.size):
             assert T.apply(cfg.unrank(r)).rank() == table[r]
         kept = tracemalloc.get_traced_memory()[0] - before
+        long = cfg.size > BLOCK_TABLE_LIMIT
+        assert (ch._table is not None) == long
         full = as_rank_table(T)
         again = tracemalloc.get_traced_memory()[0] - before - full.nbytes
     finally:
         tracemalloc.stop()
-    per_row = 16 if cfg.size <= BLOCK_TABLE_LIMIT else 8
-    assert 8 * cfg.size <= kept <= per_row * cfg.size + (16 << 10)
-    assert again <= kept + (4 << 10)
+    assert 8 * cfg.size <= kept <= 8 * cfg.size + (16 << 10)
+    assert again <= kept + (0 if long else ch._table.nbytes) + (4 << 10)
     assert ch._table.nbytes == 8 * cfg.size and np.array_equal(full, table)
-    if cfg.size > BLOCK_TABLE_LIMIT:
+    if long:
         assert T._images[0][1] is ch.rank_table()
 
 
@@ -353,6 +354,17 @@ def test_draws_and_code_maps_build_no_rank_table():
     pairs = chain_from_pairs(2, cfg.pi[0], [0, 1, 2], [5, 4, 7])
     for ch in (*T.chains, *found.witness.chains, pairs):
         assert ch._table is None
+    # compose, invert and as_rank_table keep a table on their operands and
+    # their results, so whatever a search keeps must not pass through them
+    U = random_symmetry(cfg, 6)
+    V = compose_symmetry(T, U)
+    assert all(ch._table is not None for ch in (*T.chains, *U.chains, *V.chains))
+    W = random_symmetry(cfg, 7)
+    X = invert_symmetry(W)
+    assert all(ch._table is not None for ch in (*W.chains, *X.chains))
+    Y = random_symmetry(cfg, 8)
+    as_rank_table(Y)
+    assert all(ch._table.nbytes == 8 * cfg.chain_size[0] for ch in Y.chains)
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():
