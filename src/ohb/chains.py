@@ -413,8 +413,12 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
     when one exists, its ranks tried first as witness anchors.
     """
     chain_pi = _check_dims(q, chain_pi)
+    return _decompose_bijection(q, chain_pi, bijection_array(table, chain_space_size(q, chain_pi)))
+
+
+def _decompose_bijection(q, chain_pi, f) -> ChainSymmetry:
+    """decompose_chain of f, an int64 bijection of the row ranks."""
     place = level_places(q, chain_pi)
-    f = bijection_array(table, place[-1])
 
     def reject(context, *anchors):
         w = distance_witness(q, (chain_pi,), f, anchors)

@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="code equivalence search")
     p.add_argument("--c1", required=True, help="first code file")
     p.add_argument("--c2", required=True, help="second code file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget (spaces of several chains; one chain is decided with no search)")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("report", parents=[common], help="orders, oracle, and formula comparison")

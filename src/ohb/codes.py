@@ -12,13 +12,17 @@ digits by the one distance builder `rank_distance`, so every chain must
 have fewer than 2^63 points, as any chain that can carry a
 ChainSymmetry has.
 
-The search walks admissible chain permutations on the outside and
-matches codewords by backtracking, pruning with per-chain distances
-(a matching extends to a triangular map on a chain iff it preserves
-that chain's distances).  A complete matching is turned into an
-explicit witness Symmetry by filling each permutation table level by
-level: constrained entries come from the matched pairs, the rest are
-completed in ascending order, and untouched tails stay identity.
+With one chain the isometries are all the triangular maps, so codes are
+equivalent iff the tries of their words' level digits (top level at the
+root) are isomorphic: AHU canonical forms (Aho, Hopcroft and Ullman,
+1974) decide it, and children of equal form pair up words.  Otherwise
+the search walks admissible chain permutations on the outside and
+matches codewords by backtracking, pruning with per-chain distances (a
+matching extends to a triangular map on a chain iff it preserves that
+chain's distances).  Word pairs become an explicit witness Symmetry by
+filling each permutation table level by level: constrained entries come
+from the pairs, the rest are completed in ascending order, and
+untouched tails stay identity.
 """
 
 from __future__ import annotations
@@ -268,13 +272,15 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
 def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceResult:
     """Search for a symmetry mapping C1 onto C2.
 
-    Invariant screening first (no search on mismatch); then for each
-    admissible chain permutation, codewords are matched by backtracking
-    with per-chain distance pruning; a found matching is completed to a
-    witness and verified before being returned.  If the budget cuts the
-    search off, a brute-force fallback lists every isometry when the
-    space is within the oracle_list cap and the group within the group
-    cap; otherwise the verdict is inconclusive.
+    Invariant screening first (no search on mismatch).  With one chain,
+    canonical trie forms decide: nodes counts the trie nodes whose form
+    was built, over both codes, and budget is unused, so the verdict is
+    never inconclusive.  Otherwise, for each admissible chain
+    permutation, codewords are matched by backtracking with per-chain
+    distance pruning.  If the budget cuts the search off, a brute-force
+    fallback lists every isometry when the space is within the
+    oracle_list cap and the group within the group cap; otherwise the
+    verdict is inconclusive.  A witness is verified before it is returned.
     """
     if C1.config != C2.config:
         raise UsageError("codes live in different spaces")
@@ -285,6 +291,8 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         return EquivalenceResult(
             "not_equivalent", reason="distance distribution mismatch", nodes=0
         )
+    if cfg.m == 1:
+        return _equivalent_one_chain(C1, C2)
 
     # A in (weight, rank) order for pruning: ranks are ascending, so a
     # stable sort by weight breaks ties by rank
@@ -354,3 +362,30 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         )
     return EquivalenceResult("inconclusive", reason="budget exhausted", nodes=nodes)
 
+
+def _equivalent_one_chain(C1: Code, C2: Code) -> EquivalenceResult:
+    q, pi = C1.config.q, C1.config.pi[0]
+    # leaves up: a node is keyed by its words' row rank with the levels
+    # below it cut off and lists its children as sorted (form, key) pairs; a
+    # form numbers a tuple of child forms, in one table per level both share
+    forms = [dict.fromkeys(C.ranks, 0) for C in (C1, C2)]
+    kids = ([], [])
+    for k in pi:
+        sz, table = q ** k, {}
+        for c in (0, 1):
+            groups = {}
+            for key, form in forms[c].items():
+                groups.setdefault(key // sz, []).append((form, key))
+            kids[c].append({key: sorted(g) for key, g in groups.items()})
+            forms[c] = {key: table.setdefault(tuple(f for f, _ in g), len(table)) for key, g in kids[c][-1].items()}
+    nodes = sum(len(level) for levels in kids for level in levels)
+    if forms[0] != forms[1]:
+        return EquivalenceResult("not_equivalent", reason="chain forms differ", nodes=nodes)
+    # from the root down: children of equal form share an index
+    pairs = [(0, 0)]
+    for g1, g2 in zip(reversed(kids[0]), reversed(kids[1])):
+        pairs = [(x, y) for a, b in pairs for (_, x), (_, y) in zip(g1[a], g2[b])]
+    T = Symmetry(C1.config, (0,), [chain_from_pairs(q, pi, *zip(*pairs))])
+    if apply_to_code(T, C1) != C2:
+        raise StructureError("chain-form witness failed verification")
+    return EquivalenceResult("equivalent", witness=T, nodes=nodes)

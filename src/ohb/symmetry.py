@@ -20,10 +20,10 @@ import numpy as np
 
 from .chains import (
     ChainSymmetry,
+    _decompose_bijection,
     all_chain_symmetries,
     chain_order,
     compose_chain,
-    decompose_chain,
     identity_chain,
     invert_chain,
     level_shapes,
@@ -376,7 +376,8 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         if len(off):
             reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:
-            ch = decompose_chain(q, config.pi[k], sub)
+            # sub is a bijection: f and the translation are injective
+            ch = _decompose_bijection(q, config.pi[k], sub)
         except NotIsometryError as exc:
             u, v = (x * place for x in exc.witness)
             raise NotIsometryError(
@@ -392,7 +393,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         ]) if wk else ch
 
     cand = Symmetry(config, inverse(tau), chains)
-    # with one chain, decompose_chain has already compared its axis, the
+    # with one chain, _decompose_bijection has already compared its axis, the
     # whole table
     bad = np.nonzero(_rank_table(cand) != f)[0] if m > 1 else ()
     if len(bad):

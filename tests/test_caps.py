@@ -157,8 +157,11 @@ def test_counts_do_not_read_the_group_entry(monkeypatch):
 
 @pytest.mark.parametrize("entry, value", [("oracle_list", 4), ("group", 8)])
 def test_the_equivalence_fallback_reads_the_table(entry, value, monkeypatch):
-    c1 = Code(CHAIN2, [0, 1])
-    c2 = Code(CHAIN2, [2, 3])
+    # two chains of one level (4 points, a group of 8): with one chain the
+    # search decides by canonical forms and never falls back
+    cfg = make_config(2, 2, 1, [[1], [1]])
+    c1 = Code(cfg, [0, 1])
+    c2 = Code(cfg, [2, 3])
     monkeypatch.setitem(CAPS, entry, value)
     assert equivalent(c1, c2, budget=1).verdict == "equivalent"
     monkeypatch.setitem(CAPS, entry, value - 1)

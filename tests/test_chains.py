@@ -377,7 +377,7 @@ def test_decompose_chain_refuses_as_the_argsort_check_did(q, widths, how, seed):
 def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, seed):
     # one chain's map is corrupted inside a random symmetry of a two-chain
     # space; decompose_full with the reference decompose_chain patched in
-    # must refuse the same way
+    # for its chain step must refuse the same way
     other = widths if twins else [1] * len(widths)
     while len(widths) > 2 and chain_space_size(q, widths + other) > 1 << 8:
         widths, other = widths[:-1], other[:-1]
@@ -394,7 +394,7 @@ def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, 
     f = as_rank_table(random_symmetry(cfg, rng))[r + (g[d] - d) * cfg.chain_place[k]]
     got = outcome(decompose_full, cfg, f)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ohb.symmetry, "decompose_chain", reference_decompose_chain)
+        mp.setattr(ohb.symmetry, "_decompose_bijection", reference_decompose_chain)
         assert got == outcome(decompose_full, cfg, f)
 
 
@@ -477,7 +477,7 @@ def test_decompose_refuses_as_the_level_checks_first_did(space, how):
             assert outcome(decompose_chain, *args) == outcome(parent_decompose_chain, *args)
         got = outcome(decompose_full, cfg, f)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ohb.symmetry, "decompose_chain", parent_decompose_chain)
+            mp.setattr(ohb.symmetry, "_decompose_bijection", parent_decompose_chain)
             assert got == outcome(decompose_full, cfg, f)
 
 

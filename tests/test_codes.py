@@ -1,11 +1,16 @@
 """Codes: invariants, symmetry action, equivalence search."""
 
+import functools
 import random
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ohb.codes
 from conftest import make_config, random_vector
 from ohb import (
     Code,
@@ -27,6 +32,7 @@ from ohb import (
     parse_vector,
     random_symmetry,
 )
+from ohb.oracle import enumerate_isometries
 
 HAMMING2 = make_config(2, 2, 1, [[1], [1]])
 CHAIN2 = make_config(2, 1, 2, [[1, 1]])
@@ -220,13 +226,28 @@ def test_budget_inconclusive():
     assert res.reason == "budget exhausted"
 
 
-def test_budget_fallback_on_tiny_space():
-    # with the search budget strangled, the brute-force listing settles it
-    c1 = code_of(CHAIN2, "0,0", "1,0")
-    c2 = code_of(CHAIN2, "0,1", "1,1")
+def fallback_calls(monkeypatch):
+    """Count the brute-force listings equivalent falls back to."""
+    calls = []
+
+    def listing(*args, **kwargs):
+        calls.append(args)
+        return enumerate_isometries(*args, **kwargs)
+
+    monkeypatch.setattr(ohb.codes, "enumerate_isometries", listing)
+    return calls
+
+
+def test_budget_fallback_on_tiny_space(monkeypatch):
+    # with the search budget strangled, the brute-force listing settles it;
+    # two chains, as one chain is decided by canonical forms with no search
+    calls = fallback_calls(monkeypatch)
+    c1 = code_of(HAMMING2, "0;0", "1;0")
+    c2 = code_of(HAMMING2, "0;1", "1;1")
     res = equivalent(c1, c2, budget=1)
     assert res.verdict == "equivalent"
     assert apply_to_code(res.witness, c1) == c2
+    assert len(calls) == 1
 
 
 # spaces small enough to map a code through every symmetry
@@ -238,11 +259,13 @@ BRUTE_SPACES = {
 }
 
 
-def test_equivalent_agrees_with_brute_force():
+def test_equivalent_agrees_with_brute_force(monkeypatch):
     # seeded pairs with equal distance distributions: the verdict is the
     # one found by mapping C1 through the whole group, and so is the
     # verdict of the brute-force fallback the search falls back to when
-    # its budget runs out
+    # its budget runs out.  The one-chain spaces never fall back: their
+    # budget-1 queries take the canonical-form path
+    calls = fallback_calls(monkeypatch)
     rng = random.Random(35)
     verdicts = []
     for name, cfg in BRUTE_SPACES.items():
@@ -264,8 +287,103 @@ def test_equivalent_agrees_with_brute_force():
                 if res:
                     assert apply_to_code(res.witness, c1) == c2
             verdicts.append((name, expect))
+        assert bool(calls) == (cfg.m > 1), name
+        calls.clear()
     # both verdicts occur, so neither is asserted vacuously
     assert {v for _, v in verdicts} == {"equivalent", "not_equivalent"}
+
+
+# one-chain spaces small enough to list every symmetry; on each of them,
+# codes with one distance distribution are equivalent
+ONE_CHAIN_SPACES = {
+    "q2 (1,1,1)": make_config(2, 1, 3, [[1, 1, 1]]),
+    "q2 (2,1)": make_config(2, 1, 2, [[2, 1]]),
+    "q2 (1,2)": make_config(2, 1, 2, [[1, 2]]),
+    "q2 (1,1)": CHAIN2,
+    "GF(3) (1,1)": make_config(3, 1, 2, [[1, 1]]),
+    "GF(3) (1)": make_config(3, 1, 1, [[1]]),
+}
+# the smallest one where they need not be: 16 points, a group of 2^15
+CHAIN4 = make_config(2, 1, 4, [[1, 1, 1, 1]])
+
+
+@functools.cache
+def group_images(cfg):
+    return np.stack([as_rank_table(T) for T in all_symmetries(cfg)])
+
+
+def orbit(cfg, ranks):
+    """Every code the group maps the code with these ranks to."""
+    images = np.sort(group_images(cfg)[:, list(ranks)], axis=1)
+    return set(map(tuple, np.unique(images, axis=0).tolist()))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(ONE_CHAIN_SPACES)), st.data())
+def test_one_chain_equivalence_agrees_with_brute_force(name, data):
+    # C2 is C1's image under a symmetry drawn from the whole group, or any
+    # code of C1's size: the verdict is equivalent exactly when C2 lies in
+    # C1's orbit, with a witness that maps C1 onto C2
+    cfg = ONE_CHAIN_SPACES[name]
+    words = data.draw(st.integers(1, min(cfg.size, 6)), label="words")
+    c1 = Code(cfg, data.draw(st.sets(st.integers(0, cfg.size - 1), min_size=words, max_size=words), label="c1"))
+    if data.draw(st.booleans(), label="image"):
+        g = data.draw(st.integers(0, len(group_images(cfg)) - 1), label="symmetry")
+        c2 = Code(cfg, group_images(cfg)[g, list(c1.ranks)].tolist())
+    else:
+        c2 = Code(cfg, data.draw(st.sets(st.integers(0, cfg.size - 1), min_size=words, max_size=words), label="c2"))
+    res = equivalent(c1, c2)
+    assert res.verdict == ("equivalent" if c2.ranks in orbit(cfg, c1.ranks) else "not_equivalent")
+    if res:
+        assert apply_to_code(res.witness, c1) == c2
+
+
+@pytest.mark.parametrize("words", [5, 6])
+def test_one_chain_forms_tell_apart_what_distances_do_not(words):
+    # per distance distribution of the codes of this size on CHAIN4, its
+    # first code against the next code of the class inside its orbit (or
+    # itself) and the first outside it; inequivalent pairs of one
+    # distribution occur
+    classes = {}
+    for ranks in combinations(range(CHAIN4.size), words):
+        classes.setdefault(Code(CHAIN4, ranks).distance_distribution, []).append(ranks)
+    apart = 0
+    for same in classes.values():
+        c1, inside = same[0], orbit(CHAIN4, same[0])
+        for c2 in (next((c for c in same[1:] if c in inside), c1), next((c for c in same if c not in inside), None)):
+            if c2 is None:
+                continue
+            res = equivalent(Code(CHAIN4, c1), Code(CHAIN4, c2))
+            if c2 in inside:
+                assert res.verdict == "equivalent"
+                assert apply_to_code(res.witness, Code(CHAIN4, c1)) == Code(CHAIN4, c2)
+            else:
+                assert (res.verdict, res.reason) == ("not_equivalent", "chain forms differ")
+                apart += 1
+    assert apart > 0
+
+
+def test_seeded_chain12_scrambles_are_equivalent():
+    # pairs drawn as the benchmark's search draws its chain-12 queries:
+    # 60 words and their image under a seeded random symmetry
+    cfg = make_config(2, 1, 12, [[1] * 12])
+    for i in range(24):
+        rng = random.Random(f"chain-12/{i}")
+        c1 = Code(cfg, rng.sample(range(cfg.size), 60))
+        c2 = apply_to_code(random_symmetry(cfg, rng.getrandbits(63)), c1)
+        res = equivalent(c1, c2)
+        assert res.verdict == "equivalent", i
+        assert apply_to_code(res.witness, c1) == c2
+
+
+def test_one_chain_code_of_1024_words():
+    # the whole q=2 one-chain n=10 space: the canonical forms do not recurse
+    # per word
+    cfg = make_config(2, 1, 10, [[1] * 10])
+    c = Code(cfg, range(cfg.size))
+    res = equivalent(c, c)
+    assert res.verdict == "equivalent"
+    assert apply_to_code(res.witness, c) == c
 
 
 def test_chain_from_pairs_fill_rule():

@@ -338,6 +338,7 @@ def _space(p, e, pi):
 EQUIV_SPACES = {
     "hamming8": (2, 1, [[1]] * 8),
     "chain12": (2, 1, [[1] * 12]),
+    "chain4": (2, 1, [[1] * 4]),
     "gf4": (2, 2, [[1, 1]] * 3),
     "wide": (2, 1, [[1] * 8] * 8),  # 2^64 points
     "chain3x2": (2, 1, [[1, 1]] * 3),
@@ -349,6 +350,8 @@ EQUIV_CASES = {
     "hamming8 scrambled": ("hamming8", "scrambled", 1, 4, None),
     "hamming8 over budget": ("hamming8", "scrambled", 1, 12, None),
     "chain12 scrambled": ("chain12", "scrambled", 2, 10, None),
+    "chain12 scrambled 60": ("chain12", "scrambled", 4, 60, None),
+    "chain4 forms differ": ("chain4", "drawn", 23, 5, None),
     "gf4 scrambled": ("gf4", "scrambled", 3, 8, None),
     "gf4 budget 3": ("gf4", "scrambled", 5, 8, 3),
     "wide scrambled": ("wide", "scrambled", 1, 6, None),
@@ -358,11 +361,17 @@ EQUIV_CASES = {
 }
 
 # (verdict, reason, nodes, sha256 of the JSON of the result, the
-# invariants and the weight distributions of both codes)
+# invariants and the weight distributions of both codes).  One-chain
+# queries are decided by canonical trie forms, and their nodes count the
+# trie nodes whose form was built: "chain12 scrambled 60" came back
+# inconclusive at 200001 nodes from the codeword backtrack, and "chain4
+# forms differ" has equal distance distributions on both sides
 PINNED_EQUIV = {
     'hamming8 scrambled': ('equivalent', None, 107174, '20f3f4cf4b5dd25a2c11118c3ed44ce06248f33cc867138ea1c79bd107553e0f'),
     'hamming8 over budget': ('inconclusive', 'budget exhausted', 200001, '74df9689dd323b95ad6d0f41693b2297f10eb92fee6d716faf7a11dc80c8bc48'),
-    'chain12 scrambled': ('equivalent', None, 43, 'bf5bfb73695054091330d817a3e628587b14cbe56a6846ec38180e1924916e2a'),
+    'chain12 scrambled': ('equivalent', None, 174, 'ad09622f8d562daef75d7e9ea89158f76c6c8ba9c68383c58c4b0965b7b69149'),
+    'chain12 scrambled 60': ('equivalent', None, 762, '90a7a7381da3a2799d8f7de970d04c61841bd41b4682f85f8a82f143e693bc57'),
+    'chain4 forms differ': ('not_equivalent', 'chain forms differ', 20, '3995cf2c041e345e5b68d90d53e9e15a76fb108b1df0daa5a1b816909b36d8e8'),
     'gf4 scrambled': ('equivalent', None, 1198, 'd940f83b92b25ee4b74f1244e4fa2c4609b52b9eb379ce13d245814c19d71c63'),
     'gf4 budget 3': ('inconclusive', 'budget exhausted', 4, 'a86ccebbcce510ca5dc8786d50e6fa39f2e52b20acb3922b43fcadbb2f092c9e'),
     'wide scrambled': ('equivalent', None, 139193, 'a66ab79b1642db0a1137a90d2003775d15d16d5320f7072dd8dc4232d9c81e24'),

@@ -444,7 +444,7 @@ def reference_decompose_full(config, table):
         if len(off):
             reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:
-            chains[k] = ohb.symmetry.decompose_chain(q, config.pi[k], sub)
+            chains[k] = ohb.chains.decompose_chain(q, config.pi[k], sub)
         except NotIsometryError as exc:
             u, v = (x * place for x in exc.witness)
             raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
