@@ -17,12 +17,12 @@ equivalent iff the tries of their words' level digits (top level at the
 root) are isomorphic: AHU canonical forms (Aho, Hopcroft and Ullman,
 1974) decide it, and children of equal form pair up words.  Otherwise
 the search walks admissible chain permutations on the outside and
-matches codewords by backtracking, pruning with per-chain distances (a
-matching extends to a triangular map on a chain iff it preserves that
-chain's distances).  Word pairs become an explicit witness Symmetry by
-filling each permutation table level by level: constrained entries come
-from the pairs, the rest are completed in ascending order, and
-untouched tails stay identity.
+matches codewords one per level of oracle.depth_first, pruning with
+per-chain distances (a matching extends to a triangular map on a chain
+iff it preserves that chain's distances).  Word pairs become an explicit
+witness Symmetry by filling each permutation table level by level:
+constrained entries come from the pairs, the rest are completed in
+ascending order, and untouched tails stay identity.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .chains import ChainSymmetry, level_places, level_shapes
 from .errors import CAPS, StructureError, UsageError, json_int
-from .oracle import enumerate_isometries
+from .oracle import depth_first, enumerate_isometries
 from .space import (
     BlockVector,
     SpaceConfig,
@@ -277,7 +277,8 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
     was built, over both codes, and budget is unused, so the verdict is
     never inconclusive.  Otherwise, for each admissible chain
     permutation, codewords are matched by backtracking with per-chain
-    distance pruning.  If the budget cuts the search off, a brute-force
+    distance pruning; nodes counts every unused word a level passes, and
+    stops at budget + 1.  If the budget cuts the search off, a brute-force
     fallback lists every isometry when the space is within the
     oracle_list cap and the group within the group cap; otherwise the
     verdict is inconclusive.  A witness is verified before it is returned.
@@ -301,38 +302,30 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
     cdb = C2._chain_distances()
     na = C1.size
 
+    match = np.full(na, -1)  # match[t] is the word of C2 matched to word t of C1
     nodes = 0
-    aborted = False
 
-    def rec(t):
-        nonlocal nodes, aborted
-        if t == na:
-            return True
-        # candidate b keeps every chain distance to the words matched so far
+    def candidates(t):
+        # the unused words that keep every chain distance to the words
+        # matched so far; each unused word passed is a node, up to budget + 1
+        nonlocal nodes
         ok = (cdb_tau[:, match[:t]] == cda[t, :t]).all((1, 2)).tolist()
-        for b in range(na):
-            if used[b]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                aborted = True
-                return False
-            if ok[b]:
-                match[t] = b
-                used[b] = True
-                if rec(t + 1):
-                    return True
-                used[b] = False
-            if aborted:
-                return False
-        return False
+        for used in match[:t].tolist():
+            ok[used] = None
+        for b, keeps in enumerate(ok):
+            if keeps is not None and nodes <= budget:
+                nodes += 1
+                if keeps and nodes <= budget:
+                    yield b
+
+    def child(t, b):
+        match[t] = b
+        return t + 1
 
     for sigma in admissible_permutations(cfg):
         tau = inverse(sigma)
         cdb_tau = cdb[:, :, tau]
-        match = np.full(na, -1)
-        used = [False] * na
-        if rec(0):
+        if next(depth_first(0, candidates(0), na, candidates, child), None) is not None:
             chains = [
                 chain_from_pairs(cfg.q, cfg.pi[k], C1._digits[k][order], C2._digits[tau[k]][match])
                 for k in range(cfg.m)
@@ -341,10 +334,10 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
             if apply_to_code(T, C1) != C2:
                 raise StructureError("matched witness failed verification")
             return EquivalenceResult("equivalent", witness=T, nodes=nodes)
-        if aborted:
+        if nodes > budget:
             break
 
-    if not aborted:
+    if nodes <= budget:
         return EquivalenceResult("not_equivalent", reason="search exhausted", nodes=nodes)
 
     if cfg.size <= CAPS["oracle_list"] and full_order(cfg) <= CAPS["group"]:

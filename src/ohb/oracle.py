@@ -1,16 +1,17 @@
-"""Ground truth from the distance matrix alone, and the one group search.
+"""Ground truth from the distance matrix alone, and the one search.
 
-stabilizer_orbits is the backtrack that both group counts run: the
+depth_first is the walk every search runs, on an explicit stack, so no
+level recurses: stabilizer_orbits runs it for both group counts (the
 oracle here, on partial maps checked against the distance matrix, and
-the automorphism count, on basis images.  It multiplies orbit sizes
-along a stabilizer chain, proving each orbit point by the first
-completion of the backtrack, so the cost grows with the number of
-points and orbits, not with the group order; only listing every
-element runs the backtrack to the end.  The oracle count is compared
-against the closed-form group order (and, for all-unit-width
-configurations, against the alternative closed forms that disagree
-with it).  Counts are exact integers; the caps keep the search at desk
-scale.
+the automorphism count, on basis images), and codes.equivalent to match
+codewords.  stabilizer_orbits multiplies orbit sizes along a stabilizer
+chain, proving each orbit point by the first completion of the walk,
+so the cost grows with the number of points and orbits, not with the
+group order; only listing every element runs the walk to the end.  The
+oracle count is compared against the closed-form group order (and, for
+all-unit-width configurations, against the alternative closed forms
+that disagree with it).  Counts are exact integers; the caps keep the
+search at desk scale.
 """
 
 from __future__ import annotations
@@ -88,6 +89,25 @@ def pair_classes(D: np.ndarray) -> np.ndarray:
     return classes
 
 
+def depth_first(state, ys, depth, candidates, child):
+    """Every state depth >= 1 levels below state, in depth-first order:
+    child(s, y) is the state one step y below s, whose steps are taken
+    from ys at the first level and from candidates(s) below it.  The walk
+    keeps a stack of candidate iterators, so no level recurses."""
+    stack = [(state, iter(ys))]
+    while stack:
+        state, ys = stack[-1]
+        for y in ys:
+            s = child(state, y)
+            if len(stack) == depth:
+                yield s
+            else:
+                stack.append((s, iter(candidates(s))))
+                break
+        else:
+            stack.pop()
+
+
 def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
     """Orbit sizes along a pointwise stabilizer chain (Sims 1970), whose
     product is the group order, and every group element if want_list.
@@ -104,13 +124,6 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
     every completion of root(0) in depth-first order as lists, or None.
     A listing of a group over the group entry of CAPS is refused.
     """
-    def completions(state, t):
-        if t == len(base):
-            yield perm(state)
-            return
-        for y in candidates(state):
-            yield from completions(child(state, y), t + 1)
-
     sizes = [1] * len(base)
     gens = []
     for t in reversed(range(len(base))):
@@ -119,10 +132,10 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
         for y in candidates(state):
             if int(y) in orbit:
                 continue
-            g = next(completions(child(state, y), t + 1), None)
+            g = next(depth_first(state, [y], len(base) - t, candidates, child), None)
             if g is None:
                 continue
-            gens.append(g)
+            gens.append(perm(g))
             new = orbit
             while new:
                 new = set(np.stack(gens)[:, list(new)].ravel().tolist()) - orbit
@@ -131,7 +144,8 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
     if not want_list:
         return sizes, None
     check_cap("group", math.prod(sizes), "elements", CAPS["group"])
-    return sizes, [g.tolist() for g in completions(root(0), 0)]
+    state = root(0)
+    return sizes, [perm(g).tolist() for g in depth_first(state, candidates(state), len(base), candidates, child)]
 
 
 def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list: bool = False):

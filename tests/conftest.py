@@ -45,6 +45,14 @@ def elementwise(config, op, *ranks) -> int:
     return block_rank(config.q, [op(*xs) for xs in zip(*coords)])
 
 
+# whole spaces of 1024 points, each the code of every point: more words
+# than a search that recursed once per word could match
+WHOLE_SPACES = {
+    "one chain": {"field": {"p": 2}, "m": 1, "n": 10, "pi": [[1] * 10]},
+    "two chains": {"field": {"p": 2}, "m": 2, "n": 5, "pi": [[1] * 5] * 2},
+}
+
+
 # configs small enough for exhaustive checks, varied in shape
 SMALL_CONFIGS = [
     make_config(2, 1, 1, [[1]]),

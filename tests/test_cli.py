@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import WHOLE_SPACES
 from ohb.cli import build_parser, main
 from ohb.codes import DEFAULT_BUDGET
 
@@ -400,19 +401,25 @@ def test_equiv(capsys, hamming_file, tmp_path):
     assert doc["nodes"] == 0
 
 
-def test_equiv_on_a_one_chain_code_of_1024_words(capsys, tmp_path):
-    # the whole q=2 one-chain n=10 space against itself: one document and
-    # exit 0, where a search that recursed once per word raised
-    space = {"field": {"p": 2}, "m": 1, "n": 10, "pi": [[1] * 10]}
+def equiv_whole_space(capsys, tmp_path, space):
+    """ohb equiv on the code of every point of the space against itself:
+    one document and exit 0."""
     space_file = tmp_path / "s.json"
     space_file.write_text(json.dumps(space))
     code_file = tmp_path / "c.json"
     code_file.write_text(json.dumps({"config": space, "vectors": list(range(1024))}))
-    doc = run_json(
+    return run_json(
         capsys, "equiv", "--space", str(space_file), "--c1", str(code_file), "--c2", str(code_file),
         schema="equiv",
     )
-    assert doc["verdict"] == "equivalent"
+
+
+def test_equiv_on_a_one_chain_code_of_1024_words(capsys, tmp_path):
+    assert equiv_whole_space(capsys, tmp_path, WHOLE_SPACES["one chain"])["verdict"] == "equivalent"
+
+
+def test_equiv_on_a_two_chain_code_of_1024_words(capsys, tmp_path):
+    assert equiv_whole_space(capsys, tmp_path, WHOLE_SPACES["two chains"])["verdict"] == "equivalent"
 
 
 def test_report(capsys, space_file):

@@ -1,6 +1,8 @@
 """Codes: invariants, symmetry action, equivalence search."""
 
 import functools
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -11,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ohb.codes
-from conftest import make_config, random_vector
+from conftest import WHOLE_SPACES, make_config, random_vector
 from ohb import (
     Code,
+    SpaceConfig,
     all_symmetries,
     as_rank_table,
     distance,
@@ -32,6 +35,7 @@ from ohb import (
     parse_vector,
     random_symmetry,
 )
+from ohb.errors import CAPS
 from ohb.oracle import enumerate_isometries
 
 HAMMING2 = make_config(2, 2, 1, [[1], [1]])
@@ -224,6 +228,26 @@ def test_budget_inconclusive():
     res = equivalent(c1, c2, budget=3)
     assert res.verdict == "inconclusive"
     assert res.reason == "budget exhausted"
+    assert res.nodes == 4
+
+
+def test_budget_stops_at_one_node_past_it():
+    # a three-chain query over the oracle_list cap, so no fallback runs:
+    # under its unbudgeted node count N a budget stops the search at
+    # exactly budget + 1 nodes, and from N on it changes nothing
+    cfg = make_config(2, 3, 2, [[1, 1]] * 3)
+    assert cfg.size > CAPS["oracle_list"]
+    rng = random.Random("sweep/6")
+    c1 = Code(cfg, rng.sample(range(cfg.size), 6))
+    c2 = apply_to_code(random_symmetry(cfg, rng.getrandbits(63)), c1)
+    full = equivalent(c1, c2).to_json()
+    assert full["verdict"] == "equivalent"
+    for budget in range(full["nodes"] + 3):
+        res = equivalent(c1, c2, budget=budget)
+        if budget < full["nodes"]:
+            assert (res.verdict, res.reason, res.nodes) == ("inconclusive", "budget exhausted", budget + 1)
+        else:
+            assert res.to_json() == full
 
 
 def fallback_calls(monkeypatch):
@@ -376,14 +400,56 @@ def test_seeded_chain12_scrambles_are_equivalent():
         assert apply_to_code(res.witness, c1) == c2
 
 
-def test_one_chain_code_of_1024_words():
-    # the whole q=2 one-chain n=10 space: the canonical forms do not recurse
-    # per word
-    cfg = make_config(2, 1, 10, [[1] * 10])
+# (label, q as (p, e), pi, words, copies): the benchmark's scrambled
+# queries on several chains, with fewer copies
+SEEDED_SCRAMBLES = [
+    ("hamming-8", (2, 1), [[1]] * 8, 40, 8),
+    ("hamming-10", (2, 1), [[1]] * 10, 60, 6),
+    ("m6-n2", (2, 1), [[1, 1]] * 6, 40, 8),
+    ("gf4-m3-n2", (2, 2), [[1, 1]] * 3, 40, 8),
+]
+SEEDED_BUDGET = 20_000
+# sha256 of the result documents below (verdict, reason, nodes and
+# witness): any change to the order of the search or its node rule moves it
+SEEDED_DIGEST = "da7a870439076cdfad9a0344b45f0f03c91f666803a7368e171c3bc7c88fd377"
+
+
+def test_seeded_scrambles_keep_their_verdicts_nodes_and_witnesses():
+    # each pair is drawn as the benchmark's search draws its scrambled
+    # queries: seeded words and their image under a seeded random
+    # symmetry; the budget stops most of them inside a level
+    docs = []
+    for label, (p, e), pi, words, copies in SEEDED_SCRAMBLES:
+        cfg = make_config(p, len(pi), len(pi[0]), pi, e=e)
+        for i in range(copies):
+            rng = random.Random(f"{label}/{i}")
+            c1 = Code(cfg, rng.sample(range(cfg.size), words))
+            c2 = apply_to_code(random_symmetry(cfg, rng.getrandbits(63)), c1)
+            res = equivalent(c1, c2, budget=SEEDED_BUDGET)
+            if res:
+                assert apply_to_code(res.witness, c1) == c2
+            docs.append(res.to_json())
+    assert {d["verdict"] for d in docs} == {"equivalent", "inconclusive"}
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == SEEDED_DIGEST
+
+
+def check_whole_space_equivalent_to_itself(space):
+    cfg = SpaceConfig.from_json(space)
     c = Code(cfg, range(cfg.size))
     res = equivalent(c, c)
     assert res.verdict == "equivalent"
     assert apply_to_code(res.witness, c) == c
+
+
+def test_one_chain_code_of_1024_words():
+    # the canonical forms do not recurse per word
+    check_whole_space_equivalent_to_itself(WHOLE_SPACES["one chain"])
+
+
+def test_two_chain_code_of_1024_words():
+    # the word match walks an explicit stack, one level per word
+    check_whole_space_equivalent_to_itself(WHOLE_SPACES["two chains"])
 
 
 def test_chain_from_pairs_fill_rule():

@@ -134,3 +134,14 @@ def test_search_core_on_a_cyclic_group():
     # without want_list the count is the same and nothing is listed
     assert stabilizer_orbits([0, 1], lambda t: tuple(range(t)), candidates,
                              lambda state, y: state + (y,), perm) == ([5, 1], None)
+    # a base of 1100 points, deeper than a walk that recursed once per
+    # level could go: each point goes one past the image of the point
+    # before it, and a state keeps the images of 0 and of the last point
+    n = 1100
+    assert stabilizer_orbits(
+        range(n),
+        lambda t: (0, t - 1)[:t],
+        lambda state: range(n) if not state else [(state[-1] + 1) % n],
+        lambda state, y: state[:1] + (y,),
+        lambda state: (np.arange(n) + state[0]) % n,
+    ) == ([n] + [1] * (n - 1), None)
