@@ -135,10 +135,10 @@ def stabilizer_orbits(base, root, candidates, child, perm, want_list=False):
             g = next(depth_first(state, [y], len(base) - t, candidates, child), None)
             if g is None:
                 continue
-            gens.append(perm(g))
+            gens = np.vstack([*gens, perm(g)])  # one row per generator, stacked once
             new = orbit
             while new:
-                new = set(np.stack(gens)[:, list(new)].ravel().tolist()) - orbit
+                new = set(gens[:, list(new)].ravel().tolist()) - orbit
                 orbit |= new
         sizes[t] = len(orbit)
     if not want_list:

@@ -383,18 +383,25 @@ def distance_matrix_array(config: SpaceConfig) -> np.ndarray:
 WITNESS_ANCHORS = 16
 
 
-def bijection_array(table, size: int) -> np.ndarray:
-    """The table as an int64 array, checked to be a bijection of [0, size).
-
-    A repeated image is reported at the first rank whose image repeats,
-    paired with the earlier rank that has the same image.
-    """
+def rank_array(table, size: int) -> np.ndarray:
+    """The table as an int64 array of size entries."""
     try:
         f = np.asarray(table, dtype=np.int64)
     except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"table entries must be integer ranks: {exc}") from exc
     if f.shape != (size,):
         raise UsageError(f"table has {f.size} entries, space has {size}")
+    return f
+
+
+def bijection_array(table, size: int) -> np.ndarray:
+    """The table as an int64 array, checked to be a bijection of [0, size).
+
+    An entry out of range is refused first, then a repeated image at the
+    first rank whose image repeats, paired with the earlier rank of that
+    image.  decompose_full counts a table of several chains only to refuse it.
+    """
+    f = rank_array(table, size)
     if size and (f.min() < 0 or f.max() >= size):
         raise UsageError("table entry out of range")
     if size and np.bincount(f, minlength=size).max() > 1:
@@ -416,26 +423,30 @@ def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
     Rows u of the distance matrix are compared with the rows of f, and
     the first bad column of the first bad row is returned.  Up to
     CAPS["witness_matrix"] points every row is scanned in rank order,
-    max(1, 2^16 // S) rows per comparison, which gives the first bad
-    pair in row-major order.  Beyond that, only the rows of the given
-    anchors and then of ranks 0..WITNESS_ANCHORS-1 are scanned, one at
-    a time, so a non-isometry can go unwitnessed.
+    max(1, 2^16 // S) rows per comparison, which gives the first bad pair
+    in row-major order.  Beyond that, only the rows of the given anchors
+    and then of ranks 0..WITNESS_ANCHORS-1 are scanned, each in column
+    chunks of 2^13, 2^15, ... up to its first bad column, so a
+    non-isometry can go unwitnessed.
     """
     S = len(f)
     ranks = np.arange(S)
     if S <= CAPS["witness_matrix"]:
         step = max(1, (1 << 16) // S)
-        blocks = (ranks[i:i + step] for i in range(0, S, step))
+        blocks, first = (ranks[i:i + step] for i in range(0, S, step)), S
     else:
-        blocks = ([u] for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))]))
+        blocks, first = ([u] for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))])), 1 << 13
     for us in blocks:
         us = np.asarray(us, dtype=np.int64)[:, None]
-        bad = np.flatnonzero(
-            rank_distance(q, pi, us, ranks, np.int8) != rank_distance(q, pi, f[us], f, np.int8)
-        )
-        if len(bad):
-            i, v = divmod(int(bad[0]), S)
-            return int(us[i, 0]), v
+        lo, width = 0, first
+        while lo < S:
+            cols = ranks[lo:lo + width]
+            bad = np.flatnonzero(rank_distance(q, pi, us, cols, np.int8)
+                                 != rank_distance(q, pi, f[us], f[lo:lo + width], np.int8))
+            if len(bad):
+                i, v = divmod(int(bad[0]), len(cols))
+                return int(us[i, 0]), lo + v
+            lo, width = lo + width, 4 * width
     return None
 
 

@@ -47,6 +47,7 @@ from .space import (
     add_ranks,
     bijection_array,
     distance_witness,
+    rank_array,
     sub_ranks,
 )
 
@@ -321,11 +322,17 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     the result is verified pointwise against the table.  A map that
     preserves no decomposition is rejected with a distance witness when
     one can be found (the ranks where the failure showed are tried
-    first), otherwise with the chain index that failed.
+    first), otherwise with the chain index that failed.  A table that is
+    no bijection is refused as bijection_array refuses it.  That count
+    runs first with one chain; with several, only on a refusal, and not
+    when the table permutes the candidate's images where the two differ.
     """
-    f = bijection_array(table, config.size)
+    checked = config.m == 1  # f is known to be a bijection
+    f = (bijection_array if checked else rank_array)(table, config.size)
 
     def reject(chain_index, context, *anchors):
+        if not checked:
+            bijection_array(f, config.size)
         w = distance_witness(config.q, config.pi, f, anchors)
         if w is not None:
             raise NotIsometryError(
@@ -333,8 +340,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
             )
         raise StructureError(context, chain_index=chain_index)
 
-    q = config.q
-    m = config.m
+    q, m = config.q, config.m
     # f minus the translation w = f(0), on each chain axis only: nothing
     # else is read before the final check against f itself
     w_rank = int(f[0])
@@ -342,11 +348,14 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     for k in range(m):
         img = f[np.arange(config.chain_size[k]) * config.chain_place[k]]
         axes.append(sub_ranks(config, img, w_rank) if w_rank else img)
+    if not checked:
+        points = np.sort(np.concatenate([axes[0][:1], *(a[1:] for a in axes)]))
+        if (points[1:] == points[:-1]).any():
+            bijection_array(f, config.size)  # raises: f repeats an image on the chain axes
     # each chain's weight-1 sphere at level 1 must land inside a single
     # chain with the same widths
     tau = [None] * m
     for k in range(m):
-        target = None
         for x in range(1, q ** config.pi[k][0]):
             r = x * config.chain_place[k]
             img = int(axes[k][x])
@@ -356,14 +365,12 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
             j = hit[0]
             if config.chain_subrank(img, j) >= q ** config.pi[j][0]:
                 reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1", r)
-            if target is None:
-                target = j
-            elif target != j:
+            if tau[k] is None:
+                tau[k] = j
+            elif tau[k] != j:
                 reject(k + 1, f"chain {k + 1} maps into two different chains", r)
-        tau[k] = target
-    # tau is a permutation: the probes above are as many as the level-1
-    # weight-1 points of all chains and land on them one to one, so each
-    # chain is hit
+    # tau is a permutation: the probes above have distinct images (no image
+    # on the axes repeats), as many as the level-1 weight-1 points they hit
     for k in range(m):
         if config.pi[k] != config.pi[tau[k]]:
             reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")
@@ -376,15 +383,15 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         if len(off):
             reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
         try:
-            # sub is a bijection: f and the translation are injective
+            # sub is a bijection: its points are in range and not repeated
             ch = _decompose_bijection(q, config.pi[k], sub)
-        except NotIsometryError as exc:
+        except (NotIsometryError, StructureError) as exc:
+            if not checked:
+                bijection_array(f, config.size)
+            if isinstance(exc, StructureError):
+                raise StructureError(str(exc), chain_index=k + 1) from exc
             u, v = (x * place for x in exc.witness)
-            raise NotIsometryError(
-                f"distance not preserved for ranks {u} and {v}", witness=(u, v)
-            ) from exc
-        except StructureError as exc:
-            raise StructureError(str(exc), chain_index=k + 1) from exc
+            raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
         # adding w back, as make_translation does: each level adds w's
         # block at that level of the chain it lands on
         wk = config.chain_subrank(w_rank, tau[k])
@@ -393,10 +400,12 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         ]) if wk else ch
 
     cand = Symmetry(config, inverse(tau), chains)
-    # with one chain, _decompose_bijection has already compared its axis, the
-    # whole table
-    bad = np.nonzero(_rank_table(cand) != f)[0] if m > 1 else ()
-    if len(bad):
-        r = int(bad[0])
-        reject(None, f"map disagrees with its chain decomposition at rank {r}", r)
+    if m > 1:  # with one chain, _decompose_bijection compared the whole table
+        rt = _rank_table(cand)
+        bad = np.flatnonzero(rt != f)
+        if len(bad):
+            # f equals the bijection rt off bad, so is one iff f[bad] permutes rt[bad]
+            checked = np.array_equal(np.sort(f[bad]), np.sort(rt[bad]))
+            del rt  # not kept through the witness scan
+            reject(None, f"map disagrees with its chain decomposition at rank {bad[0]}", int(bad[0]))
     return cand

@@ -14,6 +14,7 @@ from ohb import (
     NotIsometryError,
     SpaceConfig,
     StructureError,
+    UsageError,
     block_rank,
     block_unrank,
 )
@@ -71,7 +72,9 @@ def outcome(decompose, *args):
     """What a decomposition returned or how it refused, three times: with
     every row scanned for a witness; with only the anchors the refusal
     names and ranks 0..15 scanned, so the anchors show; and with no witness
-    found, so the message of the failing level or rank shows."""
+    found, so the message of the failing level or rank shows.  A table
+    that is no bijection is refused with a UsageError (an entry out of
+    range) or a NotIsometryError naming two ranks of one image."""
     out = []
     for regime in ("every row", "anchors", "none"):
         with pytest.MonkeyPatch.context() as mp:
@@ -82,6 +85,6 @@ def outcome(decompose, *args):
                     mp.setattr(module, "distance_witness", lambda *args: None)
             try:
                 out.append(decompose(*args).to_json())
-            except (NotIsometryError, StructureError) as exc:
-                out.append((type(exc), str(exc), exc.witness, exc.chain_index))
+            except (NotIsometryError, StructureError, UsageError) as exc:
+                out.append((type(exc), str(exc), getattr(exc, "witness", None), getattr(exc, "chain_index", None)))
     return out

@@ -504,6 +504,43 @@ def test_distance_witness_is_the_first_bad_pair_of_the_rows_it_scans(data):
         assert distance_witness(cfg.q, cfg.pi, f, anchors) == want
 
 
+def whole_row_witness(cfg, f, anchors):
+    """distance_witness past the witness cap, each row compared whole: the
+    first bad column of the first bad row among the anchors, then ranks
+    0..WITNESS_ANCHORS-1."""
+    every = np.arange(cfg.size)
+    for u in dict.fromkeys([*anchors, *range(WITNESS_ANCHORS)]):
+        bad = np.flatnonzero(rank_distance(cfg.q, cfg.pi, u, every) != rank_distance(cfg.q, cfg.pi, f[u], f))
+        if len(bad):
+            return u, int(bad[0])
+    return None
+
+
+@pytest.mark.parametrize(
+    "swap, columns",
+    [((9000, 60000), (1 << 13, 5 << 13)), ((41000, 60000), (5 << 13, 1 << 16)), ((16384 + 5, 49152 + 5), None)],
+    ids=["second-chunk", "third-chunk", "no-bad-row"],
+)
+def test_the_chunked_row_scan_finds_the_whole_row_witness(swap, columns):
+    # past the witness cap an anchor row is compared in column chunks of
+    # 2^13, 2^15, ... ranks and stops at its first bad column.  Swapping
+    # two images breaks a row exactly at the swapped columns whose
+    # distances from the row's rank differ: anchor row 100 sees none of
+    # them, row 0 sees the lower one (in the second or third chunk), and
+    # the last pair, equal on chain 0 and of equal weight elsewhere, breaks
+    # no scanned row at all
+    cfg = make_config(2, 4, 2, [[1, 1]] * 4, e=2)
+    assert cfg.size > CAPS["witness_matrix"]
+    f = as_rank_table(random_symmetry(cfg, 3)).copy()
+    f[list(swap)] = f[list(swap[::-1])]
+    want = whole_row_witness(cfg, f, (100,))
+    assert distance_witness(cfg.q, cfg.pi, f, (100,)) == want
+    if columns is None:
+        assert want is None
+    else:
+        assert want[0] == 0 and columns[0] <= want[1] < columns[1]
+
+
 def test_materialization_guard():
     cfg = make_config(2, 1, 1, [[24]])  # 2^24 points
     with pytest.raises(CapExceeded):

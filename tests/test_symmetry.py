@@ -475,19 +475,51 @@ def small_spaces(draw, points=1 << 9):
     return make_config(p, len(pi), len(pi[0]), pi, e=e)
 
 
-FULL_CORRUPTIONS = ["cross", "merge", "swap_axes", "swap_off", "swap", "none"]
+FULL_CORRUPTIONS = ["cross", "merge", "swap_axes", "swap_off", "swap", "none",
+                    "repeat_axis", "copy_axis", "repeat_off", "repeat_bad_chain", "out_of_range"]
 
 
 def corrupted_table(cfg, f, how, rng):
-    """A copy of f, still a bijection: 'swap' exchanges the images of two
-    points, 'swap_axes' of two points on chain axes (0 among them) and
-    'swap_off' of two points off every axis; 'cross' of a point on one
+    """A copy of f.  These keep it a bijection: 'swap' exchanges the images
+    of two points, 'swap_axes' of two points on chain axes (0 among them)
+    and 'swap_off' of two points off every axis; 'cross' of a point on one
     chain's axis and a point on another's; 'merge' gives chain k's
-    weight-1 points the images of the top points of chain i's axis."""
+    weight-1 points the images of the top points of chain i's axis.
+    These do not: 'repeat_axis' gives a point on the chain axes the image
+    of another point; 'copy_axis' gives chain k's axis the images of chain
+    i's, so with equal widths both land on one chain (with one chain, as
+    'repeat_axis'); 'repeat_off' gives a point off every axis the image of
+    another such point (of any point if fewer than two are off the axes);
+    'repeat_bad_chain' does that after swapping two images on one chain's
+    axis, which that chain's decomposition refuses by itself unless the
+    swap is an isometry; 'out_of_range' sets the entry of 0, of a point on
+    the axes or of any point to a rank out of range, among them its own
+    value minus q^N, which has the same base-q digits."""
     f = f.copy()
     axis = [[x * cfg.chain_place[k] for x in range(1, cfg.chain_size[k])] for k in range(cfg.m)]
     on = {0, *(r for points in axis for r in points)}
     off = sorted(set(range(cfg.size)) - on)
+    if how == "out_of_range":
+        r = rng.choice([0, rng.choice(sorted(on)), rng.randrange(cfg.size)])
+        f[r] = rng.choice([-1, f[r] - cfg.size, cfg.size, 3 * cfg.size + 1, 1 << 40])
+        return f
+    if how == "copy_axis" and cfg.m > 1:
+        k, i = rng.sample(range(cfg.m), 2)
+        top = min(len(axis[k]), len(axis[i]))
+        f[axis[k][:top]] = f[axis[i][:top]]
+        return f
+    if how.startswith("repeat") or how == "copy_axis":
+        if how == "repeat_bad_chain":
+            k = rng.randrange(cfg.m)
+            a, b = rng.sample(axis[k], 2) if len(axis[k]) > 1 else (0, axis[k][0])
+            f[a], f[b] = f[b], f[a]
+        if how in ("repeat_axis", "copy_axis"):
+            a = rng.choice(sorted(on))
+            b = rng.choice([r for r in range(cfg.size) if r != a])
+        else:
+            a, b = rng.sample(off if len(off) > 1 else range(cfg.size), 2)
+        f[a] = f[b]
+        return f
     if how in ("cross", "merge") and cfg.m > 1:
         k, i = rng.sample(range(cfg.m), 2)
         if how == "cross":
@@ -507,7 +539,7 @@ def corrupted_table(cfg, f, how, rng):
     return f
 
 
-@settings(max_examples=200)
+@settings(max_examples=400)
 @given(small_spaces(), st.sampled_from(FULL_CORRUPTIONS), st.integers(0, 2 ** 32 - 1))
 @example(make_config(2, 1, 3, [[1, 2, 1]]), "none", 1)
 @example(make_config(3, 2, 2, [[1, 1], [1, 1]]), "merge", 2)
@@ -517,7 +549,8 @@ def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
     # decomposes, and with one chain skips the final whole-table check; a
     # good table moved by a nonzero w must decompose to the symmetry that
     # composing make_translation(w) after them gave, and a corrupted one
-    # be refused the same way under every witness regime
+    # be refused the same way under every witness regime, one that is no
+    # bijection as such, whatever else is wrong with it
     rng = random.Random(seed)
     f = as_rank_table(random_symmetry(cfg, rng))
     if f[0] == 0:
@@ -527,6 +560,8 @@ def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
     assert got == outcome(reference_decompose_full, cfg, f)
     if how == "none":
         assert all(isinstance(doc, dict) for doc in got)
+    if how.startswith("repeat") or how in ("copy_axis", "out_of_range"):
+        assert all(kind is UsageError or text.startswith("not a bijection") for kind, text, *_ in got)
 
 
 def test_decompose_full_round_trip():
@@ -609,6 +644,42 @@ def test_a_rejection_at_the_witness_cap_builds_no_distance_matrix(seed, swap, wi
         tracemalloc.stop()
     assert exc.value.witness == witness
     assert peak < 8 << 20
+
+
+def test_a_refusal_past_the_witness_cap_peaks_under_a_megabyte():
+    # GF(4), m=4, n=2: a whole table of S = 65536 int64 ranks is 512 KB.
+    # Two images swapped off the chain axes leave a bijection that the
+    # candidate disagrees with at those two ranks, which proves it one, so
+    # no whole-table count runs; the candidate's rank table is released
+    # before the witness scan, whose anchor rows stop at their first bad
+    # column
+    cfg = make_config(2, 4, 2, [[1, 1]] * 4, e=2)
+    table = as_rank_table(random_symmetry(cfg, 11)).copy()
+    u, v = 3 * 16 + 5, 40000 + 7
+    table[[u, v]] = table[[v, u]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotIsometryError) as exc:
+            decompose_full(cfg, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a, b = exc.value.witness
+    assert dist_ranks(cfg, a, b) != dist_ranks(cfg, table[a], table[b])
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cfg", [make_config(3, 1, 2, [[1, 1]]), make_config(3, 2, 2, [[1, 1], [1, 1]])],
+                         ids=["one-chain", "two-chains"])
+def test_an_entry_q_to_the_n_below_its_rank_is_out_of_range(cfg):
+    # rank - q^N has the base-q digits of rank, so a check that read only
+    # digits, as the translation is subtracted, would take it for rank
+    table = as_rank_table(random_symmetry(cfg, 5))
+    for r in (0, 1, cfg.size - 1):
+        bad = table.copy()
+        bad[r] -= cfg.size
+        with pytest.raises(UsageError, match="table entry out of range"):
+            decompose_full(cfg, bad)
 
 
 def test_enumeration_matches_full_order():
