@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _count(text) -> int:
+    """A cap or a node budget: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -410,24 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--formula", dest="mode", action="store_const", const="formula")
     g.add_argument("--oracle", dest="mode", action="store_const", const="oracle")
     g.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.add_argument("--cap", type=int, default=None, help="oracle point cap override")
+    p.add_argument("--cap", type=_count, default=None, help="oracle point cap override")
     p.set_defaults(handler=_cmd_order)
 
     p = sub.add_parser("aut", parents=[common], help="automorphism group order")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--formula", dest="mode", action="store_const", const="formula")
     g.add_argument("--enumerate", dest="mode", action="store_const", const="enumerate")
-    p.add_argument("--cap", type=int, default=None, help="enumeration point cap override")
+    p.add_argument("--cap", type=_count, default=None, help="enumeration point cap override")
     p.set_defaults(handler=_cmd_aut)
 
     p = sub.add_parser("equiv", parents=[common], help="code equivalence search")
     p.add_argument("--c1", required=True, help="first code file")
     p.add_argument("--c2", required=True, help="second code file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget (spaces of several chains; one chain is decided with no search)")
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET, help="search node budget (spaces of several chains; one chain is decided with no search)")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("report", parents=[common], help="orders, oracle, and formula comparison")
-    p.add_argument("--cap", type=int, default=None, help="oracle point cap override")
+    p.add_argument("--cap", type=_count, default=None, help="oracle point cap override")
     p.set_defaults(handler=_cmd_report)
 
     return parser

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import settings
 
+import model
 import ohb.chains
 import ohb.space
 import ohb.symmetry
@@ -32,10 +33,6 @@ def make_config(p, m, n, pi, e=1):
 
 def random_vector(config, rng: random.Random) -> BlockVector:
     return config.unrank(rng.randrange(config.size))
-
-
-def random_rank(config, rng: random.Random) -> int:
-    return rng.randrange(config.size)
 
 
 def elementwise(config, op, *ranks) -> int:
@@ -68,23 +65,27 @@ SMALL_CONFIGS = [
 ]
 
 
+# witness regimes as caps: every row up to the cap; the anchors only; none
+REGIMES = (CAPS["witness_matrix"], 0, None)
+
+
 def outcome(decompose, *args):
-    """What a decomposition returned or how it refused, three times: with
-    every row scanned for a witness; with only the anchors the refusal
-    names and ranks 0..15 scanned, so the anchors show; and with no witness
-    found, so the message of the failing level or rank shows.  A table
-    that is no bijection is refused with a UsageError (an entry out of
-    range) or a NotIsometryError naming two ranks of one image."""
+    """What a decomposition returned or how it refused under each regime (a
+    table that is no bijection with a UsageError or a NotIsometryError)."""
     out = []
-    for regime in ("every row", "anchors", "none"):
+    for cap in REGIMES:
         with pytest.MonkeyPatch.context() as mp:
-            if regime == "anchors":
-                mp.setitem(CAPS, "witness_matrix", 0)
-            if regime == "none":
+            mp.setitem(CAPS, "witness_matrix", cap or 0)
+            if cap is None:
                 for module in (ohb.space, ohb.chains, ohb.symmetry):
                     mp.setattr(module, "distance_witness", lambda *args: None)
             try:
                 out.append(decompose(*args).to_json())
             except (NotIsometryError, StructureError, UsageError) as exc:
-                out.append((type(exc), str(exc), getattr(exc, "witness", None), getattr(exc, "chain_index", None)))
+                out.append((type(exc).__name__, str(exc), getattr(exc, "witness", None),
+                            getattr(exc, "chain_index", None)))
     return out
+
+
+def model_outcome(decompose, *args):
+    return model.outcomes(decompose, *args, caps=REGIMES)

@@ -16,7 +16,6 @@ from conftest import make_config, random_vector
 from ohb import (
     Code,
     Symmetry,
-    all_symmetries,
     apply_to_code,
     as_rank_table,
     aut_order_antichain,
@@ -26,7 +25,6 @@ from ohb import (
     distance,
     enumerate_automorphisms,
     equivalent,
-    full_order,
     identity_chain,
     invert_symmetry,
     is_linear,

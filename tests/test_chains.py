@@ -7,14 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ohb.chains
-import ohb.space
-import ohb.symmetry
-from conftest import make_config, outcome
+import model
+from conftest import make_config, model_outcome, outcome
 from ohb import (
     ChainSymmetry,
     NotIsometryError,
-    StructureError,
     UsageError,
     ValidationError,
     all_chain_symmetries,
@@ -30,8 +27,7 @@ from ohb import (
     random_chain,
     random_symmetry,
 )
-from ohb.chains import _first_bad_row, chain_space_size, level_places, level_shapes
-from ohb.space import bijection_array, rank_distance
+from ohb.chains import chain_space_size, level_places
 
 
 def row_of(q, chain_pi, r):
@@ -46,12 +42,6 @@ def rank_of(q, chain_pi, row):
 
 def enumerate_rows(q, chain_pi):
     return [row_of(q, chain_pi, r) for r in range(chain_space_size(q, chain_pi))]
-
-
-def chain_distances(q, chain_pi, ranks):
-    """Distances between every two of the given row ranks."""
-    ranks = np.asarray(ranks)
-    return rank_distance(q, [chain_pi], ranks[:, None], ranks)
 
 
 def test_worked_example():
@@ -108,8 +98,8 @@ def test_chain_is_bijective_and_distance_preserving():
             images = [T.apply(row) for row in rows]
             assert sorted(images) == sorted(rows)
             image_ranks = [rank_of(q, chain_pi, row) for row in images]
-            every = range(len(rows))
-            assert (chain_distances(q, chain_pi, image_ranks) == chain_distances(q, chain_pi, every)).all()
+            every, G = range(len(rows)), model.geometry(q, [chain_pi])
+            assert (G.distance(*np.ix_(image_ranks, image_ranks)) == G.distance(*np.ix_(every, every))).all()
 
 
 def test_compose_apply_contract():
@@ -132,7 +122,6 @@ def test_invert_round_trip():
         for row in rows:
             assert Ainv.apply(A.apply(row)) == row
             assert A.apply(Ainv.apply(row)) == row
-
 
 
 @st.composite
@@ -240,7 +229,7 @@ def test_decompose_completeness_small():
     q, chain_pi = 2, (1, 1)
     rows = enumerate_rows(q, chain_pi)
     S = len(rows)
-    D = chain_distances(q, chain_pi, range(S))
+    D = model.geometry(q, [chain_pi]).distance(*np.ix_(range(S), range(S)))
     found = 0
     import itertools
 
@@ -277,47 +266,13 @@ def test_top_level_swap_is_rejected_with_witness():
     with pytest.raises(NotIsometryError) as exc:
         decompose_chain(q, chain_pi, table)
     a, b = exc.value.witness
-    D = chain_distances(q, chain_pi, range(len(rows)))
+    D = model.geometry(q, [chain_pi]).distance(*np.ix_(range(len(rows)), range(len(rows))))
     assert D[a, b] != D[table[a], table[b]]
 
 
 def test_decompose_rejects_non_bijection():
     with pytest.raises(NotIsometryError):
         decompose_chain(2, (1, 1), [0, 0, 2, 3])
-
-
-def reference_decompose_chain(q, chain_pi, table):
-    """decompose_chain with its former permutation check, kept as the
-    reference for refusals: every level argsorted row by row, and the first
-    repeat in sorted order names the level, the tail and the anchors."""
-    place = level_places(q, chain_pi)
-    f = bijection_array(table, place[-1])
-
-    def reject(context, *anchors):
-        w = ohb.space.distance_witness(q, (chain_pi,), f, anchors)
-        if w is not None:
-            raise NotIsometryError(f"distance not preserved for row ranks {w[0]} and {w[1]}", witness=w)
-        raise StructureError(f"bijection has no triangular form: {context}")
-
-    tables = []
-    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
-        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
-        order = np.argsort(level, axis=1, kind="stable")
-        repeats = np.argwhere(np.diff(np.take_along_axis(level, order, axis=1), axis=1) == 0)
-        if len(repeats):
-            t, i = (int(x) for x in repeats[0])
-            base = t * place[j + 1]
-            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation",
-                   base + int(order[t, i]) * place[j], base + int(order[t, i + 1]) * place[j])
-        tables.append(level)
-    T = ChainSymmetry(q, chain_pi, tables)
-    rt = T.apply_ranks(np.arange(place[-1]))
-    bad = np.nonzero(rt != f)[0]
-    if len(bad):
-        r = int(bad[0])
-        reject(f"rank {r}: map disagrees with its zero-prefix extraction "
-               f"({f[r]} vs {rt[r]}), so some level reads a lower level", r)
-    return T
 
 
 def corrupted(q, chain_pi, f, how, rng):
@@ -365,7 +320,7 @@ def test_decompose_chain_refuses_as_the_argsort_check_did(q, widths, how, seed):
     chain_pi = tuple(widths)
     rng = random.Random(seed)
     f = corrupted(q, chain_pi, random_chain(q, chain_pi, rng).rank_table(), how, rng)
-    assert outcome(decompose_chain, q, chain_pi, f) == outcome(reference_decompose_chain, q, chain_pi, f)
+    assert outcome(decompose_chain, q, chain_pi, f) == model_outcome(model.decompose_chain, q, chain_pi, f)
 
 
 @settings(max_examples=60)
@@ -376,8 +331,7 @@ def test_decompose_chain_refuses_as_the_argsort_check_did(q, widths, how, seed):
 @example(4, [1, 1], True, "swap", 3)
 def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, seed):
     # one chain's map is corrupted inside a random symmetry of a two-chain
-    # space; decompose_full with the reference decompose_chain patched in
-    # for its chain step must refuse the same way
+    # space; decompose_full must refuse it as the model's chain step does
     other = widths if twins else [1] * len(widths)
     while len(widths) > 2 and chain_space_size(q, widths + other) > 1 << 8:
         widths, other = widths[:-1], other[:-1]
@@ -392,43 +346,7 @@ def test_decompose_full_refuses_as_the_argsort_check_did(q, widths, twins, how, 
     r = np.arange(cfg.size)
     d = r // cfg.chain_place[k] % cfg.chain_size[k]
     f = as_rank_table(random_symmetry(cfg, rng))[r + (g[d] - d) * cfg.chain_place[k]]
-    got = outcome(decompose_full, cfg, f)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ohb.symmetry, "_decompose_bijection", reference_decompose_chain)
-        assert got == outcome(decompose_full, cfg, f)
-
-
-def parent_decompose_chain(q, chain_pi, table):
-    """decompose_chain as it was before it compared the rebuilt rank table
-    first, kept as the reference for refusals: each level's rows are
-    checked for permutations in turn, then the rebuilt table against f."""
-    place = level_places(q, chain_pi)
-    f = bijection_array(table, place[-1])
-
-    def reject(context, *anchors):
-        w = ohb.chains.distance_witness(q, (chain_pi,), f, anchors)
-        if w is not None:
-            raise NotIsometryError(f"distance not preserved for row ranks {w[0]} and {w[1]}", witness=w)
-        raise StructureError(f"bijection has no triangular form: {context}")
-
-    tables = []
-    for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
-        level = f[::place[j]].reshape(tails, sz) // place[j] % sz
-        t = _first_bad_row(level)
-        if t is not None:
-            order = np.argsort(level[t], kind="stable")
-            i = int(np.flatnonzero(np.diff(level[t, order]) == 0)[0])
-            anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
-            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
-        tables.append(level)
-    T = ChainSymmetry(q, chain_pi, tables)
-    rt = T.apply_ranks(np.arange(place[-1]))
-    bad = np.nonzero(rt != f)[0]
-    if len(bad):
-        r = int(bad[0])
-        reject(f"rank {r}: map disagrees with its zero-prefix extraction "
-               f"({f[r]} vs {rt[r]}), so some level reads a lower level", r)
-    return T
+    assert outcome(decompose_full, cfg, f) == model_outcome(model.decompose_full, model.geometry(cfg.q, cfg.pi), f)
 
 
 DIFFERENTIAL_SPACES = {
@@ -466,19 +384,16 @@ def moved(cfg, f, how, rng):
 def test_decompose_refuses_as_the_level_checks_first_did(space, how):
     # decompose_chain compares the rebuilt table first and checks the levels
     # only when it disagrees; decompose_chain, and decompose_full through
-    # it, must refuse as the level checks run first did, under every
-    # witness regime
+    # it, must refuse as the model, which checks the levels first, under
+    # every witness regime
     cfg = DIFFERENTIAL_SPACES[space]
     for seed in range(44):
         rng = random.Random(f"{space}/{how}/{seed}")
         f = moved(cfg, as_rank_table(random_symmetry(cfg, rng)), how, rng)
         if cfg.m == 1:
             args = (cfg.q, cfg.pi[0], f)
-            assert outcome(decompose_chain, *args) == outcome(parent_decompose_chain, *args)
-        got = outcome(decompose_full, cfg, f)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ohb.symmetry, "_decompose_bijection", parent_decompose_chain)
-            assert got == outcome(decompose_full, cfg, f)
+            assert outcome(decompose_chain, *args) == model_outcome(model.decompose_chain, *args)
+        assert outcome(decompose_full, cfg, f) == model_outcome(model.decompose_full, model.geometry(cfg.q, cfg.pi), f)
 
 
 def test_random_chain_is_deterministic():

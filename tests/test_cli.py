@@ -464,6 +464,17 @@ def test_equiv_budget_defaults_to_the_library_budget():
     assert args.budget == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("argv", [["order", "--oracle", "--cap"], ["aut", "--enumerate", "--cap"],
+                                  ["equiv", "--c1", "a", "--c2", "b", "--budget"], ["report", "--cap"]],
+                         ids=lambda argv: argv[0] + argv[-1])
+def test_a_negative_cap_or_budget_is_a_usage_error(capsys, argv):
+    # refused while parsing, before any file is read; 0 is accepted
+    argv = [argv[0], "--space", "s.json", *argv[1:]]
+    assert run(capsys, *argv, "-5") == (2, "", f"ohb {argv[0]}: error: argument {argv[-1]}: "
+                                                "expected an integer >= 0, got '-5'\n")
+    assert getattr(build_parser().parse_args([*argv, "0"]), argv[-1][2:]) == 0
+
+
 # a space of two points, one symmetry of it and a code in it, as JSON
 TINY = {"field": {"p": 2}, "m": 1, "n": 1, "pi": [[1]]}
 

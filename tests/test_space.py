@@ -1,7 +1,6 @@
 """Poset-block space: ranking, weight, distance, text format."""
 
 import random
-from functools import cache
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import model
 from conftest import SMALL_CONFIGS, elementwise, make_config, random_vector
 from ohb import (
     BlockVector,
@@ -16,7 +16,6 @@ from ohb import (
     SpaceConfig,
     UsageError,
     as_rank_table,
-    block_rank,
     distance,
     format_vector,
     parse_vector,
@@ -287,38 +286,22 @@ def test_vectorized_ops_match_vector_ops():
 )
 def test_add_and_sub_ranks_match_the_digit_grid(p, e, pi):
     # ranks are base-p digit strings: for p = 2 both are XOR, for odd p
-    # they add digit by digit; the reference here is the (ranks, N*e)
-    # grid of base-p digits, added mod p
+    # they add digit by digit; the model adds the base-p digits mod p
     cfg = make_config(p, len(pi), len(pi[0]), pi, e=e)
+    G = model.geometry(cfg.q, cfg.pi)
     rng = random.Random(15)
     a = np.array([rng.randrange(cfg.size) for _ in range(200)], dtype=np.int64)
     b = np.array([rng.randrange(cfg.size) for _ in range(200)], dtype=np.int64)
-    place = p ** np.arange(cfg.N * e)
-    ga, gb = a[:, None] // place % p, b[:, None] // place % p
     for op, sign in ((add_ranks, 1), (sub_ranks, -1)):
-        want = ((ga + sign * gb) % p * place).sum(axis=1)
+        want = G.add(a, b, sign)
         got = op(cfg, a, b)
         assert got.dtype == np.int64 and got.shape == (200,)
         assert got.tolist() == want.tolist()
-        assert op(cfg, a, int(b[0])).tolist() == ((ga + sign * gb[:1]) % p * place).sum(axis=1).tolist()
+        assert op(cfg, a, int(b[0])).tolist() == G.add(a, b[0], sign).tolist()
         assert op(cfg, int(a[1]), int(b[1])).tolist() == [int(want[1])]
     for x, y, s, d in zip(a[:20].tolist(), b[:20].tolist(), add_ranks(cfg, a, b), sub_ranks(cfg, a, b)):
         f = cfg.field
         assert (elementwise(cfg, f.add, x, y), elementwise(cfg, f.sub, x, y)) == (int(s), int(d))
-
-
-def per_block_distance(q, pi, a, b):
-    """Reference for rank_distance: per chain, the highest level whose
-    block digits differ, read one block at a time."""
-    total = 0
-    for row in pi:
-        level = 0
-        for j, k in enumerate(row):
-            if a % q ** k != b % q ** k:
-                level = j + 1
-            a, b = a // q ** k, b // q ** k
-        total += level
-    return total
 
 
 @pytest.mark.parametrize(
@@ -327,6 +310,7 @@ def per_block_distance(q, pi, a, b):
 )
 def test_rank_distance_matches_per_block_reference(q, pi):
     rng = random.Random(14)
+    G = model.geometry(q, pi)
     size = q ** sum(map(sum, pi))
     ranks = np.arange(size)
     xs = np.array([rng.randrange(size) for _ in range(40)])
@@ -334,8 +318,8 @@ def test_rank_distance_matches_per_block_reference(q, pi):
     for a in [0, size - 1, *xs[:5].tolist()]:
         got = rank_distance(q, pi, a, ranks)
         assert got.dtype == np.int64 and got.shape == (size,)
-        assert got.tolist() == [per_block_distance(q, pi, a, b) for b in range(size)]
-    expected = [[per_block_distance(q, pi, a, b) for b in ys.tolist()] for a in xs.tolist()]
+        assert got.tolist() == G.distance(a, ranks).tolist()
+    expected = G.distance(xs[:, None], ys).tolist()
     got = rank_distance(q, pi, xs[:, None], ys)
     assert got.shape == (40, 40) and got.tolist() == expected
     narrow = rank_distance(q, pi, xs[:, None], ys, np.int8)
@@ -465,16 +449,6 @@ WITNESS_SPACES = [
 ]
 
 
-@cache
-def block_distances(cfg):
-    """The distance matrix read off the block grids: per chain, the
-    highest level whose blocks differ."""
-    B = np.array([[[block_rank(cfg.q, b) for b in row] for row in cfg.unrank(r).blocks]
-                  for r in range(cfg.size)])
-    diff = B[:, None] != B[None, :]
-    return np.where(diff.any(-1), cfg.n - diff[..., ::-1].argmax(-1), 0).sum(-1)
-
-
 @settings(max_examples=200)
 @given(data=st.data())
 def test_distance_witness_is_the_first_bad_pair_of_the_rows_it_scans(data):
@@ -489,31 +463,10 @@ def test_distance_witness_is_the_first_bad_pair_of_the_rows_it_scans(data):
             f[[u, v]] = f[[v, u]]
     anchors = data.draw(st.lists(st.integers(0, S - 1), max_size=3))
     cap = data.draw(st.sampled_from([CAPS["witness_matrix"], S, S - 1, 1]))
-    D = block_distances(cfg)
-    bad = D[f][:, f] != D
-    if cap >= S:
-        # the first bad pair in row-major order of the whole matrix
-        pairs = np.argwhere(bad)
-        want = tuple(int(x) for x in pairs[0]) if len(pairs) else None
-    else:
-        # the first bad column of the first bad row among the anchors,
-        # then ranks 0..WITNESS_ANCHORS-1
-        rows = [u for u in dict.fromkeys([*anchors, *range(WITNESS_ANCHORS)]) if bad[u].any()]
-        want = (rows[0], int(np.flatnonzero(bad[rows[0]])[0])) if rows else None
+    assert model.ANCHOR_ROWS == WITNESS_ANCHORS
+    want = model.witness(model.geometry(cfg.q, cfg.pi), f, anchors, cap)
     with patch.dict(CAPS, {"witness_matrix": cap}):
         assert distance_witness(cfg.q, cfg.pi, f, anchors) == want
-
-
-def whole_row_witness(cfg, f, anchors):
-    """distance_witness past the witness cap, each row compared whole: the
-    first bad column of the first bad row among the anchors, then ranks
-    0..WITNESS_ANCHORS-1."""
-    every = np.arange(cfg.size)
-    for u in dict.fromkeys([*anchors, *range(WITNESS_ANCHORS)]):
-        bad = np.flatnonzero(rank_distance(cfg.q, cfg.pi, u, every) != rank_distance(cfg.q, cfg.pi, f[u], f))
-        if len(bad):
-            return u, int(bad[0])
-    return None
 
 
 @pytest.mark.parametrize(
@@ -533,7 +486,7 @@ def test_the_chunked_row_scan_finds_the_whole_row_witness(swap, columns):
     assert cfg.size > CAPS["witness_matrix"]
     f = as_rank_table(random_symmetry(cfg, 3)).copy()
     f[list(swap)] = f[list(swap[::-1])]
-    want = whole_row_witness(cfg, f, (100,))
+    want = model.witness(model.geometry(cfg.q, cfg.pi), f, (100,), CAPS["witness_matrix"])
     assert distance_witness(cfg.q, cfg.pi, f, (100,)) == want
     if columns is None:
         assert want is None

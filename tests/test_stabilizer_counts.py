@@ -4,13 +4,13 @@ The oracle and the automorphism counter multiply orbit sizes along a
 stabilizer chain.  Here each count is checked against the length of the
 exhaustive listing (where listing is affordable), the oracle against
 full_order, and the automorphism count against the block
-upper-triangular closed form, computed below and nowhere in the package.
-The search core, stabilizer_orbits, is also run on groups known without
-ohb.
+upper-triangular closed form of the test model, which imports nothing
+from ohb.  The search core, stabilizer_orbits, is also run on groups
+known without ohb.
 """
 
 from itertools import permutations
-from math import factorial, prod
+from math import prod
 
 import numpy as np
 import pytest
@@ -18,22 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIGS, make_config
-from ohb import enumerate_automorphisms, full_order, gl_order
+from model import automorphism_order
+from ohb import enumerate_automorphisms, full_order
 from ohb.errors import CAPS
 from ohb.oracle import enumerate_isometries, stabilizer_orbits
 
 # listings longer than this are skipped: their cost follows the group order
 LIST_ORDER_LIMIT = 5000
-
-
-def block_triangular_order(cfg) -> int:
-    """s_pi * prod over chains and levels of |GL(k_j, q)| * q^(k_j (k_1 + ... + k_(j-1)))."""
-    s_pi = prod(factorial(cfg.pi.count(row)) for row in set(cfg.pi))
-    total = s_pi
-    for row in cfg.pi:
-        for j, k in enumerate(row):
-            total *= gl_order(cfg.q, k) * cfg.q ** (k * sum(row[:j]))
-    return total
 
 
 def check_config(cfg):
@@ -45,7 +36,7 @@ def check_config(cfg):
         assert listed.isometry_count == len(tables) == len({tuple(t) for t in tables})
 
     count, _ = enumerate_automorphisms(cfg)
-    assert count == block_triangular_order(cfg)
+    assert count == automorphism_order(cfg.q, cfg.pi)
     if count <= LIST_ORDER_LIMIT:
         listed, tables = enumerate_automorphisms(cfg, want_list=True)
         assert listed == len(tables) == len({tuple(t) for t in tables})
@@ -100,7 +91,7 @@ def test_oracle_pins_beyond_enumeration(p, pi, order):
 def test_automorphism_pins_beyond_enumeration(p, pi, order):
     cfg = make_config(p, len(pi), len(pi[0]), pi)
     count, tables = enumerate_automorphisms(cfg)
-    assert count == order == block_triangular_order(cfg)
+    assert count == order == automorphism_order(cfg.q, cfg.pi)
     assert tables is None
 
 

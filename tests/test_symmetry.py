@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ohb.symmetry
-from conftest import elementwise, make_config, outcome, random_vector
+import model
+from conftest import elementwise, make_config, model_outcome, outcome, random_vector
 from ohb import (
     BlockVector,
     Code,
     NotIsometryError,
-    StructureError,
     Symmetry,
     UsageError,
     ValidationError,
@@ -38,13 +37,10 @@ from ohb import (
     random_chain,
     random_symmetry,
     s_pi_order,
-    weight,
 )
-from ohb.chains import level_places
-from ohb.space import BLOCK_TABLE_LIMIT, add_ranks, bijection_array, dist_ranks, sub_ranks
+from ohb.space import BLOCK_TABLE_LIMIT, add_ranks
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
-
 
 
 def test_admissible_permutations_order_is_the_product_order():
@@ -198,27 +194,6 @@ def test_as_rank_table_matches_apply():
             assert cfg.rank(T.apply(v)) == int(table[r])
 
 
-def reference_table(T):
-    """T on every rank, one rank at a time: each chain's row of block
-    ranks is read off the rank with // and %, mapped by the tuple-row
-    ChainSymmetry.apply and placed at the output chain's digit."""
-    cfg = T.config
-    q, out = cfg.q, []
-    for r in range(cfg.size):
-        rows = []
-        for row in cfg.pi:
-            rows.append([])
-            for k in row:
-                rows[-1].append(r % q ** k)
-                r //= q ** k
-        image = 0
-        for i, k in enumerate(T.sigma):
-            place = level_places(q, cfg.pi[i])
-            image += cfg.chain_place[i] * sum(x * p for x, p in zip(T.chains[k].apply(rows[k]), place))
-        out.append(image)
-    return out
-
-
 @st.composite
 def movable_symmetries(draw, points=1 << 12):
     """A symmetry of a space of up to 4 chains over GF(2, 3, 4), widths
@@ -242,7 +217,8 @@ def movable_symmetries(draw, points=1 << 12):
 def check_table_and_apply(T, rng):
     cfg = T.config
     table = as_rank_table(T)
-    assert table.dtype == np.int64 and table.tolist() == reference_table(T)
+    assert table.dtype == np.int64
+    assert table.tolist() == model.geometry(cfg.q, cfg.pi).apply(T.to_json(), np.arange(cfg.size)).tolist()
     for r in [0, cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(30))]:
         assert T.apply(cfg.unrank(r)) == cfg.unrank(int(table[r]))
 
@@ -393,73 +369,6 @@ def test_decompose_full_strips_the_translation_on_chain_axes_only():
         assert peak < bound
 
 
-def reference_decompose_full(config, table):
-    """decompose_full as it was before the translation went into the chain
-    maps, kept as the reference: subtract w = f(0) on the chain axes,
-    decompose each chain, compose make_translation(w) after the result and
-    compare it with f on every rank, whatever m is."""
-    f = bijection_array(table, config.size)
-
-    def reject(chain_index, context, *anchors):
-        w = ohb.symmetry.distance_witness(config.q, config.pi, f, anchors)
-        if w is not None:
-            raise NotIsometryError(f"distance not preserved for ranks {w[0]} and {w[1]}", witness=w)
-        raise StructureError(context, chain_index=chain_index)
-
-    q, m = config.q, config.m
-    w_rank = int(f[0])
-    axes = []
-    for k in range(m):
-        img = f[np.arange(config.chain_size[k]) * config.chain_place[k]]
-        axes.append(sub_ranks(config, img, w_rank) if w_rank else img)
-    tau = [None] * m
-    for k in range(m):
-        target = None
-        for x in range(1, q ** config.pi[k][0]):
-            r = x * config.chain_place[k]
-            img = int(axes[k][x])
-            hit = [i for i in range(m) if config.chain_subrank(img, i) != 0]
-            if len(hit) != 1:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1", r)
-            j = hit[0]
-            if config.chain_subrank(img, j) >= q ** config.pi[j][0]:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1", r)
-            if target is None:
-                target = j
-            elif target != j:
-                reject(k + 1, f"chain {k + 1} maps into two different chains", r)
-        tau[k] = target
-    if sorted(tau) != list(range(m)):
-        dup = next(j for j in range(m) if tau.count(j) > 1)
-        second = [k for k in range(m) if tau[k] == dup][1]
-        reject(dup + 1, f"two chains map into chain {dup + 1}", config.chain_place[second])
-    for k in range(m):
-        if config.pi[k] != config.pi[tau[k]]:
-            reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")
-    chains = [None] * m
-    for k in range(m):
-        place, t_place = config.chain_place[k], config.chain_place[tau[k]]
-        sub = axes[k] // t_place
-        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != axes[k])[0]
-        if len(off):
-            reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
-        try:
-            chains[k] = ohb.chains.decompose_chain(q, config.pi[k], sub)
-        except NotIsometryError as exc:
-            u, v = (x * place for x in exc.witness)
-            raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
-        except StructureError as exc:
-            raise StructureError(str(exc), chain_index=k + 1) from exc
-    cand = Symmetry(config, [tau.index(i) for i in range(m)], chains)
-    if w_rank:
-        cand = compose_symmetry(make_translation(config.unrank(w_rank)), cand)
-    bad = np.nonzero(as_rank_table(cand) != f)[0]
-    if len(bad):
-        r = int(bad[0])
-        reject(None, f"map disagrees with its chain decomposition at rank {r}", r)
-    return cand
-
-
 @st.composite
 def small_spaces(draw, points=1 << 9):
     """A space of 1-3 chains of 1-3 levels over GF(2, 3, 4) with widths 1-2
@@ -547,21 +456,21 @@ def corrupted_table(cfg, f, how, rng):
 def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
     # decompose_full adds the translation w = f(0) to the chain maps it
     # decomposes, and with one chain skips the final whole-table check; a
-    # good table moved by a nonzero w must decompose to the symmetry that
-    # composing make_translation(w) after them gave, and a corrupted one
-    # be refused the same way under every witness regime, one that is no
-    # bijection as such, whatever else is wrong with it
+    # good table moved by a nonzero w must decompose to the model's form,
+    # whose chain maps read f on the chain axes, and a corrupted one be
+    # refused as the model refuses it under every witness regime, one that
+    # is no bijection as such, whatever else is wrong with it
     rng = random.Random(seed)
     f = as_rank_table(random_symmetry(cfg, rng))
     if f[0] == 0:
         f = add_ranks(cfg, f, rng.randrange(1, cfg.size))
     f = corrupted_table(cfg, f, how, rng)
     got = outcome(decompose_full, cfg, f)
-    assert got == outcome(reference_decompose_full, cfg, f)
+    assert got == model_outcome(model.decompose_full, model.geometry(cfg.q, cfg.pi), f)
     if how == "none":
         assert all(isinstance(doc, dict) for doc in got)
     if how.startswith("repeat") or how in ("copy_axis", "out_of_range"):
-        assert all(kind is UsageError or text.startswith("not a bijection") for kind, text, *_ in got)
+        assert all(kind == "UsageError" or text.startswith("not a bijection") for kind, text, *_ in got)
 
 
 def test_decompose_full_round_trip():
@@ -596,7 +505,6 @@ def test_decompose_rejects_non_isometry():
     assert dm[a][b] != dm[table[a]][table[b]]
 
 
-
 @pytest.mark.parametrize(
     "cfg",
     [make_config(2, 1, 13, [[1] * 13]), make_config(2, 4, 2, [[1, 1]] * 4, e=2)],
@@ -607,11 +515,11 @@ def test_large_swap_rejections_name_a_witness(cfg):
     # ranks where the decomposition failed are scanned first, which finds
     # one for every swap of two images that breaks distance
     rng = random.Random(29)
-    every = np.arange(cfg.size)
+    every, G = np.arange(cfg.size), model.geometry(cfg.q, cfg.pi)
     for _ in range(12):
         table = as_rank_table(random_symmetry(cfg, rng.randrange(10**9)))
         u, v = rng.sample(range(cfg.size), 2)
-        breaks = dist_ranks(cfg, u, every) != dist_ranks(cfg, v, every)
+        breaks = G.distance(u, every) != G.distance(v, every)
         breaks[[u, v]] = False
         if not breaks.any():
             continue
@@ -619,7 +527,7 @@ def test_large_swap_rejections_name_a_witness(cfg):
         with pytest.raises(NotIsometryError) as exc:
             decompose_full(cfg, table)
         a, b = exc.value.witness
-        assert dist_ranks(cfg, a, b) != dist_ranks(cfg, table[a], table[b])
+        assert G.distance(a, b) != G.distance(table[a], table[b])
 
 @pytest.mark.parametrize(
     "seed, swap, witness",
@@ -665,7 +573,8 @@ def test_a_refusal_past_the_witness_cap_peaks_under_a_megabyte():
     finally:
         tracemalloc.stop()
     a, b = exc.value.witness
-    assert dist_ranks(cfg, a, b) != dist_ranks(cfg, table[a], table[b])
+    G = model.geometry(cfg.q, cfg.pi)
+    assert G.distance(a, b) != G.distance(table[a], table[b])
     assert peak < 1 << 20
 
 
