@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CAPS, DomainError, UsageError, check_cap
 from .oracle import stabilizer_orbits
-from .space import SpaceConfig, add_ranks, scale_ranks, weight_array
+from .space import SpaceConfig, add_ranks, rank_array, scale_ranks, weight_array
 from .symmetry import s_pi_order
 
 
@@ -55,9 +55,7 @@ def is_linear(config: SpaceConfig, table) -> bool:
     scalar law f(c*u) = c*f(u) is then checked directly for every c.
     """
     S = config.size
-    table = np.asarray([int(x) for x in table], dtype=np.int64)
-    if len(table) != S:
-        raise UsageError(f"table has {len(table)} entries, space has {S}")
+    table = rank_array(table, S)
     if table[0] != 0:
         return False
     q = config.q

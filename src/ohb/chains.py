@@ -299,73 +299,34 @@ def refuse_large_chains(q, chain_pis):
                   f"a random map of it would hold {int_text(entries)} table entries")
 
 
-def _replay_shuffles(rng, rows, sz):
-    """`rows` calls of rng.shuffle(list(range(sz))) as one (rows, sz) array.
+def _replay_shuffles(rng, rows):
+    """`rows` calls of rng.shuffle([0, 1]) as one (rows, 2) array.
 
-    Each shuffle draws randbelow(n) for n = sz, ..., 2: the top k bits of
-    the first 32-bit word below n << (32 - k), k = n.bit_length().  A row
-    of two values is [1 - j, j], j the top bits of its one word below
-    2 << 30; as each row takes at least one word, fetching only the rows
-    still missing never draws a word too many.  Longer rows find their
-    first words by pointer doubling on F (word after a shuffle from word
-    x); then the swaps run on all at once.
+    Each shuffle draws randbelow(2): the top bit of the first 32-bit word
+    below 2 << 30.  So row [1 - j, j] reads j off that word, and as each
+    row takes at least one word, fetching only the rows still missing
+    never draws a word too many.
     """
-    if sz == 2:
-        found = []
-        while rows:
-            words = np.frombuffer(rng.getrandbits(32 * rows).to_bytes(4 * rows, "little"), dtype="<u4")
-            found.append(words[words < 2 << 30] >> 30)
-            rows -= len(found[-1])
-        j = np.concatenate(found)
-        return np.stack([1 - j, j], axis=1)
-    bounds = range(sz, 1, -1)
-    limits = [n << (32 - n.bit_length()) for n in bounds]
-    # mean word count plus two deviations: about 1 call in 40 fetches twice
-    mean = sum(2 ** 32 / c for c in limits)
-    var = sum(2 ** 32 * (2 ** 32 - c) / c ** 2 for c in limits)
-    want = int(rows * mean + 2 * math.sqrt(rows * var))
-
-    def after(c):  # [x], x <= W + 1: 1 + the first index >= x of a word below c, or W + 1
-        W = len(words)
-        hit = np.where(words < c, np.arange(1, W + 1), W + 1)
-        return np.append(np.minimum.accumulate(hit[::-1])[::-1], [W + 1, W + 1])
-
-    state = rng.getstate()
-    words = np.empty(0, dtype=np.uint32)
-    while True:
-        more = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
-        words = np.concatenate([words, np.frombuffer(more, dtype="<u4")])
-        F = np.arange(len(words) + 2)
-        for c in limits:
-            F = after(c)[F]
-        starts, G = np.zeros(1, dtype=np.int64), F
-        while len(starts) < rows:
-            starts, G = np.concatenate([starts, G[starts]]), G[G]
-        ends = F[starts[:rows]]
-        if ends[-1] <= len(words):  # ends: the word after each row's shuffle, or len(words) + 1
-            break
-    perms = np.repeat(np.arange(sz), rows).reshape(sz, rows)  # perms[i]: entry i of each row
-    every, pos = np.arange(rows), starts[:rows]
-    for n, c in zip(bounds, limits):
-        pos = after(c)[pos]
-        j = words[pos - 1] >> (32 - n.bit_length())
-        perms[n - 1], perms[j, every] = perms[j, every], perms[n - 1].copy()
-    rng.setstate(state)
-    rng.getrandbits(32 * int(ends[-1]))
-    return perms.T
+    found = []
+    while rows:
+        words = np.frombuffer(rng.getrandbits(32 * rows).to_bytes(4 * rows, "little"), dtype="<u4")
+        found.append(words[words < 2 << 30] >> 30)
+        rows -= len(found[-1])
+    j = np.concatenate(found)
+    return np.stack([1 - j, j], axis=1)
 
 
 def random_levels(rng, shapes) -> list:
     """Per (tails, sz) shape, the rows of one rng.shuffle(list(range(sz)))
     per tail, in order, leaving rng where those shuffles leave it.  With a
-    plain random.Random, a run of shapes with at least 32 * sz rows of at
-    most 8 values is replayed in one piece; fewer rows shuffle faster."""
+    plain random.Random, a run of shapes with at least 64 rows of two
+    values is replayed in one piece; other rows are shuffled one by one."""
     out = []
     for sz, group in groupby(shapes, key=lambda shape: shape[1]):
         tails = [t for t, _ in group]
         rows = sum(tails)
-        if sz <= 8 and rows >= 32 * sz and type(rng) is random.Random:
-            block = _replay_shuffles(rng, rows, sz)
+        if sz == 2 and rows >= 64 and type(rng) is random.Random:
+            block = _replay_shuffles(rng, rows)
         else:
             block = [list(range(sz)) for _ in range(rows)]
             for perm in block:

@@ -71,6 +71,8 @@ class Code:
                 if v.config != config:
                     raise UsageError("code vector from a different space")
                 ranks.add(v.rank())
+            elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise UsageError(f"a code vector is a BlockVector or an integer rank, got {v!r}")
             else:
                 r = int(v)
                 if not 0 <= r < config.size:

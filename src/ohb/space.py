@@ -16,8 +16,7 @@ add_ranks is XOR.  BlockVector, an immutable grid of block values, is
 the value type of text I/O and of the scalar entry points; weight,
 distance and make_translation rank it and compute on the rank.  Its
 rows are coded run by run: each chain's levels are cut into runs of at
-most BLOCK_TABLE_LIMIT rows, each a tuple of rows and its inverse dict
-built from the block codecs of its widths (block_codec).
+most BLOCK_TABLE_LIMIT rows, each a tuple of rows and its inverse dict.
 SpaceConfig.rank, SpaceConfig.unrank and Symmetry.apply share them.
 """
 
@@ -65,12 +64,10 @@ class SpaceConfig:
         most BLOCK_TABLE_LIMIT rows together, lowest first.  (lo, hi, place,
         size, rows, ranks) codes levels lo..hi-1, the digit of that place and
         radix in a row rank: rows[x] is their blocks at digit x, ranks[rows[x]]
-        is x.  A wider level is a run of its own, coded through its computed
-        block codec.  Built on first use, once per chain shape."""
+        is x.  A wider level is a run of its own, whose lookups call
+        block_unrank and block_rank.  Built on first use, once per chain shape."""
         q, by_shape = self.q, {}
-        by_width = {k: block_codec(q, k) for k in {k for row in self.pi for k in row}}
         for widths in dict.fromkeys(self.pi):
-            codecs = [by_width[k] for k in widths]
             cuts, size = [0], 1
             for j, k in enumerate(widths):
                 if size > 1 and size * q ** k > BLOCK_TABLE_LIMIT:
@@ -79,12 +76,13 @@ class SpaceConfig:
                 size *= q ** k
             runs = []
             for lo, hi in zip(cuts, cuts[1:] + [len(widths)]):
-                blocks, ranks = codecs[lo]
                 size = q ** sum(widths[lo:hi])
                 if size > BLOCK_TABLE_LIMIT:
-                    rows, ranks = _Lookup(lambda x, b=blocks: (b[x],)), _Lookup(lambda row, r=ranks: r[row[0]])
+                    rows = _Lookup(lambda x, k=widths[lo]: (block_unrank(q, x, k),))
+                    ranks = _Lookup(lambda row: block_rank(q, row[0]))
                 else:
-                    rows = tuple(r[::-1] for r in product(*[codecs[j][0] for j in reversed(range(lo, hi))]))
+                    levels = [[block_unrank(q, x, k) for x in range(q ** k)] for k in reversed(widths[lo:hi])]
+                    rows = tuple(r[::-1] for r in product(*levels))
                     ranks = {row: x for x, row in enumerate(rows)}
                 runs.append((lo, hi, q ** sum(widths[:lo]), size, rows, ranks))
             by_shape[widths] = tuple(runs)
@@ -177,18 +175,6 @@ class _Lookup:
 
     def __getitem__(self, key):
         return self.fn(key)
-
-
-def block_codec(q: int, k: int):
-    """(blocks, ranks) for blocks of width k over a field of size q:
-    blocks[r] is the block of rank r as block_unrank gives it, and
-    ranks[block] is r.  Up to BLOCK_TABLE_LIMIT values they are a tuple
-    and its inverse dict; beyond, lookups that call block_unrank and
-    block_rank."""
-    if q ** k > BLOCK_TABLE_LIMIT:
-        return _Lookup(lambda r: block_unrank(q, r, k)), _Lookup(lambda b: block_rank(q, b))
-    blocks = tuple(block_unrank(q, r, k) for r in range(q ** k))
-    return blocks, {b: r for r, b in enumerate(blocks)}
 
 
 class BlockVector:
@@ -384,8 +370,16 @@ WITNESS_ANCHORS = 16
 
 
 def rank_array(table, size: int) -> np.ndarray:
-    """The table as an int64 array of size entries."""
+    """The table as an int64 array of size entries.  An integer array is
+    taken whole, with no copy when it is int64; any other table is read
+    entry by entry, and an entry that is no integer (a bool, a float, a
+    string) is refused, not coerced."""
     try:
+        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
+            table = list(table)
+            bad = [x for x in table if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+            if bad:
+                raise TypeError(f"got {bad[0]!r}")
         f = np.asarray(table, dtype=np.int64)
     except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"table entries must be integer ranks: {exc}") from exc

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_config
 from ohb import (
     DomainError,
+    UsageError,
     aut_order_antichain,
     aut_report,
     enumerate_automorphisms,
@@ -94,6 +95,15 @@ def test_scalar_law_checked_over_extensions():
     table = [f.mul(x, x) for x in range(4)]
     assert sorted(table) == [0, 1, 2, 3]
     assert not is_linear(cfg, table)
+
+
+def test_a_table_entry_that_is_no_integer_is_refused():
+    # int() would read these floats as the identity table, which is linear
+    cfg = make_config(2, 1, 2, [[1, 1]])
+    with pytest.raises(UsageError, match="table entries must be integer ranks"):
+        is_linear(cfg, [0.0, 1.9, 2.2, 3.0])
+    with pytest.raises(UsageError, match="table has 3 entries, space has 4"):
+        is_linear(cfg, [0, 1, 2])
 
 
 def test_report_document():

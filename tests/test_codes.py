@@ -90,6 +90,14 @@ def test_empty_code_rejected():
         Code(HAMMING2, [])
 
 
+@pytest.mark.parametrize("vectors", [[0.5, 1.7], [True, 2], ["1"]], ids=["floats", "a-bool", "a-string"])
+def test_a_rank_that_is_no_integer_is_refused(vectors):
+    # int() would read [0.5, 1.7, True] as the ranks (0, 1)
+    with pytest.raises(UsageError, match="a code vector is a BlockVector or an integer rank"):
+        Code(HAMMING2, vectors)
+    assert Code(HAMMING2, [np.int64(1), 2]).ranks == (1, 2)
+
+
 def test_duplicate_vectors_collapse():
     c = code_of(HAMMING2, "0;0", "0;0", "1;1")
     assert c.size == 2

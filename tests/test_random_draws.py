@@ -1,7 +1,8 @@
 """Random chain maps and symmetries against the stdlib shuffle loop.
 
-random_chain and random_symmetry replay the generator's word stream in
-one vectorized pass instead of calling rng.shuffle once per table row.
+random_chain and random_symmetry replay the generator's word stream for
+a long run of rows of two values in one vectorized pass, instead of
+calling rng.shuffle once per table row.
 The reference below is that loop, kept here only: every draw must give
 the same tables and leave the generator in the same state.
 """
@@ -72,7 +73,8 @@ def chain_shapes(draw, max_points=POINTS):
 
 @settings(max_examples=200)
 @given(chain_shapes(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
-# rows of 2, 3, 4 and 8 values that are replayed, and of 4096 that are not
+# rows of two values that are replayed, and of 3, 4, 8 and 4096 values that
+# are shuffled one by one
 @example((2, (1, 1, 1, 1, 1, 2)), 1, 2)
 @example((2, (1,) * 13), 6, 2)  # one chain of 8191 rows of two values
 @example((3, (1, 1, 1, 1, 1)), 2, 1)
@@ -108,7 +110,8 @@ def spaces(draw):
 
 @settings(max_examples=100)
 @given(spaces(), st.integers(0, 2 ** 32 - 1))
-# chains whose rows of 2 and 3 values are replayed in one run together
+# chains whose rows of two values are replayed in one run together, and
+# whose rows of three values are shuffled one by one
 @example(make_config(2, 3, 6, [[1] * 6] * 3), 1)
 @example(make_config(3, 3, 4, [[1] * 4] * 3), 2)
 def test_random_symmetry_replays_the_shuffle_loop(cfg, seed):
@@ -119,8 +122,8 @@ def test_random_symmetry_replays_the_shuffle_loop(cfg, seed):
 
 @pytest.mark.parametrize("sz", range(2, 10))
 def test_run_rule_boundary(sz):
-    # a run of 32 * sz rows of at most 8 values is replayed, one row fewer
-    # is shuffled row by row; either way the rows split back into levels
+    # a run of at least 64 rows of two values is replayed, and every other
+    # run is shuffled row by row; either way the rows split back into levels
     for rows in (32 * sz - 1, 32 * sz):
         shapes = [(rows - rows // 3, sz), (rows // 3, sz), (1, sz + 1)]
         got, want = random.Random(rows), random.Random(rows)
@@ -138,24 +141,6 @@ def test_rows_of_two_values_replay_the_shuffle_loop(rows):
         [level] = random_levels(got, [(rows, 2)])
         assert np.asarray(level).tolist() == shuffled_rows(want, [(rows, 2)])[0]
         assert got.getstate() == want.getstate()
-
-
-def test_a_short_fetch_is_topped_up(monkeypatch):
-    # for rows of three values the first fetch covers the expected words
-    # plus two deviations, so some seeds need a second one; the draw must
-    # not change (rows of two values fetch only the rows still missing)
-    bulk = []
-    getrandbits = random.Random.getrandbits
-    monkeypatch.setattr(random.Random, "getrandbits",
-                        lambda self, k: bulk.append(k > 32) or getrandbits(self, k))
-    topped = 0
-    for seed in range(120):
-        got, want = random.Random(seed), random.Random(seed)
-        del bulk[:]
-        assert random_chain(3, (1,) * 5, got) == reference_chain(3, (1,) * 5, want)
-        topped += sum(bulk) == 3  # two fetches and one advance
-        assert got.getstate() == want.getstate()
-    assert topped > 0
 
 
 class DrawsThroughRandom(random.Random):

@@ -38,7 +38,7 @@ from ohb import (
     random_symmetry,
     s_pi_order,
 )
-from ohb.space import BLOCK_TABLE_LIMIT, add_ranks
+from ohb.space import BLOCK_TABLE_LIMIT, add_ranks, rank_array
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
 
@@ -589,6 +589,23 @@ def test_an_entry_q_to_the_n_below_its_rank_is_out_of_range(cfg):
         bad[r] -= cfg.size
         with pytest.raises(UsageError, match="table entry out of range"):
             decompose_full(cfg, bad)
+
+
+@pytest.mark.parametrize("table", [[0.7, 1.2, 2.9, 3.0], [True, 0, 2, 3], ["0", "1", "2", "3"],
+                                   np.array([0.0, 1.0, 2.0, 3.0]), np.array([True, False, True, True])],
+                         ids=["floats", "a-bool", "strings", "float-array", "bool-array"])
+def test_a_table_entry_that_is_no_integer_is_refused(table):
+    # floats would truncate and bools read as 0/1, each to some other map
+    with pytest.raises(UsageError, match="table entries must be integer ranks"):
+        decompose_full(make_config(2, 1, 2, [[1, 1]]), table)
+
+
+def test_an_integer_table_array_is_read_without_a_copy():
+    table = np.array([1, 0, 2, 3], dtype=np.int64)
+    assert rank_array(table, 4) is table
+    assert rank_array([np.int64(1), 0, 2, 3], 4).tolist() == [1, 0, 2, 3]
+    cfg = make_config(2, 1, 2, [[1, 1]])
+    assert decompose_full(cfg, np.array([0, 1, 3, 2], dtype=np.int32)) == decompose_full(cfg, [0, 1, 3, 2])
 
 
 def test_enumeration_matches_full_order():
