@@ -39,6 +39,8 @@ from .errors import (
     UsageError,
     ValidationError,
     check_cap,
+    int_arg,
+    int_array,
     int_text,
     json_int,
 )
@@ -51,9 +53,9 @@ LOG10_2PI = math.log10(2 * math.pi)
 def _check_dims(q, chain_pi):
     if not isinstance(q, int) or q < 2:
         raise UsageError(f"field size must be an integer >= 2, got {q!r}")
-    chain_pi = tuple(int(k) for k in chain_pi)
-    if not chain_pi or any(k < 1 for k in chain_pi):
-        raise UsageError(f"chain shape must be nonempty positive widths, got {chain_pi}")
+    chain_pi = tuple(int_arg(k, "chain width", 1) for k in chain_pi)
+    if not chain_pi:
+        raise UsageError("chain shape must be nonempty")
     return chain_pi
 
 
@@ -125,11 +127,12 @@ class ChainSymmetry:
             if len(level) != tails:
                 raise UsageError(f"level {j + 1} needs {tails} tail entries, got {len(level)}")
             try:
-                arr = np.array(level, dtype=np.int64)
-            except (OverflowError, ValueError):
-                arr = None
-            if arr is None or arr.shape != (tails, sz):
+                shape = np.shape(level)
+            except ValueError:
+                shape = None
+            if shape != (tails, sz):
                 raise ValidationError(f"level {j + 1}: entries are not permutations of [0, {sz})")
+            arr = int_array(level, f"level {j + 1} entries")
             t = _first_bad_row(arr)
             if t is not None:
                 raise ValidationError(f"level {j + 1}, tail {t}: entry is not a permutation of [0, {sz})")

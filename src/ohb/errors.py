@@ -10,6 +10,8 @@ table CAPS, and check_cap, the one place that refuses work over a cap.
 import json
 import math
 
+import numpy as np
+
 LOG10_2 = math.log10(2)
 
 
@@ -67,7 +69,7 @@ class CapExceeded(DomainError):
 # points or group elements one by one is capped.  Entries are read when
 # each check runs, so patching one entry moves every check that reads it.
 CAPS = {
-    "points": 1 << 20,  # dense tables over a space or over one chain
+    "points": 1 << 20,  # dense tables over a space, over one chain or over a field (q^2 entries)
     "group": 1 << 20,  # group elements listed one by one, search listings included
     "witness_matrix": 1 << 12,  # distance_witness scans every row of the S x S matrix
     "aut_points": 1 << 12,  # automorphism counting and listing
@@ -105,3 +107,29 @@ def json_int(value, name):
     if type(value) is not int:
         raise UsageError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
     return value
+
+
+def int_arg(value, name, low=None):
+    """A parameter read as a Python int: a Python or numpy integer passes,
+    and a bool, float, string or None is refused with UsageError naming
+    the parameter, not coerced; so is a value below low, when low is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise UsageError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def int_array(values, name):
+    """values as an int64 array.  An integer array is taken whole, with no
+    copy when it is int64; any other table, nested or not, is read entry by
+    entry, and an entry that is no integer (a bool, a float, a string) is
+    refused with UsageError, not coerced."""
+    try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            values = np.array(list(values), dtype=object)
+            bad = [x for x in values.flat if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+            if bad:
+                raise TypeError(f"got {bad[0]!r}")
+        return np.asarray(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise UsageError(f"{name} must be integer ranks: {exc}") from exc

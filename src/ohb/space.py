@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CAPS, NotIsometryError, UsageError, check_cap, json_int
+from .errors import CAPS, NotIsometryError, UsageError, check_cap, int_arg, int_array
 from .fields import Field, block_rank, block_unrank
 
 
@@ -37,13 +37,11 @@ class SpaceConfig:
     """The tuple (field, m, n, pi) plus cached offsets and powers."""
 
     def __init__(self, field: Field, m: int, n: int, pi):
-        if m < 1 or n < 1:
-            raise UsageError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-        pi = tuple(tuple(int(k) for k in row) for row in pi)
+        m = int_arg(m, "m", 1)
+        n = int_arg(n, "n", 1)
+        pi = tuple(tuple(int_arg(k, "block dimension", 1) for k in row) for row in pi)
         if len(pi) != m or any(len(row) != n for row in pi):
             raise UsageError(f"pi must be an {m}x{n} grid")
-        if any(k < 1 for row in pi for k in row):
-            raise UsageError("all block dimensions must be >= 1")
         self.field = field
         self.q = field.q
         self.m = m
@@ -151,8 +149,7 @@ class SpaceConfig:
     def from_json(cls, doc: dict) -> "SpaceConfig":
         try:
             field = Field.from_json(doc["field"])
-            pi = [[json_int(k, "space pi entry") for k in row] for row in doc["pi"]]
-            return cls(field, json_int(doc["m"], "space m"), json_int(doc["n"], "space n"), pi)
+            return cls(field, doc["m"], doc["n"], doc["pi"])
         except KeyError as exc:
             raise UsageError(f"bad space config: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -370,19 +367,10 @@ WITNESS_ANCHORS = 16
 
 
 def rank_array(table, size: int) -> np.ndarray:
-    """The table as an int64 array of size entries.  An integer array is
-    taken whole, with no copy when it is int64; any other table is read
-    entry by entry, and an entry that is no integer (a bool, a float, a
-    string) is refused, not coerced."""
-    try:
-        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
-            table = list(table)
-            bad = [x for x in table if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
-            if bad:
-                raise TypeError(f"got {bad[0]!r}")
-        f = np.asarray(table, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise UsageError(f"table entries must be integer ranks: {exc}") from exc
+    """The table as an int64 array of size entries, read by int_array: an
+    integer array is taken whole, and an entry that is no integer is
+    refused, not coerced."""
+    f = int_array(table, "table entries")
     if f.shape != (size,):
         raise UsageError(f"table has {f.size} entries, space has {size}")
     return f

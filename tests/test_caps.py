@@ -7,6 +7,7 @@ cap is accepted and the cap plus one is refused, in the one format
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import make_config
 from ohb import (
     CapExceeded,
     Code,
+    Field,
     all_chain_symmetries,
     all_symmetries,
     as_rank_table,
@@ -43,6 +45,10 @@ CASES = {
     "random_chain": (
         "points", 4, lambda: random_chain(2, (1, 1), 0),
         "chain 1 has 4 points, over the cap 3; a random map of it would hold 6 table entries",
+    ),
+    "Field": (
+        "points", 16, lambda: Field(2, 2),
+        "GF(2^2) has q^2 = 16 multiplication table entries, over the cap 15",
     ),
     "all_chain_symmetries": (
         "group", 8, lambda: list(all_chain_symmetries(2, (1, 1))),
@@ -134,6 +140,19 @@ def test_a_value_at_the_cap_passes_and_one_over_is_refused(case, monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         check()
     assert str(exc.value) == refusal
+
+
+def test_a_field_over_the_points_cap_is_refused_before_its_table():
+    # x^11 + x^2 + 1: a table of 2^22 entries would take 32 MB as int64
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            Field(2, 11, [1, 0, 1] + [0] * 8 + [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert str(exc.value) == "GF(2^11) has q^2 = 4194304 multiplication table entries, over the cap 1048576"
 
 
 def test_the_witness_matrix_entry_switches_to_the_anchor_scan(monkeypatch):

@@ -75,6 +75,32 @@ def test_tables_validation():
         ChainSymmetry(2, (1, 1), [[(0, 1), (1, 0)]])  # one row per level
 
 
+@pytest.mark.parametrize("chain_pi, tables", [
+    ((1,), [[[0.5, 1.7]]]),  # once truncated to the identity
+    ((1.9,), [[[True, False]]]),  # once read as a swap
+    ((1,), [[[1, False]]]),
+    ((1,), [[["1", "0"]]]),
+    ((1,), [[[None, 0]]]),
+    ((1,), [np.array([[1.0, 0.0]])]),
+    ((None,), [[[1, 0]]]),
+], ids=["floats", "float-width", "a-bool", "strings", "none", "float-array", "none-width"])
+def test_an_entry_or_width_that_is_no_integer_is_refused(chain_pi, tables):
+    with pytest.raises(UsageError, match="must be (an )?integer"):
+        ChainSymmetry(2, chain_pi, tables)
+
+
+class NotIterable(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("an integer array was read entry by entry")
+
+
+def test_integer_arrays_pass_whole():
+    tables = [np.array([[1, 0], [0, 1]], dtype=np.uint8).view(NotIterable), np.array([[1, 0]]).view(NotIterable)]
+    T = ChainSymmetry(2, (np.int64(1), 1), tables)
+    assert T.chain_pi == (1, 1) and all(type(k) is int for k in T.chain_pi)
+    assert T.rank_table().tolist() == [3, 2, 0, 1]
+
+
 def test_validation_message_names_level_and_tail():
     with pytest.raises(ValidationError) as exc:
         ChainSymmetry(2, (1, 1), [[(0, 1), (1, 1)], [(1, 0)]])

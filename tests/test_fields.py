@@ -2,9 +2,12 @@
 
 import random
 import tracemalloc
+from itertools import product
 
+import numpy as np
 import pytest
 
+from model import reference
 from ohb import (
     DomainError,
     Field,
@@ -81,6 +84,63 @@ def test_explicit_modulus():
     check_axioms(f)
     with pytest.raises(ValidationError):
         Field(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+
+def test_parameters_that_are_no_integer_are_refused():
+    # each probe was once coerced (2.0, True, 1.5) or failed with a raw error
+    probes = {
+        "p": [(2.0,), ("2",), (None,), (True,)],
+        "extension degree": [(2, 2.0), (2, True), (2, None), (2, "2")],
+        "modulus entry": [(3, 2, [1.5, 0, 1]), (3, 2, [1, None, 1]), (3, 2, [True, 0, 1]), (3, 2, ["1", 0, 1])],
+    }
+    for name, cases in probes.items():
+        for args in cases:
+            with pytest.raises(UsageError, match=f"^{name} must be an integer"):
+                Field(*args)
+    # numpy integers pass as Python ints, and modulus entries reduce mod p
+    f = Field(np.int64(3), np.int64(2), np.array([4, -3, 1]))
+    assert f == Field(3, 2) and type(f.q) is int
+    assert f.modulus == (1, 0, 1) and all(type(c) is int for c in f.modulus)
+
+
+# every monic modulus of these (p, e) is tried against the reference
+DIFFERENTIAL = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+def test_every_monic_modulus_matches_the_reference_or_is_refused():
+    # the reference multiplies polynomials one pair at a time and imports
+    # nothing from ohb; a modulus is reducible exactly when its table has
+    # a zero divisor
+    built = refused = 0
+    for p, e in DIFFERENTIAL:
+        q = p ** e
+        for low in product(range(p), repeat=e):
+            modulus = (*low, 1)
+            _, mul = reference.field_tables(p, e, modulus)
+            if any(0 in row[1:] for row in mul[1:]):
+                with pytest.raises(ValidationError, match=r"is reducible over F_\d+$"):
+                    Field(p, e, modulus)
+                refused += 1
+                continue
+            f = Field(p, e, modulus)
+            assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == mul
+            assert [f.inv(a) for a in range(1, q)] == [mul[a].index(1) for a in range(1, q)]
+            built += 1
+    assert (built, refused) == (54, 116)
+
+
+def test_gf_1024_is_a_field_on_random_triples():
+    # x^10 + x^3 + 1, the largest q the points cap admits
+    f = Field(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+    assert f.mul(2, 1 << 9) == 0b1001  # x * x^9 = x^3 + 1
+    rng = random.Random(10)
+    for _ in range(3000):
+        a, b, c = (rng.randrange(1024) for _ in range(3))
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
 
 
 def test_json_round_trip():

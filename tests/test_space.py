@@ -13,6 +13,7 @@ from conftest import SMALL_CONFIGS, elementwise, make_config, random_vector
 from ohb import (
     BlockVector,
     CapExceeded,
+    Field,
     SpaceConfig,
     UsageError,
     as_rank_table,
@@ -56,6 +57,24 @@ def test_config_shape_checks():
         make_config(2, 1, 2, [[1, 1, 1]])  # n entries per row
     with pytest.raises(UsageError):
         make_config(2, 1, 2, [[1, 0]])  # block dims are positive
+
+
+@pytest.mark.parametrize("m, n, pi", [
+    (1, 1, [[1.5]]),  # once read as pi = ((1,),)
+    (1.0, 1, [[1]]),
+    (1, True, [[1]]),
+    (1, 1, [["1"]]),
+    (1, 1, [[None]]),
+], ids=["float-width", "float-m", "bool-n", "string-width", "none-width"])
+def test_shape_entries_that_are_no_integer_are_refused(m, n, pi):
+    with pytest.raises(UsageError, match="must be an integer"):
+        SpaceConfig(Field(2), m, n, pi)
+
+
+def test_numpy_integer_shapes_pass_as_ints():
+    cfg = SpaceConfig(Field(2), np.int64(2), np.int32(1), np.array([[2], [1]]))
+    assert cfg == make_config(2, 2, 1, [[2], [1]])
+    assert all(type(k) is int for k in (cfg.m, cfg.n, *cfg.pi[0], *cfg.pi[1]))
 
 
 def test_config_derived_sizes():
