@@ -51,12 +51,12 @@ LOG10_2PI = math.log10(2 * math.pi)
 
 
 def _check_dims(q, chain_pi):
-    if not isinstance(q, int) or q < 2:
-        raise UsageError(f"field size must be an integer >= 2, got {q!r}")
+    """q and chain_pi as Python ints, so that q ** k stays exact."""
+    q = int_arg(q, "field size", 2)
     chain_pi = tuple(int_arg(k, "chain width", 1) for k in chain_pi)
     if not chain_pi:
         raise UsageError("chain shape must be nonempty")
-    return chain_pi
+    return q, chain_pi
 
 
 def level_places(q, chain_pi):
@@ -118,7 +118,7 @@ class ChainSymmetry:
     __slots__ = ("q", "chain_pi", "tables", "_place", "_table")
 
     def __init__(self, q, chain_pi, tables):
-        chain_pi = _check_dims(q, chain_pi)
+        q, chain_pi = _check_dims(q, chain_pi)
         shapes = level_shapes(q, chain_pi)
         if len(tables) != len(shapes):
             raise UsageError(f"need {len(shapes)} table levels, got {len(tables)}")
@@ -178,7 +178,7 @@ class ChainSymmetry:
         return len(self.chain_pi)
 
     def apply(self, row) -> tuple:
-        row = tuple(int(x) for x in row)
+        row = tuple(int_arg(x, "block rank") for x in row)
         if len(row) != self.n:
             raise UsageError(f"row has {len(row)} levels, expected {self.n}")
         place = self._place
@@ -242,7 +242,7 @@ class ChainSymmetry:
 
 
 def identity_chain(q, chain_pi) -> ChainSymmetry:
-    chain_pi = _check_dims(q, chain_pi)
+    q, chain_pi = _check_dims(q, chain_pi)
     shapes = level_shapes(q, chain_pi)
     return ChainSymmetry._trusted(q, chain_pi, [np.broadcast_to(np.arange(sz), (t, sz)) for t, sz in shapes])
 
@@ -264,7 +264,7 @@ def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
 def chain_order(q, chain_pi) -> int:
     """Number of triangular symmetries: prod over levels of
     (q^{k_j}!)^(q^{k_{j+1}+...+k_n})."""
-    chain_pi = _check_dims(q, chain_pi)
+    q, chain_pi = _check_dims(q, chain_pi)
     total = 1
     for tails, sz in level_shapes(q, chain_pi):
         total *= math.factorial(sz) ** tails
@@ -347,14 +347,14 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
     raises CapExceeded before anything is drawn.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    chain_pi = _check_dims(q, chain_pi)
+    q, chain_pi = _check_dims(q, chain_pi)
     refuse_large_chains(q, [chain_pi])
     return ChainSymmetry._trusted(q, chain_pi, random_levels(rng, level_shapes(q, chain_pi)))
 
 
 def all_chain_symmetries(q, chain_pi):
     """Yield every triangular symmetry of the chain, up to the group cap."""
-    chain_pi = _check_dims(q, chain_pi)
+    q, chain_pi = _check_dims(q, chain_pi)
     check_cap("chain group", chain_order(q, chain_pi), "elements", CAPS["group"])
     # one pool of permutations per (level, tail) slot, levels ascending
     pools, cuts = [], [0]
@@ -376,7 +376,7 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
     they disagree is reported as a distance violation with a witness pair
     when one exists, its ranks tried first as witness anchors.
     """
-    chain_pi = _check_dims(q, chain_pi)
+    q, chain_pi = _check_dims(q, chain_pi)
     return _decompose_bijection(q, chain_pi, bijection_array(table, chain_space_size(q, chain_pi)))
 
 

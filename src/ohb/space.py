@@ -12,25 +12,22 @@ block (1, 1) least significant, then levels within chain 1, then chain
 rank.  The metric is computed once, by rank_distance, and vector
 addition once, by add_ranks and sub_ranks.  When q = 2^e every digit
 is a bit field of the rank, so rank_distance reads a ^ b by masks and
-add_ranks is XOR.  BlockVector, an immutable grid of block values, is
-the value type of text I/O and of the scalar entry points; weight,
-distance and make_translation rank it and compute on the rank.  Its
-rows are coded run by run: each chain's levels are cut into runs of at
-most BLOCK_TABLE_LIMIT rows, each a tuple of rows and its inverse dict.
-SpaceConfig.rank, SpaceConfig.unrank and Symmetry.apply share them.
+add_ranks is XOR.  BlockVector, the value type of text I/O and of the
+scalar entry points, holds its rank: built from blocks, it ranks them
+by plain mixed radix; built from a rank, it derives its blocks only
+when they are read.  SpaceConfig.rank and unrank read and wrap that
+rank, and weight, distance and Symmetry.apply compute on it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .errors import CAPS, NotIsometryError, UsageError, check_cap, int_arg, int_array
-from .fields import Field, block_rank, block_unrank
+from .fields import Field, block_unrank
 
 
 class SpaceConfig:
@@ -56,36 +53,6 @@ class SpaceConfig:
         self.chain_size = tuple(self.q ** d for d in self.chain_dims)
         self.chain_place = tuple(math.prod(self.chain_size[:i]) for i in range(m))
 
-    @cached_property
-    def _runs(self):
-        """Per chain, its levels cut into runs of consecutive levels with at
-        most BLOCK_TABLE_LIMIT rows together, lowest first.  (lo, hi, place,
-        size, rows, ranks) codes levels lo..hi-1, the digit of that place and
-        radix in a row rank: rows[x] is their blocks at digit x, ranks[rows[x]]
-        is x.  A wider level is a run of its own, whose lookups call
-        block_unrank and block_rank.  Built on first use, once per chain shape."""
-        q, by_shape = self.q, {}
-        for widths in dict.fromkeys(self.pi):
-            cuts, size = [0], 1
-            for j, k in enumerate(widths):
-                if size > 1 and size * q ** k > BLOCK_TABLE_LIMIT:
-                    cuts.append(j)
-                    size = 1
-                size *= q ** k
-            runs = []
-            for lo, hi in zip(cuts, cuts[1:] + [len(widths)]):
-                size = q ** sum(widths[lo:hi])
-                if size > BLOCK_TABLE_LIMIT:
-                    rows = _Lookup(lambda x, k=widths[lo]: (block_unrank(q, x, k),))
-                    ranks = _Lookup(lambda row: block_rank(q, row[0]))
-                else:
-                    levels = [[block_unrank(q, x, k) for x in range(q ** k)] for k in reversed(widths[lo:hi])]
-                    rows = tuple(r[::-1] for r in product(*levels))
-                    ranks = {row: x for x, row in enumerate(rows)}
-                runs.append((lo, hi, q ** sum(widths[:lo]), size, rows, ranks))
-            by_shape[widths] = tuple(runs)
-        return tuple(by_shape[widths] for widths in self.pi)
-
     def check_materialize(self):
         """Refuse a dense table over every point of a space over the points cap."""
         check_cap("space", self.size, "points", CAPS["points"], symbol="q^N")
@@ -93,32 +60,19 @@ class SpaceConfig:
     # canonical ranking
 
     def rank(self, v: "BlockVector") -> int:
-        self._check_vector(v)
-        r = 0
-        for row, runs, place in zip(v.blocks, self._runs, self.chain_place):
-            for lo, hi, p, _, _, ranks in runs:
-                r += ranks[row[lo:hi]] * p * place
-        return r
+        if not isinstance(v, BlockVector) or v.config != self:
+            raise UsageError("vector does not belong to this space")
+        return v._rank
 
     def unrank(self, r: int) -> "BlockVector":
+        r = int_arg(r, "vector rank")
         if not 0 <= r < self.size:
             raise UsageError(f"vector rank {r} out of [0, {self.size})")
-        blocks = []
-        for runs in self._runs:
-            row = ()
-            for _, _, _, size, rows, _ in runs:
-                r, x = divmod(r, size)
-                row += rows[x]
-            blocks.append(row)
-        return BlockVector._trusted(self, tuple(blocks))
+        return BlockVector._of_rank(self, r)
 
     def chain_subrank(self, r: int, i: int) -> int:
         """The chain-i digit of a vector rank."""
         return (r // self.chain_place[i]) % self.chain_size[i]
-
-    def _check_vector(self, v):
-        if not isinstance(v, BlockVector) or v.config != self:
-            raise UsageError("vector does not belong to this space")
 
     # equality / io
 
@@ -156,33 +110,18 @@ class SpaceConfig:
             raise UsageError(f"bad space config: {exc}") from exc
 
 
-# runs of levels with at most this many rows are coded by table lookup;
-# a wider level computes each lookup, so a codec holds at most this many
-# rows however long a chain or wide a level is
-BLOCK_TABLE_LIMIT = 1 << 10
-
-
-class _Lookup:
-    """Subscript access to a function, for a codec too wide to tabulate."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, key):
-        return self.fn(key)
-
-
 class BlockVector:
-    """An element of the space: an m x n grid of block values.
+    """An element of the space, held as its canonical rank.
 
-    blocks[i][j] is a tuple of pi[i][j] element ranks, Python ints.
-    Immutable; it carries no arithmetic: compute on its rank (see
-    add_ranks).
+    blocks is its m x n grid of block values: blocks[i][j] is a tuple of
+    pi[i][j] element ranks, Python ints.  A vector built from blocks
+    checks them, ranks them in the same pass and keeps them; one built
+    from a rank (unrank, Symmetry.apply) derives them on first read and
+    keeps them.  Equal vectors have equal config and rank.  Immutable; it
+    carries no arithmetic: compute on its rank (see add_ranks).
     """
 
-    __slots__ = ("config", "blocks", "_rank")
+    __slots__ = ("config", "_rank", "_blocks")
 
     def __init__(self, config: SpaceConfig, blocks):
         try:
@@ -191,6 +130,7 @@ class BlockVector:
             raise UsageError(f"blocks must hold integer element ranks: {exc}") from None
         if len(blocks) != config.m:
             raise UsageError(f"expected {config.m} chains, got {len(blocks)}")
+        q, r, place = config.q, 0, 1
         for i, row in enumerate(blocks):
             if len(row) != config.n:
                 raise UsageError(f"chain {i + 1} needs {config.n} blocks")
@@ -199,37 +139,49 @@ class BlockVector:
                     raise UsageError(
                         f"block ({i + 1},{j + 1}) needs width {config.pi[i][j]}"
                     )
-                if any(not 0 <= x < config.q for x in b):
-                    raise UsageError(f"element rank out of range in block ({i + 1},{j + 1})")
+                for x in b:
+                    if not 0 <= x < q:
+                        raise UsageError(f"element rank out of range in block ({i + 1},{j + 1})")
+                    r += x * place
+                    place *= q
         self.config = config
-        self.blocks = blocks
-        self._rank = None
+        self._rank = r
+        self._blocks = blocks
 
     @classmethod
-    def _trusted(cls, config: SpaceConfig, blocks) -> "BlockVector":
-        """A vector from blocks already known to fit config: nested
-        tuples of in-range element ranks with the right widths.  Skips
-        the checks of __init__."""
+    def _of_rank(cls, config: SpaceConfig, r: int) -> "BlockVector":
+        """The vector of rank r, a Python int in [0, config.size)."""
         v = cls.__new__(cls)
         v.config = config
-        v.blocks = blocks
-        v._rank = None
+        v._rank = r
+        v._blocks = None
         return v
 
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            q, r, grid = self.config.q, self._rank, []
+            for widths in self.config.pi:
+                row = []
+                for k in widths:
+                    r, x = divmod(r, q ** k)
+                    row.append(block_unrank(q, x, k))
+                grid.append(tuple(row))
+            self._blocks = tuple(grid)
+        return self._blocks
+
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.config.rank(self)
         return self._rank
 
     def __eq__(self, other):
         return (
             isinstance(other, BlockVector)
+            and self._rank == other._rank
             and self.config == other.config
-            and self.blocks == other.blocks
         )
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash(self._rank)
 
     def __repr__(self):
         return f"BlockVector({format_vector(self)!r})"

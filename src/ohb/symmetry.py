@@ -38,10 +38,10 @@ from .errors import (
     UsageError,
     ValidationError,
     check_cap,
+    int_arg,
     json_int,
 )
 from .space import (
-    BLOCK_TABLE_LIMIT,
     BlockVector,
     SpaceConfig,
     add_ranks,
@@ -54,7 +54,7 @@ from .space import (
 
 def is_admissible(sigma, config: SpaceConfig) -> bool:
     """True iff chain s(i) has the same block widths as chain i for all i."""
-    sigma = tuple(int(x) for x in sigma)
+    sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
     if sorted(sigma) != list(range(config.m)):
         raise UsageError(f"not a permutation of 0..{config.m - 1}: {sigma}")
     return all(config.pi[sigma[i]] == config.pi[i] for i in range(config.m))
@@ -140,10 +140,10 @@ class Symmetry:
     chains[sigma[i]].  chains[k] acts on chain k of the input.
     """
 
-    __slots__ = ("config", "sigma", "chains", "_images")
+    __slots__ = ("config", "sigma", "chains", "_gathers")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
-        sigma = tuple(int(x) for x in sigma)
+        sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
         if not is_admissible(sigma, config):
             raise ValidationError(f"permutation {sigma} moves a chain onto different widths")
         chains = tuple(chains)
@@ -160,41 +160,26 @@ class Symmetry:
         self.config = config
         self.sigma = sigma
         self.chains = chains
-        self._images = None  # per chain, its image as apply reads it
+        self._gathers = None  # per output chain, what apply reads
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v).  The first call keeps one image per chain: a
-        chain of at most BLOCK_TABLE_LIMIT rows, one run of the space's row
-        codecs, the image row of each row rank, and builds no rank table
-        for it; a longer chain its map's kept rank table, read and written
-        run by run.  So apply keeps at most 8 bytes per row."""
+        """The image T(v), read off v's rank one chain digit at a time.
+        The first call keeps, per output chain i, a memoryview of the rank
+        table of chain map sigma[i] (kept on that map, 8 bytes a row) with
+        the places of its input and output digits."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
-        images = self._images
-        if images is None:
-            images = self._images = tuple(
-                (runs[0][5], [runs[0][4][x] for x in ch.apply_ranks(np.arange(size)).tolist()])
-                if size <= BLOCK_TABLE_LIMIT else (runs, ch.rank_table())
-                for ch, runs, size in zip(self.chains, cfg._runs, cfg.chain_size)
+        gathers = self._gathers
+        if gathers is None:
+            gathers = self._gathers = tuple(
+                (memoryview(self.chains[k].rank_table()), cfg.chain_place[k], cfg.chain_size[k], cfg.chain_place[i])
+                for i, k in enumerate(self.sigma)
             )
-        out = []
-        for k in self.sigma:
-            row, (codec, image) = v.blocks[k], images[k]
-            if type(image) is list:  # codec: the ranks of the chain's one run
-                out.append(image[codec[row]])
-                continue
-            r = 0
-            for lo, hi, place, _, _, ranks in codec:
-                r += ranks[row[lo:hi]] * place
-            r, row = image.item(r), ()
-            for _, _, _, size, rows, _ in codec:
-                r, x = divmod(r, size)
-                row += rows[x]
-            out.append(row)
-        # every row is a codec's row for an entry of a permutation table,
-        # so the result needs no checks
-        return BlockVector._trusted(cfg, tuple(out))
+        r, out = v._rank, 0
+        for table, place, size, to in gathers:
+            out += table[r // place % size] * to
+        return BlockVector._of_rank(cfg, out)
 
     def __eq__(self, other):
         return (

@@ -101,6 +101,20 @@ def test_integer_arrays_pass_whole():
     assert T.rank_table().tolist() == [3, 2, 0, 1]
 
 
+def test_a_numpy_integer_field_size_is_read_as_a_python_int():
+    # q ** k stays exact: with a uint8 q the places of nine levels would
+    # wrap at 256
+    for q in (np.int64(2), np.uint8(2), np.int32(3)):
+        T = random_chain(q, (1, 2), 7)
+        assert type(T.q) is int and T == random_chain(int(q), (1, 2), 7)
+        assert type(identity_chain(q, (1,)).q) is int
+        assert type(ChainSymmetry(q, (1,), [[list(range(int(q)))]]).q) is int
+    assert chain_order(np.uint8(2), (1,) * 9) == chain_order(2, (1,) * 9)
+    for q in (2.0, np.float64(2), True, "2", None, np.int64(1)):
+        with pytest.raises(UsageError, match="field size must be an integer >= 2"):
+            random_chain(q, (1,), 0)
+
+
 def test_validation_message_names_level_and_tail():
     with pytest.raises(ValidationError) as exc:
         ChainSymmetry(2, (1, 1), [[(0, 1), (1, 1)], [(1, 0)]])

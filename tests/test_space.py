@@ -1,6 +1,8 @@
 """Poset-block space: ranking, weight, distance, text format."""
 
+import ast
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model
+import ohb
 from conftest import SMALL_CONFIGS, elementwise, make_config, random_vector
 from ohb import (
     BlockVector,
@@ -282,6 +285,49 @@ def test_vector_blocks_hold_integer_element_ranks():
     v = BlockVector(cfg, [[(np.int64(1),), (np.uint8(1),)]])
     assert all(type(x) is int for row in v.blocks for b in row for x in b)
     assert v == parse_vector(cfg, "1,1") and v.rank() == 3 and weight(v) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    make_config(2, 3, 2, [[1, 2], [2, 1], [1, 2]]),
+    make_config(3, 2, 2, [[1, 2], [2, 1]]),
+    make_config(2, 2, 2, [[1, 2], [1, 1]], e=2),
+    make_config(2, 1, 2, [[11, 1]]),
+], ids=["mixed", "gf3", "gf4", "level-2^11"])
+def test_blocks_ranks_and_images_agree_with_the_model(cfg):
+    # a vector built from blocks, one built from a rank and an image of
+    # either hold the model's rank and blocks, with Python ints throughout
+    geo = model.geometry(cfg.q, cfg.pi)
+    rng = random.Random(22)
+    T = random_symmetry(cfg, 22)
+    images = geo.apply(T.to_json(), np.arange(cfg.size))
+    for r in [0, cfg.size - 1, *rng.sample(range(cfg.size), 300)]:
+        s = int(images[r])
+        built, unranked = BlockVector(cfg, geo.blocks(r)), cfg.unrank(r)
+        image = T.apply(built)
+        expected = {r: built, s: BlockVector(cfg, geo.blocks(s))}
+        for v, rank in [(built, r), (unranked, r), (image, s), (T.apply(unranked), s)]:
+            assert v.rank() == cfg.rank(v) == rank and type(v.rank()) is int
+            assert v.blocks == geo.blocks(rank) and geo.rank_of_blocks(v.blocks) == rank
+            assert all(type(x) is int for row in v.blocks for b in row for x in b)
+            assert v == expected[rank] and hash(v) == hash(expected[rank])
+        assert (built == image) == (r == s)
+
+
+def blocks_attributes(tree):
+    """The lines of a module that read or write a .blocks attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "blocks")
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(ohb.__file__).parent.glob("*.py") if p.name != "space.py"))
+def test_only_the_space_module_reads_vector_blocks(module):
+    # a vector is its rank everywhere but text I/O, which space.py holds
+    path = Path(ohb.__file__).parent / module
+    assert blocks_attributes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_guard_sees_a_blocks_attribute():
+    tree = ast.parse("x = v.blocks\nf(cfg.unrank(0).blocks[1])\nblocks = 2\ndef g(v):\n    v.blocks = 3\n")
+    assert blocks_attributes(tree) == [1, 2, 5]
 
 
 def test_vectorized_ops_match_vector_ops():

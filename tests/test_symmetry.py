@@ -38,7 +38,7 @@ from ohb import (
     random_symmetry,
     s_pi_order,
 )
-from ohb.space import BLOCK_TABLE_LIMIT, add_ranks, rank_array
+from ohb.space import add_ranks, rank_array
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
 
@@ -77,6 +77,25 @@ def test_is_admissible():
     assert not is_admissible((0, 2, 1), MIXED)
     with pytest.raises(UsageError):
         is_admissible((0, 0, 1), MIXED)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: Symmetry(MIXED, (0.5, 1.2, 2), identity_symmetry(MIXED).chains),  # once read as (0, 1, 2)
+    lambda: is_admissible((1.9, 0.2, 2), MIXED),  # once True
+    lambda: is_admissible((True, 0, 2), MIXED),
+    lambda: is_admissible(("1", 0, 2), MIXED),
+    lambda: is_admissible(np.array([1.0, 0.0, 2.0]), MIXED),
+    lambda: identity_chain(2, (1,)).apply((1.9,)),  # once (1,)
+    lambda: identity_chain(2, (1, 1)).apply((0, None)),
+], ids=["sigma-floats", "admissible-floats", "admissible-bool", "admissible-string", "admissible-float-array",
+        "row-float", "row-none"])
+def test_a_sigma_entry_or_row_entry_that_is_no_integer_is_refused(probe):
+    with pytest.raises(UsageError, match="must be an integer"):
+        probe()
+    # numpy integers are read as Python ints
+    T = Symmetry(MIXED, np.array([1, 0, 2]), identity_symmetry(MIXED).chains)
+    assert T.sigma == (1, 0, 2) and all(type(x) is int for x in T.sigma)
+    assert identity_chain(2, (1, 1)).apply(np.array([1, 0])) == (1, 0)
 
 
 def test_admissible_permutations_count():
@@ -230,13 +249,15 @@ def test_rank_table_and_apply_match_the_per_rank_action(T, rng):
 
 
 def test_wide_blocks_are_coded_without_a_table():
-    # q^11 = 2048 block values: that level's run computes each lookup
+    # q^11 = 2048 block values at level 1: no table of block values is
+    # built, and apply reads every point's image off the chain map's rank
+    # table exactly as as_rank_table lays it out
     cfg = make_config(2, 1, 2, [[11, 1]])
-    assert 2 ** 11 > BLOCK_TABLE_LIMIT and not isinstance(cfg._runs[0][0][4], tuple)
-    assert isinstance(cfg._runs[0][1][4], tuple)
     rng = random.Random(43)
     for _ in range(3):
-        check_table_and_apply(random_symmetry(cfg, rng.randrange(10**9)), rng)
+        T = random_symmetry(cfg, rng.randrange(10**9))
+        check_table_and_apply(T, rng)
+        assert [T.apply(cfg.unrank(r)).rank() for r in range(cfg.size)] == as_rank_table(T).tolist()
 
 
 @pytest.mark.parametrize(
@@ -252,12 +273,12 @@ def test_wide_blocks_are_coded_without_a_table():
     ids=["q2-mixed", "gf3-121", "gf4-m4-n2", "q2-chain13", "gf3-chain7", "q2-1-11-1"],
 )
 def test_apply_builds_a_valid_vector(cfg):
-    # apply skips the vector checks on its output and reads a chain of
-    # more than BLOCK_TABLE_LIMIT rows run by run (GF(3) n=7: runs of 729
-    # and 3 rows; (1, 11, 1): a computed level between two tabled ones):
-    # it must build exactly what the checking constructor would, at the
-    # rank table's image.  Every point (2000 sampled ones past that) goes
-    # through two symmetries twice, interleaved
+    # apply builds its output from a rank, with no vector checks, and the
+    # blocks are derived from that rank when read (GF(3) n=7: 2187 rows;
+    # (1, 11, 1): a wide level between two narrow ones): it must build
+    # exactly what the checking constructor would, at the rank table's
+    # image.  Every point (2000 sampled ones past that) goes through two
+    # symmetries twice, interleaved
     rng = random.Random(30)
     other = make_config(3 if cfg.q == 2 else 2, cfg.m, cfg.n, cfg.pi)
     ranks = range(cfg.size) if cfg.size <= 2000 else rng.sample(range(cfg.size), 2000)
@@ -274,11 +295,11 @@ def test_apply_builds_a_valid_vector(cfg):
             assert all(type(x) is int for row in image.blocks for b in row for x in b)
             assert image.rank() == tables[i][r]
         for T, h, doc, fresh in identity:
-            # the kept images are no part of the symmetry's identity
+            # what apply keeps is no part of the symmetry's identity
             assert T == fresh and hash(T) == h == hash(fresh)
             assert T.to_json() == doc == fresh.to_json()
-            # a vector of another space is refused even when its blocks
-            # are those of a row whose image is kept
+            # a vector of another space is refused even when its rank is
+            # one whose image is kept
             T.apply(cfg.unrank(0))
             with pytest.raises(UsageError):
                 T.apply(other.unrank(0))
@@ -286,17 +307,14 @@ def test_apply_builds_a_valid_vector(cfg):
 
 @pytest.mark.parametrize("n", [10, 11, 13])
 def test_apply_keeps_one_image_per_chain(n):
-    # one chain of n unit levels has 2^n rows.  At n = 10, BLOCK_TABLE_LIMIT,
-    # the first apply keeps the image row of every row rank and builds no
-    # rank table for it; past it, apply keeps the chain map's rank table and
-    # reads it.  Either takes 8 bytes a row, so applying every point keeps
-    # no more than that.  as_rank_table then keeps the chain map's table,
-    # which a long chain has kept already
+    # one chain of n unit levels has 2^n rows.  The first apply keeps the
+    # chain map's rank table, 8 bytes a row, and reads each image off it,
+    # so applying every point keeps no more than that table.  as_rank_table
+    # then reuses the kept table and keeps nothing more
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
     ch = T.chains[0]
     table = ch.apply_ranks(np.arange(cfg.size))
-    cfg.unrank(0)  # builds the space's row codecs, which all its symmetries share
     assert ch._table is None
     tracemalloc.start()
     try:
@@ -304,17 +322,15 @@ def test_apply_keeps_one_image_per_chain(n):
         for r in range(cfg.size):
             assert T.apply(cfg.unrank(r)).rank() == table[r]
         kept = tracemalloc.get_traced_memory()[0] - before
-        long = cfg.size > BLOCK_TABLE_LIMIT
-        assert (ch._table is not None) == long
+        image = ch._table
         full = as_rank_table(T)
         again = tracemalloc.get_traced_memory()[0] - before - full.nbytes
     finally:
         tracemalloc.stop()
-    assert 8 * cfg.size <= kept <= 8 * cfg.size + (16 << 10)
-    assert again <= kept + (0 if long else ch._table.nbytes) + (4 << 10)
-    assert ch._table.nbytes == 8 * cfg.size and np.array_equal(full, table)
-    if long:
-        assert T._images[0][1] is ch.rank_table()
+    assert image.nbytes == 8 * cfg.size and np.array_equal(image, table)
+    assert 8 * cfg.size <= kept <= 8 * cfg.size + (4 << 10)
+    assert ch._table is image and again <= kept + (4 << 10)
+    assert np.array_equal(full, table)
 
 
 def test_draws_and_code_maps_build_no_rank_table():
