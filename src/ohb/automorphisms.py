@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import CAPS, DomainError, UsageError, check_cap
+from .errors import CAPS, DomainError, check_cap, int_arg
 from .oracle import stabilizer_orbits
 from .space import SpaceConfig, add_ranks, rank_array, scale_ranks, weight_array
 from .symmetry import s_pi_order
@@ -25,8 +25,8 @@ from .symmetry import s_pi_order
 
 def gl_order(q: int, k: int) -> int:
     """Number of invertible k x k matrices over F_q."""
-    if k < 1:
-        raise UsageError(f"block width must be >= 1, got {k}")
+    q = int_arg(q, "field size", 2)
+    k = int_arg(k, "block width", 1)
     total = 1
     for t in range(k):
         total *= q ** k - q ** t
@@ -91,7 +91,7 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     aut_points entry of CAPS.
     """
     S = config.size
-    check_cap("space", S, "points", CAPS["aut_points"] if cap is None else cap, symbol="q^N")
+    check_cap("space", S, "points", CAPS["aut_points"] if cap is None else int_arg(cap, "cap", 0), symbol="q^N")
     q = config.q
     weights = weight_array(config)
     ranks = np.arange(S, dtype=np.int64)

@@ -82,11 +82,21 @@ def chain_space_size(q, chain_pi):
 
 
 def _levels(q, chain_pi, f) -> list:
-    """The level tables read off a rank table f: row t, column x of level j is
-    f's level-j digit at tail t, level-j digit x and zeros below."""
+    """The level tables read off rank tables f (..., S): row t, column x of
+    level j is f's level-j digit at tail t, level-j digit x and zeros below."""
     two = q & (q - 1) == 0  # shift and mask
-    return [((f[::p] >> (p.bit_length() - 1)) & (sz - 1) if two else f[::p] // p % sz).reshape(tails, sz)
+    return [((f[..., ::p] >> (p.bit_length() - 1)) & (sz - 1) if two else f[..., ::p] // p % sz)
+            .reshape(*f.shape[:-1], tails, sz)
             for p, (tails, sz) in zip(level_places(q, chain_pi), level_shapes(q, chain_pi))]
+
+
+def _chain_table(levels) -> np.ndarray:
+    """The rank tables (..., S) of maps given by levels (..., tails, sz), top
+    level first: a level's images are its tail's image times sz plus it."""
+    table = np.zeros((*levels[0].shape[:-2], 1), dtype=np.int64)
+    for level in reversed(levels):
+        table = (table[..., None] * level.shape[-1] + level).reshape(*level.shape[:-2], -1)
+    return table
 
 
 def _first_bad_row(level):
@@ -140,22 +150,22 @@ class ChainSymmetry:
         self._store(q, chain_pi, clean)
 
     @classmethod
-    def _trusted(cls, q, chain_pi, tables) -> "ChainSymmetry":
+    def _trusted(cls, q, chain_pi, tables, table=None) -> "ChainSymmetry":
         """A map from tables already known to fit: chain_pi checked, and
         every level a (tails, q^k) array or nested list whose rows are
         permutations, as the builders below make them.  Skips the checks
-        of __init__."""
+        of __init__.  A given rank table (int64, no one else's) is kept."""
         T = cls.__new__(cls)
         T._store(q, chain_pi, tables)
+        if table is not None:
+            table.flags.writeable = False
+            T._table = table
         return T
 
     @classmethod
     def _from_table(cls, q, chain_pi, f) -> "ChainSymmetry":
         """The map whose rank table is f, a fresh int64 array; it keeps f."""
-        T = cls._trusted(q, chain_pi, _levels(q, chain_pi, f))
-        f.flags.writeable = False
-        T._table = f
-        return T
+        return cls._trusted(q, chain_pi, _levels(q, chain_pi, f), f)
 
     def _store(self, q, chain_pi, tables):
         clean = []
@@ -197,13 +207,10 @@ class ChainSymmetry:
         return out
 
     def rank_table(self) -> np.ndarray:
-        """Dense read-only int64 table: image rank of every row rank.  Built
-        top level first on the first call, as a level's images are its
-        tail's image times the level size plus its table; then kept."""
+        """Dense read-only int64 table: image rank of every row rank, built
+        by _chain_table on the first call, then kept."""
         if self._table is None:
-            table = np.zeros(1, dtype=np.int64)
-            for level in reversed(self.tables):
-                table = (table[:, None] * level.shape[1] + level).ravel()
+            table = _chain_table(self.tables)
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -380,35 +387,41 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
     return _decompose_bijection(q, chain_pi, bijection_array(table, chain_space_size(q, chain_pi)))
 
 
-def _decompose_bijection(q, chain_pi, f) -> ChainSymmetry:
-    """decompose_chain of f, an int64 bijection of the row ranks."""
+def _decompose_bijection(q, chain_pi, f, w=0, sub=None) -> ChainSymmetry:
+    """decompose_chain of f, an int64 bijection of the row ranks, keeping the
+    rebuilt rank table.  Its level rows are all permutations iff that table
+    is a bijection, so only then is the row scan skipped.  A refusal is the
+    one of f - w (sub subtracts ranks): only a bad row's anchors and the
+    two ranks named move, as a translation keeps distances."""
+    tables = _levels(q, chain_pi, f)
+    rt = _chain_table(tables)
+    if np.array_equal(rt, f):
+        return ChainSymmetry._trusted(q, chain_pi, tables, rt)
     place = level_places(q, chain_pi)
 
     def reject(context, *anchors):
-        w = distance_witness(q, (chain_pi,), f, anchors)
-        if w is not None:
+        pair = distance_witness(q, (chain_pi,), f, anchors)
+        if pair is not None:
             raise NotIsometryError(
-                f"distance not preserved for row ranks {w[0]} and {w[1]}",
-                witness=w,
+                f"distance not preserved for row ranks {pair[0]} and {pair[1]}",
+                witness=pair,
             )
         raise StructureError(f"bijection has no triangular form: {context}")
 
-    tables = _levels(q, chain_pi, f)
-    T = ChainSymmetry._trusted(q, chain_pi, tables)
-    rt = T.rank_table()
-    if np.array_equal(rt, f):
-        return T
-    for j, level in enumerate(tables):
-        t = _first_bad_row(level)
-        if t is not None:
-            # the anchors: the row's first two equal entries in sorted order
-            order = np.argsort(level[t], kind="stable")
-            i = int(np.flatnonzero(np.diff(level[t, order]) == 0)[0])
-            anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
-            reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
+    if np.bincount(rt, minlength=len(f)).max() > 1:
+        for j, level in enumerate(tables):
+            t = _first_bad_row(level)
+            if t is not None:
+                row = sub(level[t], w // place[j] % level.shape[1]) if w else level[t]
+                # the anchors: the row's first two equal entries in sorted order
+                order = np.argsort(row, kind="stable")
+                i = int(np.flatnonzero(np.diff(row[order]) == 0)[0])
+                anchors = (t * place[j + 1] + int(x) * place[j] for x in order[i:i + 2])
+                reject(f"level {j + 1}, tail {t}: extracted entry is not a permutation", *anchors)
     r = int(np.flatnonzero(rt != f)[0])
+    a, b = sub(np.array([f[r], rt[r]]), w) if w else (f[r], rt[r])
     reject(
         f"rank {r}: map disagrees with its zero-prefix extraction "
-        f"({f[r]} vs {rt[r]}), so some level reads a lower level",
+        f"({a} vs {b}), so some level reads a lower level",
         r,
     )

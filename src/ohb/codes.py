@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import ChainSymmetry, level_places, level_shapes
-from .errors import CAPS, StructureError, UsageError, json_int
+from .chains import ChainSymmetry, _check_dims, level_places, level_shapes
+from .errors import CAPS, StructureError, UsageError, int_arg, int_array, json_int
 from .oracle import depth_first, enumerate_isometries
 from .space import (
     BlockVector,
@@ -148,9 +148,10 @@ class Code:
 
 
 def _counts(values: np.ndarray):
-    """Sorted (value, count) pairs of Python ints."""
-    values, counts = np.unique(values, return_counts=True)
-    return tuple(zip(values.tolist(), counts.tolist()))
+    """Sorted (value, count) pairs of Python ints, for values >= 0."""
+    counts = np.bincount(values)
+    values = np.flatnonzero(counts)
+    return tuple(zip(values.tolist(), counts[values].tolist()))
 
 
 def code_invariants(C: Code) -> dict:
@@ -245,9 +246,10 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
     entry).  Unconstrained entries are filled in ascending order and
     untouched tails stay identity, so the result is deterministic.
     """
+    q, chain_pi = _check_dims(q, chain_pi)
     place = level_places(q, chain_pi)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src = int_array(src, "source rows")
+    dst = int_array(dst, "target rows")
     tables = []
     for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
         tail = src // place[j + 1]
@@ -285,6 +287,7 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
     oracle_list cap and the group within the group cap; otherwise the
     verdict is inconclusive.  A witness is verified before it is returned.
     """
+    budget = int_arg(budget, "budget", 0)
     if C1.config != C2.config:
         raise UsageError("codes live in different spaces")
     cfg = C1.config

@@ -8,7 +8,8 @@ permutation table downstream.
 
 Prime fields are plain arithmetic mod p and need no table.  An extension
 field multiplies through its q x q table on ranks, built once per Field in
-one numpy pass (_mul_table), and reads its inverses off that table.  The
+one numpy pass (_mul_table) and kept as a read-only array of the narrowest
+unsigned type, and reads its inverses off that table.  The
 modulus is irreducible exactly when the table has no zero divisors, so
 the table is also the irreducibility test.  The table counts against
 CAPS["points"], so q <= 1024: GF(2^10) is built, GF(2^11) refused.
@@ -97,7 +98,10 @@ class Field:
                 raise ValidationError(
                     f"modulus {list(modulus)} is reducible over F_{p}"
                 )
-            self._mul = table.tolist()
+            # uint8 up to 256 elements, uint16 up to the cap's 1024: GF(2^10)
+            # keeps 2 MB where nested lists of ints took about 34 MB
+            self._mul = table.astype(np.min_scalar_type(p ** e - 1))
+            self._mul.flags.writeable = False
             self._inv = [0] + np.nonzero(table[1:] == 1)[1].tolist()
         self.p = p
         self.e = e
@@ -135,7 +139,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        return self._mul[a][b]
+        return self._mul.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:

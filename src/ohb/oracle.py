@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .chains import alt_chain_order_unit, log10_factorial
-from .errors import CAPS, check_cap, int_text
+from .errors import CAPS, check_cap, int_arg, int_text
 from .space import SpaceConfig, distance_matrix_array
 from .symmetry import alt_full_order_unit, full_order
 
@@ -162,8 +162,7 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     when want_list is set.  A space over cap points is refused; cap
     defaults to the oracle_list or oracle_count entry of CAPS.
     """
-    if cap is None:
-        cap = CAPS["oracle_list" if want_list else "oracle_count"]
+    cap = CAPS["oracle_list" if want_list else "oracle_count"] if cap is None else int_arg(cap, "cap", 0)
     S = config.size
     check_cap("space", S, "points", cap, f"a full search would face {int_text(S)}! (about 10^"
               f"{int_text(round(log10_factorial(S)))}) candidate bijections before pruning", symbol="q^N")

@@ -184,6 +184,8 @@ class BlockVector:
         return hash(self._rank)
 
     def __repr__(self):
+        if self.config.q > 10:  # no text format: one digit per element
+            return f"BlockVector(rank={self._rank})"
         return f"BlockVector({format_vector(self)!r})"
 
 
@@ -235,9 +237,9 @@ def sub_ranks(config: SpaceConfig, a, b) -> np.ndarray:
 
 def scale_ranks(config: SpaceConfig, c: int, a) -> np.ndarray:
     """Scalar multiplication by the field element of rank c, on vector ranks."""
-    q = config.q
+    q, field = config.q, config.field
     a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-    mul_row = np.array([config.field.mul(c, x) for x in range(q)], dtype=np.int64)
+    mul_row = np.arange(q) * c % q if field.e == 1 else field._mul[c].astype(np.int64)
     out = np.zeros_like(a)
     place = 1
     r = a.copy()
@@ -339,11 +341,10 @@ def bijection_array(table, size: int) -> np.ndarray:
     if size and (f.min() < 0 or f.max() >= size):
         raise UsageError("table entry out of range")
     if size and np.bincount(f, minlength=size).max() > 1:
-        values, first = np.unique(f, return_index=True)
-        owner = np.empty(size, dtype=np.int64)
-        owner[values] = first
-        r = int(np.nonzero(owner[f] != np.arange(size))[0][0])
-        u = int(owner[f[r]])
+        order = np.argsort(f, kind="stable")  # each image's ranks, ascending
+        images = f[order]
+        r = int(order[1:][images[1:] == images[:-1]].min())
+        u = int(order[np.searchsorted(images, f[r])])
         raise NotIsometryError(
             f"not a bijection: ranks {u} and {r} share the image {int(f[r])}",
             witness=(u, r),

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
 
 from .chains import (
     ChainSymmetry,
+    _chain_table,
     _decompose_bijection,
+    _levels,
     all_chain_symmetries,
     chain_order,
     compose_chain,
@@ -50,6 +53,9 @@ from .space import (
     rank_array,
     sub_ranks,
 )
+
+
+RUN_ENTRIES = 1 << 12  # the most joint digits of a run of several chains in Symmetry.apply
 
 
 def is_admissible(sigma, config: SpaceConfig) -> bool:
@@ -140,7 +146,7 @@ class Symmetry:
     chains[sigma[i]].  chains[k] acts on chain k of the input.
     """
 
-    __slots__ = ("config", "sigma", "chains", "_gathers")
+    __slots__ = ("config", "sigma", "chains", "_runs")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
         sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
@@ -160,26 +166,31 @@ class Symmetry:
         self.config = config
         self.sigma = sigma
         self.chains = chains
-        self._gathers = None  # per output chain, what apply reads
+        self._runs = None  # what apply reads, per run of input chains
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v), read off v's rank one chain digit at a time.
-        The first call keeps, per output chain i, a memoryview of the rank
-        table of chain map sigma[i] (kept on that map, 8 bytes a row) with
-        the places of its input and output digits."""
+        """The image T(v): the sum, over runs of adjacent input chains, of the
+        run's _run_table at v's joint digit there.  The first call cuts runs
+        of at most RUN_ENTRIES joint digits (a wider chain is a run of its
+        own) and keeps a memoryview of each table."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
-        gathers = self._gathers
-        if gathers is None:
-            gathers = self._gathers = tuple(
-                (memoryview(self.chains[k].rank_table()), cfg.chain_place[k], cfg.chain_size[k], cfg.chain_place[i])
-                for i, k in enumerate(self.sigma)
-            )
+        runs = self._runs
+        if runs is None:
+            inv, cuts = inverse(self.sigma), [0]
+            for k in range(1, cfg.m):
+                if cfg.chain_place[k] // cfg.chain_place[cuts[-1]] * cfg.chain_size[k] > RUN_ENTRIES:
+                    cuts.append(k)
+            tables = [_run_table(self, inv, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.m])]
+            runs = self._runs = [(t.tolist() if t.dtype == object else memoryview(t), cfg.chain_place[lo], len(t))
+                                 for lo, t in zip(cuts, tables)]
         r, out = v._rank, 0
-        for table, place, size, to in gathers:
-            out += table[r // place % size] * to
-        return BlockVector._of_rank(cfg, out)
+        for table, place, size in runs:
+            out += table[r // place % size]
+        image = BlockVector.__new__(BlockVector)
+        image.config, image._rank, image._blocks = cfg, out, None
+        return image
 
     def __eq__(self, other):
         return (
@@ -277,21 +288,25 @@ def all_symmetries(config: SpaceConfig):
 
 
 def as_rank_table(T: Symmetry) -> np.ndarray:
-    """Dense action of T on every vector rank; a space over the points
-    cap is refused."""
+    """Dense action of T on every vector rank, a fresh array; a space over
+    the points cap is refused."""
     T.config.check_materialize()
-    return _rank_table(T)
+    out = _run_table(T, inverse(T.sigma), 0, T.config.m)
+    return out if out.flags.writeable else out.copy()
 
 
-def _rank_table(T: Symmetry) -> np.ndarray:
-    """as_rank_table without the cap: each chain map's rank table, scaled to
-    the digit of the chain it lands on, summed over the chain axes."""
+def _run_table(T: Symmetry, inv, lo, hi) -> np.ndarray:
+    """The images of adjacent input chains lo..hi-1 by their joint digit: the
+    sum of each chain k's rank table scaled to the place of output chain
+    inv[k] (a chain feeding output chain 1 alone: its kept table itself),
+    in exact Python ints past 2^63 points, where int64 overflows."""
     cfg = T.config
-    inv = inverse(T.sigma)
-    # chain m-1 is the outermost axis, so the raveled sum is in rank order
-    out = np.zeros(1, dtype=np.int64)
-    for k in reversed(range(cfg.m)):
-        out = (out[:, None] + T.chains[k].rank_table() * cfg.chain_place[inv[k]]).ravel()
+    out = None
+    for k in range(lo, hi):  # chain k's digit is the outer axis, above lo..k-1
+        table, to = T.chains[k].rank_table(), cfg.chain_place[inv[k]]
+        if to != 1:
+            table = (table.astype(object) if cfg.size > 1 << 63 else table) * to
+        out = table if out is None else (table[:, None] + out).ravel()
     return out
 
 
@@ -302,95 +317,107 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
     """Recover the canonical (sigma, chains) form of an isometry given
     as a dense table over vector ranks.
 
-    The translation part is read off at 0, the chain permutation from
-    the images of weight-1 vectors, and each chain map by restriction;
-    the result is verified pointwise against the table.  A map that
-    preserves no decomposition is rejected with a distance witness when
-    one can be found (the ranks where the failure showed are tried
-    first), otherwise with the chain index that failed.  A table that is
-    no bijection is refused as bijection_array refuses it.  That count
-    runs first with one chain; with several, only on a refusal, and not
-    when the table permutes the candidate's images where the two differ.
-    """
+    With w = f(0), tau comes from the images of each chain's level-1
+    weight-1 vectors and chain k's map is f's chain-tau(k) digit on k's
+    axis, w included: a digit of f - w is 0 where f's is w's, so no field
+    arithmetic runs on an accepted table.  With several chains the checks
+    are masks over the axis digits, each width class's maps are extracted,
+    rebuilt and compared in one pass, and the result is compared with f.
+    A refusal is that of f - w: a distance witness if one is found (the
+    failing ranks first), else the chain index.  A table that is no
+    bijection is refused as bijection_array refuses it, at once with one
+    chain, else only on a refusal unless f permutes the candidate's images
+    where the two differ."""
     checked = config.m == 1  # f is known to be a bijection
     f = (bijection_array if checked else rank_array)(table, config.size)
 
     def reject(chain_index, context, *anchors):
         if not checked:
             bijection_array(f, config.size)
-        w = distance_witness(config.q, config.pi, f, anchors)
-        if w is not None:
-            raise NotIsometryError(
-                f"distance not preserved for ranks {w[0]} and {w[1]}", witness=w
-            )
+        pair = distance_witness(config.q, config.pi, f, anchors)
+        if pair is not None:
+            raise NotIsometryError(f"distance not preserved for ranks {pair[0]} and {pair[1]}", witness=pair)
         raise StructureError(context, chain_index=chain_index)
 
-    q, m = config.q, config.m
-    # f minus the translation w = f(0), on each chain axis only: nothing
-    # else is read before the final check against f itself
-    w_rank = int(f[0])
-    axes = []
-    for k in range(m):
-        img = f[np.arange(config.chain_size[k]) * config.chain_place[k]]
-        axes.append(sub_ranks(config, img, w_rank) if w_rank else img)
-    if not checked:
-        points = np.sort(np.concatenate([axes[0][:1], *(a[1:] for a in axes)]))
-        if (points[1:] == points[:-1]).any():
-            bijection_array(f, config.size)  # raises: f repeats an image on the chain axes
-    # each chain's weight-1 sphere at level 1 must land inside a single
-    # chain with the same widths
-    tau = [None] * m
-    for k in range(m):
-        for x in range(1, q ** config.pi[k][0]):
-            r = x * config.chain_place[k]
-            img = int(axes[k][x])
-            hit = [i for i in range(m) if config.chain_subrank(img, i) != 0]
-            if len(hit) != 1:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight != 1", r)
-            j = hit[0]
-            if config.chain_subrank(img, j) >= q ** config.pi[j][0]:
-                reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight > 1", r)
-            if tau[k] is None:
-                tau[k] = j
-            elif tau[k] != j:
-                reject(k + 1, f"chain {k + 1} maps into two different chains", r)
+    def chain_map(k, g):
+        """Chain k's map read off g, its axis digits, refused as f is."""
+        try:
+            wk = config.chain_subrank(w, tau[k])
+            return _decompose_bijection(q, config.pi[k], g, wk, partial(sub_ranks, config))
+        except (NotIsometryError, StructureError) as exc:
+            if not checked:
+                bijection_array(f, config.size)
+            if isinstance(exc, StructureError):
+                raise StructureError(str(exc), chain_index=k + 1) from exc
+            u, v = (x * config.chain_place[k] for x in exc.witness)
+            raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
+
+    q, m, w = config.q, config.m, int(f[0])
+    if m == 1:
+        tau, low = [0], q ** config.pi[0][0]
+        up = np.flatnonzero(f[1:low] // low != w // low)
+        if len(up):
+            reject(1, "image of a weight-1 point of chain 1 has weight > 1", int(up[0]) + 1)
+        return Symmetry(config, (0,), [chain_map(0, f)])
+
+    # the axis points chain by chain, rank 0 first, and f's chain digits there
+    place, size = np.array(config.chain_place), np.array(config.chain_size)
+    chain = np.repeat(np.arange(m), size)
+    start = np.cumsum(size) - size
+    x = np.arange(len(chain)) - start[chain]
+    ranks = x * place[chain]
+    img = f[ranks]
+    if (np.diff(np.sort(img)) == 0).sum() > m - 1:  # more than w on every axis
+        bijection_array(f, config.size)  # raises: f repeats an image on the chain axes
+    digits = img[:, None] // place % size
+    moved = digits != digits[0]  # the nonzero chain digits of f - w
+
+    # each chain's weight-1 points at level 1 must land inside a single chain
+    first = q ** np.array([row[0] for row in config.pi])
+    probe = np.flatnonzero((x > 0) & (x < first[chain]))
+    hit = moved[probe].argmax(1)
+    tau = hit[np.searchsorted(chain[probe], np.arange(m))]
+    one = moved[probe].sum(1) == 1
+    low = digits[probe, hit] // first[hit] == digits[0, hit] // first[hit]
+    bad = np.flatnonzero(~one | ~low | (hit != tau[chain[probe]]))
+    if len(bad):
+        k, r = int(chain[probe[bad[0]]]), int(ranks[probe[bad[0]]])
+        if one[bad[0]] and low[bad[0]]:
+            reject(k + 1, f"chain {k + 1} maps into two different chains", r)
+        weight = "> 1" if one[bad[0]] else "!= 1"
+        reject(k + 1, f"image of a weight-1 point of chain {k + 1} has weight {weight}", r)
     # tau is a permutation: the probes above have distinct images (no image
     # on the axes repeats), as many as the level-1 weight-1 points they hit
     for k in range(m):
         if config.pi[k] != config.pi[tau[k]]:
             reject(k + 1, f"chain {k + 1} maps onto a chain with different widths")
 
-    chains = [None] * m
-    for k in range(m):
-        place, t_place = config.chain_place[k], config.chain_place[tau[k]]
-        sub = axes[k] // t_place
-        off = np.nonzero(sub % config.chain_size[tau[k]] * t_place != axes[k])[0]
-        if len(off):
-            reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(off[0]) * place)
-        try:
-            # sub is a bijection: its points are in range and not repeated
-            ch = _decompose_bijection(q, config.pi[k], sub)
-        except (NotIsometryError, StructureError) as exc:
-            if not checked:
-                bijection_array(f, config.size)
-            if isinstance(exc, StructureError):
-                raise StructureError(str(exc), chain_index=k + 1) from exc
-            u, v = (x * place for x in exc.witness)
-            raise NotIsometryError(f"distance not preserved for ranks {u} and {v}", witness=(u, v)) from exc
-        # adding w back, as make_translation does: each level adds w's
-        # block at that level of the chain it lands on
-        wk = config.chain_subrank(w_rank, tau[k])
-        chains[k] = ChainSymmetry._trusted(q, config.pi[k], [
-            add_ranks(config, level, wk // p % level.shape[1]) for level, p in zip(ch.tables, ch._place)
-        ]) if wk else ch
+    # in chain order: a point whose image leaves chain tau(k), or a map not rebuilt from its levels
+    moved[np.arange(len(chain)), tau[chain]] = False
+    leaves = np.flatnonzero(moved.any(1))
+    chains, failed = [None] * m, m
+    for members in map(np.array, width_classes(config)):
+        row = config.pi[members[0]]
+        g = digits[start[members][:, None] + np.arange(size[members[0]]), tau[members][:, None]]
+        levels = _levels(q, row, g)
+        rebuilt = _chain_table(levels)
+        for i, same in enumerate((rebuilt == g).all(1)):
+            if same:
+                chains[members[i]] = ChainSymmetry._trusted(q, row, [level[i] for level in levels], rebuilt[i])
+            else:
+                failed = min(failed, int(members[i]))
+    if len(leaves) and chain[leaves[0]] <= failed:
+        k = int(chain[leaves[0]])
+        reject(k + 1, f"image of chain {k + 1} leaves chain {tau[k] + 1}", int(ranks[leaves[0]]))
+    if failed < m:
+        chain_map(failed, digits[start[failed]:start[failed] + size[failed], tau[failed]])  # raises
 
-    cand = Symmetry(config, inverse(tau), chains)
-    if m > 1:  # with one chain, _decompose_bijection compared the whole table
-        rt = _rank_table(cand)
-        bad = np.flatnonzero(rt != f)
-        if len(bad):
-            # f equals the bijection rt off bad, so is one iff f[bad] permutes rt[bad]
-            checked = np.array_equal(np.sort(f[bad]), np.sort(rt[bad]))
-            del rt  # not kept through the witness scan
-            reject(None, f"map disagrees with its chain decomposition at rank {bad[0]}", int(bad[0]))
+    cand = Symmetry(config, inverse(tau.tolist()), chains)
+    rt = _run_table(cand, tau, 0, m)
+    bad = np.flatnonzero(rt != f)
+    if len(bad):
+        # f equals the bijection rt off bad, so is one iff f[bad] permutes rt[bad]
+        checked = np.array_equal(np.sort(f[bad]), np.sort(rt[bad]))
+        del rt  # not kept through the witness scan
+        reject(None, f"map disagrees with its chain decomposition at rank {bad[0]}", int(bad[0]))
     return cand

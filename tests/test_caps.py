@@ -19,12 +19,15 @@ from ohb import (
     CapExceeded,
     Code,
     Field,
+    UsageError,
     all_chain_symmetries,
     all_symmetries,
     as_rank_table,
+    chain_from_pairs,
     enumerate_automorphisms,
     enumerate_isometries,
     equivalent,
+    gl_order,
     identity_symmetry,
     random_chain,
     weight_array,
@@ -185,3 +188,41 @@ def test_the_equivalence_fallback_reads_the_table(entry, value, monkeypatch):
     assert equivalent(c1, c2, budget=1).verdict == "equivalent"
     monkeypatch.setitem(CAPS, entry, value - 1)
     assert equivalent(c1, c2, budget=1).verdict == "inconclusive"
+
+
+CODES = (Code(make_config(2, 2, 1, [[1], [1]]), [0, 1]), Code(make_config(2, 2, 1, [[1], [1]]), [2, 3]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gl_order(2, 2.0),
+        lambda: gl_order(2, 0),
+        lambda: chain_from_pairs(2, (1,), [0.2], [1.9]),
+        lambda: chain_from_pairs(2, (1.0,), [0], [1]),
+        lambda: equivalent(*CODES, budget=-1),
+        lambda: equivalent(*CODES, budget=2.5),
+        lambda: equivalent(CODES[0], CODES[0], budget=True),
+        lambda: enumerate_isometries(CHAIN2, cap=4.5),
+        lambda: enumerate_isometries(CHAIN2, cap=-1),
+        lambda: enumerate_automorphisms(CHAIN2, cap=4.5),
+        lambda: enumerate_automorphisms(CHAIN2, cap=-1),
+    ],
+    ids=["gl-float-width", "gl-zero-width", "pairs-float-rows", "pairs-float-width", "budget-negative",
+         "budget-float", "budget-bool", "oracle-cap-float", "oracle-cap-negative", "aut-cap-float",
+         "aut-cap-negative"],
+)
+def test_a_cap_budget_or_count_that_is_no_integer_or_negative_is_refused(call):
+    # the CLI reads caps and budgets as integers >= 0; the library entries
+    # refuse what the CLI would, and a float, bool or string besides
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_caps_and_budgets_at_zero_and_numpy_integers_pass():
+    # budget 0 cuts the search at once, and the fallback lists the group
+    assert equivalent(*CODES, budget=np.int64(0)).verdict == "equivalent"
+    assert enumerate_isometries(CHAIN2, cap=np.int64(4)).isometry_count == 8
+    with pytest.raises(CapExceeded):
+        enumerate_automorphisms(CHAIN2, cap=0)
+    assert gl_order(np.int64(2), np.int64(2)) == 6

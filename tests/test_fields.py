@@ -11,11 +11,13 @@ from model import reference
 from ohb import (
     DomainError,
     Field,
+    SpaceConfig,
     UsageError,
     ValidationError,
     block_rank,
     block_unrank,
 )
+from ohb.space import scale_ranks
 
 
 def check_axioms(f: Field):
@@ -141,6 +143,26 @@ def test_gf_1024_is_a_field_on_random_triples():
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+def test_extension_tables_are_narrow_and_read_only():
+    # GF(2^10) keeps its 2^20 products in 2 MB of uint16 (nested lists of
+    # ints took about 34 MB); mul reads one entry as a Python int
+    tracemalloc.start()
+    try:
+        f = Field(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 << 20
+    assert type(f.mul(1023, 1023)) is int
+    # x^7 + x + 1: every product, and scale_ranks' rows, against the reference
+    g = Field(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
+    _, mul = reference.field_tables(2, 7, g.modulus)
+    assert [[g.mul(a, b) for b in range(128)] for a in range(128)] == mul
+    cfg = SpaceConfig(g, 1, 1, [[1]])
+    for c in (0, 1, 2, 77, 127):
+        assert scale_ranks(cfg, c, np.arange(128)).tolist() == mul[c]
 
 
 def test_json_round_trip():

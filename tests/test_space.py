@@ -330,6 +330,39 @@ def test_the_guard_sees_a_blocks_attribute():
     assert blocks_attributes(tree) == [1, 2, 5]
 
 
+def unique_calls(tree):
+    """The lines of a module that name numpy's unique: np.unique,
+    numpy.unique, or unique imported from numpy."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "unique"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("numpy") and any(a.name == "unique" for a in node.names)]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(ohb.__file__).parent.glob("*.py")))
+def test_no_module_calls_np_unique(module):
+    # np.unique imports numpy.ma on its first call (about 10 ms and 1 MB);
+    # counts go through np.bincount and first owners through a stable sort
+    path = Path(ohb.__file__).parent / module
+    assert unique_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_guard_sees_np_unique():
+    tree = ast.parse("import numpy\nnp.unique(a)\nf(numpy.unique)\nfrom numpy import unique\nx.unique(a)\n")
+    assert unique_calls(tree) == [2, 3, 4]
+
+
+def test_repr_falls_back_to_the_rank_past_q_10():
+    # the text format has one digit per element, so q <= 10
+    cfg = SpaceConfig(Field(11), 1, 1, [[1]])
+    assert repr(cfg.unrank(3)) == "BlockVector(rank=3)"
+    assert repr(BlockVector(cfg, [[(10,)]])) == "BlockVector(rank=10)"
+    small = SpaceConfig(Field(7), 2, 1, [[1], [2]])
+    assert repr(small.unrank(3 + 7 * 5)) == "BlockVector('3;50')"
+
+
 def test_vectorized_ops_match_vector_ops():
     # the reference adds, subtracts and scales one field element at a time
     rng = random.Random(14)

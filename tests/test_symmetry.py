@@ -1,5 +1,7 @@
 """Full symmetry group: admissible permutations, composition, decomposition."""
 
+import hashlib
+import json
 import random
 import tracemalloc
 from itertools import permutations, product
@@ -38,6 +40,7 @@ from ohb import (
     random_symmetry,
     s_pi_order,
 )
+import ohb.symmetry
 from ohb.space import add_ranks, rank_array
 
 MIXED = make_config(2, 3, 2, [[1, 2], [1, 2], [2, 1]])  # chains 1,2 swappable
@@ -261,6 +264,43 @@ def test_wide_blocks_are_coded_without_a_table():
 
 
 @pytest.mark.parametrize(
+    "cfg, sigma",
+    [
+        # runs of chains (1, 2, 3) and (4); sigma moves chains across them
+        (make_config(2, 4, 2, [[1, 2], [2, 1], [1, 2], [3, 3]]), (2, 1, 0, 3)),
+        # a chain of 2^13 points is a run of its own between two runs
+        (make_config(2, 4, 2, [[1, 1], [1, 1], [6, 7], [1, 1]]), (3, 1, 2, 0)),
+        (make_config(3, 3, 2, [[1, 2], [2, 1], [1, 2]]), (2, 1, 0)),
+    ],
+    ids=["q2-runs", "q2-wide-middle", "gf3-one-run"],
+)
+def test_apply_matches_as_rank_table_at_every_point(cfg, sigma):
+    # apply sums one kept table per run of adjacent input chains; with
+    # sigma moving chains and mixed widths, every point's image must be
+    # the rank table's entry
+    rng = random.Random(44)
+    T = Symmetry(cfg, sigma, [random_chain(cfg.q, row, rng.randrange(1 << 32)) for row in cfg.pi])
+    table = as_rank_table(T)
+    assert [T.apply(cfg.unrank(r)).rank() for r in range(cfg.size)] == table.tolist()
+    assert table.flags.writeable
+
+
+def test_apply_is_exact_at_and_past_2_to_the_63_points():
+    # 2^63 points is the most whose images int64 run tables hold; 2^64
+    # points keep Python ints.  The image of each point is the sum, over
+    # output chains i, of chain sigma[i]'s image of its digit, placed at i
+    rng = random.Random(45)
+    for cfg in (make_config(2, 7, 9, [[1] * 9] * 7), make_config(2, 8, 8, [[1] * 8] * 8)):
+        sigma = tuple(rng.sample(range(cfg.m), cfg.m))
+        T = Symmetry(cfg, sigma, [random_chain(2, row, rng.randrange(1 << 32)) for row in cfg.pi])
+        for r in [cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(20))]:
+            digits = [cfg.chain_subrank(r, k) for k in range(cfg.m)]
+            want = sum(int(T.chains[k].apply_ranks(np.array([digits[k]]))[0]) * cfg.chain_place[i]
+                       for i, k in enumerate(sigma))
+            assert T.apply(cfg.unrank(r)).rank() == want
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
         make_config(2, 2, 2, [[2, 1], [1, 1]]),
@@ -469,6 +509,8 @@ def corrupted_table(cfg, f, how, rng):
 @example(make_config(2, 1, 3, [[1, 2, 1]]), "none", 1)
 @example(make_config(3, 2, 2, [[1, 1], [1, 1]]), "merge", 2)
 @example(make_config(2, 3, 1, [[2], [1], [2]], e=2), "cross", 3)
+@example(make_config(2, 1, 10, [[1] * 10]), "swap", 10)  # every level row stays a permutation
+@example(make_config(2, 1, 10, [[1] * 10]), "swap", 1)  # a level row breaks
 def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
     # decompose_full adds the translation w = f(0) to the chain maps it
     # decomposes, and with one chain skips the final whole-table check; a
@@ -487,6 +529,84 @@ def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
         assert all(isinstance(doc, dict) for doc in got)
     if how.startswith("repeat") or how in ("copy_axis", "out_of_range"):
         assert all(kind == "UsageError" or text.startswith("not a bijection") for kind, text, *_ in got)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([(2, 1, [2, 2, 2]), (2, 2, [1, 1, 1]), (3, 1, [2, 1]), (2, 1, [1, 2, 2, 1])]),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_shuffled_block_is_refused_as_the_model_refuses_it(shape, seed):
+    # an isometry whose images are shuffled among the points of one tail
+    # above some level j (not tail 0, so the weight-1 probes pass): with
+    # j >= 2 its level rows there get repeated entries, often two pairs or
+    # more in a row of 4 or 9, whose first pair in sorted order, the
+    # anchors, depends on whether the row is read off f or off f - f(0)
+    p, e, pi = shape
+    cfg = make_config(p, 1, len(pi), [pi], e=e)
+    rng = random.Random(seed)
+    f = as_rank_table(random_symmetry(cfg, rng))
+    if f[0] == 0:
+        f = add_ranks(cfg, f, rng.randrange(1, cfg.size))
+    place = [cfg.q ** sum(pi[:j]) for j in range(len(pi) + 1)]
+    j = rng.randrange(1, len(pi))  # the levels 1..j vary in the block
+    lo = rng.randrange(1, cfg.size // place[j]) * place[j]
+    block = f[lo:lo + place[j]]
+    rng.shuffle(block)
+    got = outcome(decompose_full, cfg, f)
+    assert got == model_outcome(model.decompose_full, model.geometry(cfg.q, cfg.pi), f)
+
+
+def pinned_tables(cfg, seed):
+    """80 seeded tables: even ones drawn isometries, odd ones with two
+    images swapped, every other swap between two points of the chain axes."""
+    rng = random.Random(seed)
+    axes = sorted({x * p for p, s in zip(cfg.chain_place, cfg.chain_size) for x in range(s)})
+    for i in range(80):
+        f = as_rank_table(random_symmetry(cfg, rng.randrange(1 << 32)))
+        if i % 2:
+            u, v = rng.sample(axes if i % 4 == 1 else range(cfg.size), 2)
+            f[[u, v]] = f[[v, u]]
+        yield f
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (make_config(2, 1, 13, [[1] * 13]), "ef3928730442d38bb82df99d528bf2a6c5a46bad1064eaa2f7fc707065d94d48"),
+        (make_config(2, 4, 2, [[1, 1]] * 4, e=2), "5571e535bfbe569ae4b4bc6031e1628c69c57066225ae88dd73f345aa9e71a9b"),
+    ],
+    ids=["q2-chain13", "gf4-m4-n2"],
+)
+def test_decompose_full_outcomes_are_pinned(cfg, digest):
+    # the benchmark's two sym spaces: what decompose_full returns, or its
+    # refusal's kind, message, witness and chain index under every witness
+    # regime, on 40 isometries and 40 swapped tables, hashed as computed
+    # before decompose_full read chain digits without rank arithmetic
+    docs = [outcome(decompose_full, cfg, f) for f in pinned_tables(cfg, 2023)]
+    assert sum(isinstance(doc[0], dict) for doc in docs) == 40
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(2, 1, 13, [[1] * 13]), make_config(2, 4, 2, [[1, 1]] * 4, e=2), MIXED,
+     make_config(3, 2, 2, [[1, 2], [1, 2]])],
+    ids=["q2-chain13", "gf4-m4-n2", "q2-mixed", "gf3-m2"],
+)
+def test_an_accepted_table_needs_no_rank_arithmetic(cfg, monkeypatch):
+    # f's chain-tau(k) digit on chain k's axis is chain map k with f(0)
+    # added, so an isometry is decomposed without add_ranks or sub_ranks,
+    # and each chain map keeps the rank table it was checked against
+    def refuse(*args):
+        raise AssertionError("rank arithmetic on an accepted table")
+
+    monkeypatch.setattr(ohb.symmetry, "add_ranks", refuse)
+    monkeypatch.setattr(ohb.symmetry, "sub_ranks", refuse)
+    rng = random.Random(41)
+    for _ in range(5):
+        T = random_symmetry(cfg, rng.randrange(1 << 32))
+        R = decompose_full(cfg, as_rank_table(T))
+        assert R == T
+        assert all(np.array_equal(ch._table, t.rank_table()) for ch, t in zip(R.chains, T.chains))
 
 
 def test_decompose_full_round_trip():
