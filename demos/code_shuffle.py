@@ -14,6 +14,7 @@ Usage:
 
 import argparse
 import random
+from collections import Counter
 
 from ohb import (
     Code,
@@ -24,7 +25,13 @@ from ohb import (
     equivalent,
     format_vector,
     random_symmetry,
+    weight,
 )
+
+
+def weights(code):
+    """Sorted (weight, count) pairs of the codewords."""
+    return tuple(sorted(Counter(map(weight, code.vectors())).items()))
 
 
 def main():
@@ -35,15 +42,14 @@ def main():
     rng = random.Random(args.seed)
 
     cfg = SpaceConfig(Field(2), 2, 2, [[1, 1], [1, 1]])
-    vecs = {cfg.unrank(rng.randrange(cfg.size)) for _ in range(args.words)}
-    c1 = Code(cfg, list(vecs))
+    c1 = Code(cfg, {rng.randrange(cfg.size) for _ in range(args.words)})
     print(f"code C1 ({c1.size} words): {[format_vector(v) for v in c1.vectors()]}")
     print(f"invariants: {code_invariants(c1)}")
 
     T = random_symmetry(cfg, rng.randrange(10**9))
     c2 = apply_to_code(T, c1)
     print(f"image  C2 ({c2.size} words): {[format_vector(v) for v in c2.vectors()]}")
-    print(f"weights move, distances stay: {c1.weight_distribution} -> {c2.weight_distribution}")
+    print(f"weights move, distances stay: {weights(c1)} -> {weights(c2)}")
 
     res = equivalent(c1, c2)
     print(f"verdict: {res.verdict} after {res.nodes} nodes")
@@ -51,7 +57,7 @@ def main():
     print(f"witness sigma (1-based): {res.witness.to_json()['sigma']}, verified")
 
     # a screened rejection never searches
-    other = Code(cfg, list(c1.vectors())[: max(1, c1.size - 1)])
+    other = Code(cfg, c1.ranks[: max(1, c1.size - 1)])
     res = equivalent(c1, other)
     print(f"against a smaller code: {res.verdict} ({res.reason}, {res.nodes} nodes)")
 

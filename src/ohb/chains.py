@@ -42,7 +42,6 @@ from .errors import (
     int_arg,
     int_array,
     int_text,
-    json_int,
 )
 from .space import bijection_array, distance_witness
 
@@ -172,7 +171,6 @@ class ChainSymmetry:
         for level in tables:
             sz = len(level[0])
             # a fresh C-ordered copy, so a caller's array is never frozen
-            # and ravel() in apply_ranks is a view
             dtype = np.uint8 if sz <= 1 << 8 else np.uint16 if sz <= 1 << 16 else np.int64
             arr = np.array(level, dtype=dtype, order="C")
             arr.flags.writeable = False
@@ -198,13 +196,6 @@ class ChainSymmetry:
                 raise UsageError(f"level {j + 1}: block rank {x} out of range")
             r += x * place[j]
         return tuple([level.item(r // p) for level, p in zip(self.tables, place)])
-
-    def apply_ranks(self, ranks) -> np.ndarray:
-        """Image of each row rank in an int64 array, as an int64 array."""
-        out = np.zeros_like(ranks)
-        for level, p in zip(self.tables, self._place):
-            out += level.ravel()[ranks // p].astype(np.int64) * p
-        return out
 
     def rank_table(self) -> np.ndarray:
         """Dense read-only int64 table: image rank of every row rank, built
@@ -238,9 +229,9 @@ class ChainSymmetry:
     @classmethod
     def from_json(cls, doc, q) -> "ChainSymmetry":
         try:
-            pi = tuple(json_int(k, "chain pi entry") for k in doc["pi"])
+            pi = tuple(int_arg(k, "chain pi entry") for k in doc["pi"])
             tables = [
-                [[json_int(x, "table entry") for x in row] for row in level]
+                [[int_arg(x, "table entry") for x in row] for row in level]
                 for level in doc["tables"]
             ]
             return cls(q, pi, tables)
@@ -297,6 +288,7 @@ def alt_chain_order_unit(q, n) -> int:
     factor of q!; kept so reports can state both values and flag the
     mismatch instead of silently picking one.
     """
+    q, n = int_arg(q, "field size", 2), int_arg(n, "chain length", 1)
     return math.factorial(q) ** ((q ** n - 1) // (q - 1) + 1)
 
 

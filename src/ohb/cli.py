@@ -19,7 +19,7 @@ import sys
 from .automorphisms import aut_order_antichain, aut_report, gl_order
 from .chains import chain_order
 from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
-from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, json_int
+from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, int_arg
 from .oracle import enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
@@ -85,7 +85,7 @@ def _load_map(path, size) -> list:
             entries = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: bad JSON array: {exc}") from exc
-        table = [json_int(x, f"{path}: map entry") for x in entries]
+        table = [int_arg(x, f"{path}: map entry") for x in entries]
     elif "->" in stripped:
         table = [None] * size
         for lineno, line in enumerate(stripped.splitlines(), start=1):

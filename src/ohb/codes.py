@@ -32,15 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .chains import ChainSymmetry, _check_dims, level_places, level_shapes
-from .errors import CAPS, StructureError, UsageError, int_arg, int_array, json_int
+from .errors import CAPS, StructureError, UsageError, int_arg, int_array
 from .oracle import depth_first, enumerate_isometries
-from .space import (
-    BlockVector,
-    SpaceConfig,
-    format_vector,
-    parse_vector,
-    rank_distance,
-)
+from .space import SpaceConfig, format_vector, parse_vector, rank_distance
 from .symmetry import (
     Symmetry,
     admissible_permutations,
@@ -56,32 +50,26 @@ CHAIN_SIZE_LIMIT = 1 << 63
 
 
 class Code:
-    """An immutable set of vectors from one space, stored as sorted ranks."""
+    """An immutable set of vectors from one space, given and stored as
+    integer ranks (sorted); vectors() is their text-I/O view."""
 
-    def __init__(self, config: SpaceConfig, vectors):
+    def __init__(self, config: SpaceConfig, ranks):
         for k, size in enumerate(config.chain_size):
             if size >= CHAIN_SIZE_LIMIT:
                 raise UsageError(
                     f"chain {k + 1} has {config.q}^{config.chain_dims[k]} points; "
                     "codes need every chain under 2^63 points"
                 )
-        ranks = set()
-        for v in vectors:
-            if isinstance(v, BlockVector):
-                if v.config != config:
-                    raise UsageError("code vector from a different space")
-                ranks.add(v.rank())
-            elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise UsageError(f"a code vector is a BlockVector or an integer rank, got {v!r}")
-            else:
-                r = int(v)
-                if not 0 <= r < config.size:
-                    raise UsageError(f"vector rank {r} out of range")
-                ranks.add(r)
-        if not ranks:
+        read = set()
+        for r in ranks:
+            r = int_arg(r, "code vector rank")
+            if not 0 <= r < config.size:
+                raise UsageError(f"vector rank {r} out of range")
+            read.add(r)
+        if not read:
             raise UsageError("a code needs at least one vector")
         self.config = config
-        self.ranks = tuple(sorted(ranks))
+        self.ranks = tuple(sorted(read))
         self._digits = [
             np.array([config.chain_subrank(r, k) for r in self.ranks], dtype=np.int64)
             for k in range(config.m)
@@ -129,12 +117,6 @@ class Code:
         dist = self._chain_distances().sum(axis=-1, dtype=np.int64)
         return _counts(dist[np.triu_indices(self.size, 1)])
 
-    @cached_property
-    def weight_distribution(self):
-        """Sorted (weight, count) pairs.  Not preserved by equivalence
-        (translations move it); kept for reporting only."""
-        return _counts(self._weights())
-
     @property
     def min_distance(self):
         dd = self.distance_distribution
@@ -165,12 +147,12 @@ def code_invariants(C: Code) -> dict:
 
 
 def apply_to_code(T: Symmetry, C: Code) -> Code:
-    """The image code: output chain i holds chain sigma[i]'s digits
-    mapped through its chain map, reassembled into Python-int ranks."""
+    """The image code: output chain i holds chain sigma[i]'s digits read off
+    its chain map's rank table, reassembled into Python-int ranks."""
     if T.config != C.config:
         raise UsageError("symmetry and code live in different spaces")
     cfg = C.config
-    digits = [T.chains[k].apply_ranks(C._digits[k]).tolist() for k in T.sigma]
+    digits = [T.chains[k].rank_table()[C._digits[k]].tolist() for k in T.sigma]
     image = Code(cfg, [sum(d * p for d, p in zip(word, cfg.chain_place)) for word in zip(*digits)])
     if image.size != C.size or image.distance_distribution != C.distance_distribution:
         raise StructureError("isometry image changed a metric invariant")
@@ -179,16 +161,16 @@ def apply_to_code(T: Symmetry, C: Code) -> Code:
 
 def parse_code_text(config: SpaceConfig, text: str) -> Code:
     """One vector per line in the space text format; # starts a comment."""
-    vectors = []
+    ranks = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            vectors.append(parse_vector(config, line))
+            ranks.append(parse_vector(config, line).rank())
         except UsageError as exc:
             raise UsageError(f"line {lineno}: {exc}") from exc
-    return Code(config, vectors)
+    return Code(config, ranks)
 
 
 def parse_code_json(doc: dict, config: SpaceConfig | None = None) -> Code:
@@ -202,13 +184,8 @@ def parse_code_json(doc: dict, config: SpaceConfig | None = None) -> Code:
     if not isinstance(entries, list):
         raise UsageError(f"bad code document: vectors must be a list, got {type(entries).__name__}")
     cfg = config or file_config
-    vectors = []
-    for entry in entries:
-        if isinstance(entry, str):
-            vectors.append(parse_vector(cfg, entry))
-        else:
-            vectors.append(json_int(entry, "code entry"))
-    return Code(cfg, vectors)
+    ranks = [parse_vector(cfg, e).rank() if isinstance(e, str) else int_arg(e, "code entry") for e in entries]
+    return Code(cfg, ranks)
 
 
 class EquivalenceResult:
@@ -221,9 +198,6 @@ class EquivalenceResult:
         self.witness = witness
         self.reason = reason
         self.nodes = nodes
-
-    def __bool__(self):
-        return self.verdict == "equivalent"
 
     def __repr__(self):
         return f"EquivalenceResult({self.verdict!r}, nodes={self.nodes})"
@@ -250,6 +224,8 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
     place = level_places(q, chain_pi)
     src = int_array(src, "source rows")
     dst = int_array(dst, "target rows")
+    if ((src < 0) | (src >= place[-1]) | (dst < 0) | (dst >= place[-1])).any():
+        raise UsageError(f"a row rank is out of [0, {place[-1]})")
     tables = []
     for j, (tails, sz) in enumerate(level_shapes(q, chain_pi)):
         tail = src // place[j + 1]

@@ -7,7 +7,6 @@ mathematical grounds (exit 1).  The desk-scale caps live here too: the
 table CAPS, and check_cap, the one place that refuses work over a cap.
 """
 
-import json
 import math
 
 import numpy as np
@@ -101,18 +100,12 @@ def int_text(value):
         return f"<{digits}-digit number>"
 
 
-def json_int(value, name):
-    """A value decoded from JSON, checked to be an integer: bools, floats,
-    strings, null, lists and objects are refused, not coerced."""
-    if type(value) is not int:
-        raise UsageError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
-    return value
-
-
 def int_arg(value, name, low=None):
     """A parameter read as a Python int: a Python or numpy integer passes,
     and a bool, float, string or None is refused with UsageError naming
     the parameter, not coerced; so is a value below low, when low is given."""
+    if type(value) is int and (low is None or value >= low):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
         raise UsageError(f"{name} must be an integer{bound}, got {value!r}")

@@ -181,8 +181,9 @@ class Field:
 def block_rank(q: int, elems) -> int:
     """Rank of a block value, mixed radix base q, first element least
     significant."""
-    r = 0
+    q, r = int_arg(q, "field size", 2), 0
     for x in reversed(elems):
+        x = int_arg(x, "element rank")
         if not 0 <= x < q:
             raise UsageError(f"element rank {x} out of [0, {q})")
         r = r * q + x
@@ -191,6 +192,7 @@ def block_rank(q: int, elems) -> int:
 
 def block_unrank(q: int, r: int, k: int):
     """Inverse of block_rank for a block of width k."""
+    q, r, k = int_arg(q, "field size", 2), int_arg(r, "block rank"), int_arg(k, "block width", 1)
     if not 0 <= r < q ** k:
         raise UsageError(f"block rank {r} out of [0, {q ** k})")
     out = []

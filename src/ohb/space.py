@@ -22,7 +22,6 @@ rank, and weight, distance and Symmetry.apply compute on it.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -125,7 +124,7 @@ class BlockVector:
 
     def __init__(self, config: SpaceConfig, blocks):
         try:
-            blocks = tuple(tuple(tuple(map(operator.index, b)) for b in row) for row in blocks)
+            blocks = tuple(tuple(tuple(int_arg(x, "element rank") for x in b) for b in row) for row in blocks)
         except TypeError as exc:
             raise UsageError(f"blocks must hold integer element ranks: {exc}") from None
         if len(blocks) != config.m:

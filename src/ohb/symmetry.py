@@ -42,7 +42,6 @@ from .errors import (
     ValidationError,
     check_cap,
     int_arg,
-    json_int,
 )
 from .space import (
     BlockVector,
@@ -60,7 +59,11 @@ RUN_ENTRIES = 1 << 12  # the most joint digits of a run of several chains in Sym
 
 def is_admissible(sigma, config: SpaceConfig) -> bool:
     """True iff chain s(i) has the same block widths as chain i for all i."""
-    sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
+    return _admissible(tuple(int_arg(x, "sigma entry") for x in sigma), config)
+
+
+def _admissible(sigma: tuple, config: SpaceConfig) -> bool:
+    """is_admissible of a sigma already read as Python ints."""
     if sorted(sigma) != list(range(config.m)):
         raise UsageError(f"not a permutation of 0..{config.m - 1}: {sigma}")
     return all(config.pi[sigma[i]] == config.pi[i] for i in range(config.m))
@@ -136,6 +139,7 @@ def alt_full_order_unit(q, m, n) -> int:
     and disagrees with full_order and with enumeration; reported next
     to the enumerated count so the mismatch is visible.
     """
+    q, m, n = int_arg(q, "field size", 2), int_arg(m, "m", 1), int_arg(n, "n", 1)
     return math.factorial(q) ** (m * ((q ** n - 1) // (q - 1)) + m) * math.factorial(m)
 
 
@@ -150,7 +154,7 @@ class Symmetry:
 
     def __init__(self, config: SpaceConfig, sigma, chains):
         sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
-        if not is_admissible(sigma, config):
+        if not _admissible(sigma, config):
             raise ValidationError(f"permutation {sigma} moves a chain onto different widths")
         chains = tuple(chains)
         if len(chains) != config.m:
@@ -215,7 +219,7 @@ class Symmetry:
     @classmethod
     def from_json(cls, doc, config: SpaceConfig) -> "Symmetry":
         try:
-            sigma = tuple(json_int(x, "sigma entry") - 1 for x in doc["sigma"])
+            sigma = tuple(int_arg(x, "sigma entry") - 1 for x in doc["sigma"])
             chains = [
                 ChainSymmetry.from_json(cd, config.q) for cd in doc["chains"]
             ]
@@ -249,17 +253,11 @@ def invert_symmetry(A: Symmetry) -> Symmetry:
 
 
 def make_translation(w: BlockVector) -> Symmetry:
-    """The symmetry v -> v + w as a chain-only triangular map: every
-    level adds w's block there, whatever the tail."""
+    """The symmetry v -> v + w as a chain-only triangular map: chain k's
+    rank table adds w's chain-k digit to each point of the chain."""
     cfg = w.config
-    r = w.rank()  # a Python int: its digits are w's block ranks, in order
-    chains = []
-    for row in cfg.pi:
-        tables = []
-        for tails, sz in level_shapes(cfg.q, row):
-            tables.append(np.broadcast_to(add_ranks(cfg, np.arange(sz), r % sz), (tails, sz)))
-            r //= sz
-        chains.append(ChainSymmetry._trusted(cfg.q, row, tables))
+    chains = [ChainSymmetry._from_table(cfg.q, row, add_ranks(cfg, np.arange(size), cfg.chain_subrank(w.rank(), k)))
+              for k, (row, size) in enumerate(zip(cfg.pi, cfg.chain_size))]
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 
 

@@ -200,6 +200,8 @@ CODES = (Code(make_config(2, 2, 1, [[1], [1]]), [0, 1]), Code(make_config(2, 2, 
         lambda: gl_order(2, 0),
         lambda: chain_from_pairs(2, (1,), [0.2], [1.9]),
         lambda: chain_from_pairs(2, (1.0,), [0], [1]),
+        lambda: chain_from_pairs(2, (1, 1), [-1, 1], [1, 0]),
+        lambda: chain_from_pairs(2, (1,), [0], [2]),
         lambda: equivalent(*CODES, budget=-1),
         lambda: equivalent(*CODES, budget=2.5),
         lambda: equivalent(CODES[0], CODES[0], budget=True),
@@ -208,7 +210,8 @@ CODES = (Code(make_config(2, 2, 1, [[1], [1]]), [0, 1]), Code(make_config(2, 2, 
         lambda: enumerate_automorphisms(CHAIN2, cap=4.5),
         lambda: enumerate_automorphisms(CHAIN2, cap=-1),
     ],
-    ids=["gl-float-width", "gl-zero-width", "pairs-float-rows", "pairs-float-width", "budget-negative",
+    ids=["gl-float-width", "gl-zero-width", "pairs-float-rows", "pairs-float-width", "pairs-negative-row",
+         "pairs-row-past-the-chain", "budget-negative",
          "budget-float", "budget-bool", "oracle-cap-float", "oracle-cap-negative", "aut-cap-float",
          "aut-cap-negative"],
 )

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ohb.codes
-from conftest import WHOLE_SPACES, make_config, random_vector
+from conftest import WHOLE_SPACES, make_config
 from ohb import (
     Code,
     SpaceConfig,
@@ -43,7 +43,7 @@ CHAIN2 = make_config(2, 1, 2, [[1, 1]])
 
 
 def code_of(cfg, *texts):
-    return Code(cfg, [parse_vector(cfg, t) for t in texts])
+    return Code(cfg, [parse_vector(cfg, t).rank() for t in texts])
 
 
 def test_invariants_hamming():
@@ -69,12 +69,11 @@ def test_invariants_match_the_pairwise_loop():
         make_config(2, 8, 8, [[1] * 8] * 8),
         make_config(2, 20, 7, [[1] * 7] * 20),
     ]:
-        vs = [random_vector(cfg, rng) for _ in range(12)] + [cfg.unrank(0)]
-        c = Code(cfg, vs)
+        c = Code(cfg, [rng.randrange(cfg.size) for _ in range(12)] + [0])
         vs = c.vectors()
         pairs = Counter(distance(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
         assert c.distance_distribution == tuple(sorted(pairs.items()))
-        assert c.weight_distribution == tuple(sorted(Counter(map(weight, vs)).items()))
+        assert c._weights().tolist() == [weight(v) for v in vs]
     assert c.distance_distribution[-1][0] > 127
 
 
@@ -90,10 +89,12 @@ def test_empty_code_rejected():
         Code(HAMMING2, [])
 
 
-@pytest.mark.parametrize("vectors", [[0.5, 1.7], [True, 2], ["1"]], ids=["floats", "a-bool", "a-string"])
+@pytest.mark.parametrize("vectors", [[0.5, 1.7], [True, 2], ["1"], [HAMMING2.unrank(1)]],
+                         ids=["floats", "a-bool", "a-string", "a-vector"])
 def test_a_rank_that_is_no_integer_is_refused(vectors):
-    # int() would read [0.5, 1.7, True] as the ranks (0, 1)
-    with pytest.raises(UsageError, match="a code vector is a BlockVector or an integer rank"):
+    # int() would read [0.5, 1.7, True] as the ranks (0, 1); a code takes
+    # ranks only, so a BlockVector is refused too
+    with pytest.raises(UsageError, match="code vector rank must be an integer"):
         Code(HAMMING2, vectors)
     assert Code(HAMMING2, [np.int64(1), 2]).ranks == (1, 2)
 
@@ -121,8 +122,7 @@ def test_apply_preserves_distribution():
     rng = random.Random(31)
     cfg = make_config(2, 2, 2, [[1, 1], [1, 1]])
     for _ in range(20):
-        vecs = {random_vector(cfg, rng) for _ in range(4)}
-        c = Code(cfg, list(vecs))
+        c = Code(cfg, {rng.randrange(cfg.size) for _ in range(4)})
         T = random_symmetry(cfg, rng.randrange(10**9))
         img = apply_to_code(T, c)
         assert img.distance_distribution == c.distance_distribution
@@ -134,18 +134,58 @@ def test_apply_matches_the_vector_action_past_int64():
     rng = random.Random(37)
     cfg = make_config(2, 8, 8, [[1] * 8] * 8)
     for _ in range(5):
-        c = Code(cfg, [random_vector(cfg, rng) for _ in range(10)])
+        c = Code(cfg, [rng.randrange(cfg.size) for _ in range(10)])
         T = random_symmetry(cfg, rng.randrange(10**9))
         img = apply_to_code(T, c)
-        assert img == Code(cfg, [T.apply(v) for v in c.vectors()])
+        assert img == Code(cfg, [T.apply(v).rank() for v in c.vectors()])
         assert max(img.ranks) >= 1 << 63 or max(c.ranks) >= 1 << 63
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        make_config(2, 3, 2, [[2, 1], [1, 1], [2, 1]]),
+        make_config(3, 2, 2, [[1, 2], [1, 2]]),
+        make_config(2, 3, 2, [[1, 1]] * 3, e=2),
+    ],
+    ids=["q2-mixed", "gf3", "gf4"],
+)
+def test_apply_to_code_is_the_rank_table_action(cfg):
+    # each chain's digits go through its chain map's rank table and land at
+    # the output chain sigma sends them to: the code's image under the
+    # whole-space table, with sigma moving chains of equal widths
+    rng = random.Random(38)
+    moved = 0
+    for _ in range(12):
+        T = random_symmetry(cfg, rng.randrange(10**9))
+        moved += T.sigma != tuple(range(cfg.m))
+        C = Code(cfg, rng.sample(range(cfg.size), 12))
+        image = apply_to_code(T, C)
+        assert image.ranks == tuple(sorted(as_rank_table(T)[list(C.ranks)].tolist()))
+        assert all(type(r) is int for r in image.ranks)
+    assert moved
+
+
+def test_apply_to_code_on_four_chains_of_2_to_the_16_points():
+    # 2^64 points: chain rank tables of 2^16 entries each, images summed as
+    # Python ints past int64; sigma swaps chains of equal widths
+    cfg = make_config(2, 4, 2, [[8, 8], [8, 8], [4, 12], [4, 12]])
+    assert cfg.size == 1 << 64
+    rng = random.Random(39)
+    T = random_symmetry(cfg, 3)
+    while T.sigma == tuple(range(cfg.m)):
+        T = random_symmetry(cfg, rng.randrange(10**9))
+    C = Code(cfg, [rng.randrange(cfg.size) for _ in range(40)] + [cfg.size - 1])
+    image = apply_to_code(T, C)
+    assert image == Code(cfg, [T.apply(v).rank() for v in C.vectors()])
+    assert max(image.ranks) >= 1 << 63
 
 
 def test_translations_move_weights_but_not_distances():
     c = code_of(CHAIN2, "0,0", "1,0")
     T = make_translation(parse_vector(CHAIN2, "0,1"))
     img = apply_to_code(T, c)
-    assert img.weight_distribution != c.weight_distribution
+    assert Counter(map(weight, img.vectors())) != Counter(map(weight, c.vectors()))
     assert img.distance_distribution == c.distance_distribution
     res = equivalent(c, img)
     assert res.verdict == "equivalent"
@@ -165,7 +205,6 @@ def test_not_equivalent_on_invariant_mismatch():
     res = equivalent(c1, c2)
     assert res.verdict == "not_equivalent"
     assert res.nodes == 0
-    assert not res
 
 
 def test_size_mismatch_short_circuits():
@@ -192,8 +231,7 @@ def test_witness_inverts_for_the_reversed_query():
     rng = random.Random(32)
     cfg = make_config(2, 2, 2, [[1, 1], [1, 1]])
     for _ in range(10):
-        vecs = {random_vector(cfg, rng) for _ in range(3)}
-        c1 = Code(cfg, list(vecs))
+        c1 = Code(cfg, {rng.randrange(cfg.size) for _ in range(3)})
         T = random_symmetry(cfg, rng.randrange(10**9))
         c2 = apply_to_code(T, c1)
         res = equivalent(c1, c2)
@@ -206,8 +244,7 @@ def test_round_trip_search():
     rng = random.Random(33)
     for cfg in [CHAIN2, HAMMING2, make_config(3, 1, 2, [[1, 1]])]:
         for _ in range(10):
-            vecs = {random_vector(cfg, rng) for _ in range(rng.randrange(1, 5))}
-            c = Code(cfg, list(vecs))
+            c = Code(cfg, {rng.randrange(cfg.size) for _ in range(rng.randrange(1, 5))})
             T = random_symmetry(cfg, rng.randrange(10**9))
             img = apply_to_code(T, c)
             res = equivalent(c, img)
@@ -229,8 +266,7 @@ def test_translates_with_same_distribution_are_equivalent():
 def test_budget_inconclusive():
     rng = random.Random(34)
     cfg = make_config(2, 2, 2, [[2, 1], [2, 1]])  # 4096 points, search must not finish
-    vecs = {random_vector(cfg, rng) for _ in range(8)}
-    c1 = Code(cfg, list(vecs))
+    c1 = Code(cfg, {rng.randrange(cfg.size) for _ in range(8)})
     T = random_symmetry(cfg, rng.randrange(10**9))
     c2 = apply_to_code(T, c1)
     res = equivalent(c1, c2, budget=3)
@@ -316,7 +352,7 @@ def test_equivalent_agrees_with_brute_force(monkeypatch):
             for budget in budgets:
                 res = equivalent(c1, c2) if budget is None else equivalent(c1, c2, budget=budget)
                 assert res.verdict == expect, (name, c1.ranks, c2.ranks, budget)
-                if res:
+                if res.verdict == "equivalent":
                     assert apply_to_code(res.witness, c1) == c2
             verdicts.append((name, expect))
         assert bool(calls) == (cfg.m > 1), name
@@ -366,7 +402,7 @@ def test_one_chain_equivalence_agrees_with_brute_force(name, data):
         c2 = Code(cfg, data.draw(st.sets(st.integers(0, cfg.size - 1), min_size=words, max_size=words), label="c2"))
     res = equivalent(c1, c2)
     assert res.verdict == ("equivalent" if c2.ranks in orbit(cfg, c1.ranks) else "not_equivalent")
-    if res:
+    if res.verdict == "equivalent":
         assert apply_to_code(res.witness, c1) == c2
 
 
@@ -434,7 +470,7 @@ def test_seeded_scrambles_keep_their_verdicts_nodes_and_witnesses():
             c1 = Code(cfg, rng.sample(range(cfg.size), words))
             c2 = apply_to_code(random_symmetry(cfg, rng.getrandbits(63)), c1)
             res = equivalent(c1, c2, budget=SEEDED_BUDGET)
-            if res:
+            if res.verdict == "equivalent":
                 assert apply_to_code(res.witness, c1) == c2
             docs.append(res.to_json())
     assert {d["verdict"] for d in docs} == {"equivalent", "inconclusive"}

@@ -1,0 +1,158 @@
+"""Every integer argument of the public API is read as an integer.
+
+The walk calls each callable of `ohb.__all__` that takes an integer once
+with valid arguments, then again with one integer argument replaced by a
+bool, a float, a string, None, a numpy float or a negative number.  Such a
+value that is no integer is refused with UsageError, never coerced and
+never let through to a raw Python error; a negative number gives a result
+or an OhbError.  A seed is read by random.Random, which takes any of these
+values, so a seed may also give a result.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ohb
+from ohb import Code, Field, OhbError, SpaceConfig, UsageError, identity_symmetry
+
+
+class Int:
+    """An integer argument of a walked call: the value the valid call passes,
+    and whether it is a seed or a cap, whose None means the CAPS entry."""
+
+    def __init__(self, value, seed=False, cap=False):
+        self.value = value
+        self.seed = seed
+        self.cap = cap
+
+
+F2 = Field(2)
+CFG = SpaceConfig(F2, 2, 1, [[1], [1]])  # two chains of one unit level: 4 points
+CODE = Code(CFG, [0, 1])
+IMAGE = Code(CFG, [0, 2])
+IDENTITY = identity_symmetry(CFG)
+
+# name -> the arguments of one valid call, nested, with Int at each integer
+CALLS = {
+    "BlockVector": (CFG, [[(Int(1),)], [(Int(0),)]]),
+    "ChainSymmetry": (Int(2), (Int(1),), [[[Int(1), Int(0)]]]),
+    "Code": (CFG, [Int(0), Int(3)]),
+    "Field": (Int(3), Int(2), (Int(1), Int(0), Int(1))),
+    "SpaceConfig": (F2, Int(2), Int(1), [[Int(1)], [Int(1)]]),
+    "Symmetry": (CFG, (Int(1), Int(0)), IDENTITY.chains),
+    "all_chain_symmetries": (Int(2), (Int(1),)),
+    "alt_chain_order_unit": (Int(2), Int(3)),
+    "alt_full_order_unit": (Int(2), Int(1), Int(2)),
+    "aut_report": (CFG, Int(16, cap=True)),
+    "block_rank": (Int(2), (Int(1), Int(1))),
+    "block_unrank": (Int(2), Int(1), Int(2)),
+    "chain_from_pairs": (Int(2), (Int(1), Int(1)), [Int(0), Int(1)], [Int(1), Int(0)]),
+    "chain_order": (Int(2), (Int(1), Int(1))),
+    "decompose_chain": (Int(2), (Int(1), Int(1)), [Int(1), Int(0), Int(2), Int(3)]),
+    "decompose_full": (CFG, [Int(1), Int(0), Int(3), Int(2)]),
+    "enumerate_automorphisms": (CFG, Int(16, cap=True)),
+    "enumerate_isometries": (CFG, Int(16, cap=True)),
+    "equivalent": (CODE, IMAGE, Int(10)),
+    "gl_order": (Int(2), Int(2)),
+    "identity_chain": (Int(2), (Int(1), Int(1))),
+    "is_admissible": ((Int(1), Int(0)), CFG),
+    "is_linear": (CFG, [Int(0), Int(1), Int(2), Int(3)]),
+    "parse_code_json": ({"config": {"field": {"p": Int(2)}, "m": Int(2), "n": Int(1), "pi": [[Int(1)], [Int(1)]]},
+                         "vectors": [Int(0), "1;1"]},),
+    "random_chain": (Int(2), (Int(1), Int(1)), Int(5, seed=True)),
+    "random_symmetry": (CFG, Int(5, seed=True)),
+}
+# callables of ohb.__all__ whose arguments hold no integer: spaces, vectors,
+# codes, symmetries, text, and the records ohb returns
+NO_INTEGERS = {
+    "AutReport", "EquivalenceResult", "OracleReport", "admissible_permutations", "all_symmetries",
+    "apply_to_code", "as_rank_table", "aut_order_antichain", "code_invariants", "compose_chain",
+    "compose_symmetry", "distance", "format_vector", "full_order", "identity_symmetry", "invert_chain",
+    "invert_symmetry", "make_translation", "parse_code_text", "parse_vector", "s_pi_order", "weight",
+    "weight_array",
+}
+
+
+def fill(obj, slot, bad, count):
+    """obj with each Int replaced by its value, but the slot-th (counted in
+    count[0], depth first) by bad."""
+    if isinstance(obj, Int):
+        count[0] += 1
+        return bad if count[0] - 1 == slot else obj.value
+    if isinstance(obj, dict):
+        return {k: fill(v, slot, bad, count) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(fill(x, slot, bad, count) for x in obj)
+    return obj
+
+
+def ints(obj):
+    """The Int markers of obj, depth first, in the order fill counts them."""
+    if isinstance(obj, Int):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [i for x in obj for i in ints(x)]
+    return []
+
+
+def call(name, slot=None, bad=None):
+    """The result of the named call, a generator's items listed."""
+    out = getattr(ohb, name)(*fill(CALLS[name], slot, bad, [0]))
+    return list(out) if inspect.isgenerator(out) else out
+
+
+SLOTS = [(name, i) for name in sorted(CALLS) for i in range(len(ints(CALLS[name])))]
+NO_INTEGER = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from(["1", "", "x", "2.0"]),
+)
+NEGATIVE = st.integers(max_value=-1)
+
+
+def check(slot, bad):
+    name, i = slot
+    arg = ints(CALLS[name])[i]
+    if isinstance(bad, int) and not isinstance(bad, bool) or arg.seed or arg.cap and bad is None:
+        try:
+            call(name, i, bad)
+        except OhbError:
+            pass
+    else:
+        with pytest.raises(UsageError):
+            call(name, i, bad)
+
+
+def test_every_public_callable_is_walked():
+    callables = {name for name in ohb.__all__ if callable(getattr(ohb, name))
+                 and not (isinstance(getattr(ohb, name), type) and issubclass(getattr(ohb, name), Exception))}
+    assert set(CALLS) | NO_INTEGERS == callables
+    assert not set(CALLS) & NO_INTEGERS
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_the_valid_calls_return(name):
+    call(name)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(SLOTS), st.one_of(NO_INTEGER, NEGATIVE))
+@example(("alt_chain_order_unit", 0), 2.0)
+@example(("alt_full_order_unit", 1), 1.0)
+@example(("block_rank", 0), 2.5)
+@example(("block_unrank", 1), 1.5)
+def test_an_integer_argument_that_is_no_integer_is_refused(slot, bad):
+    check(slot, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(1.0), "1", None, -1],
+                         ids=["true", "false", "float", "np-float", "string", "none", "negative"])
+def test_every_slot_refuses_each_kind(bad):
+    # the hypothesis walk samples slots; this visits each of them once per kind
+    for slot in SLOTS:
+        check(slot, bad)

@@ -279,9 +279,12 @@ def test_parse_vector_reads_ascii_text_only(cfg, text):
 
 def test_vector_blocks_hold_integer_element_ranks():
     cfg = make_config(2, 1, 2, [[1, 1]])
-    for bad in [[[(0.5,), (1,)]], [[(1.0,), (1,)]], [[("1",), (1,)]], [[(None,), (0,)]]]:
+    # operator.index once read the bool True as the element rank 1
+    for bad in [[[(0.5,), (1,)]], [[(1.0,), (1,)]], [[("1",), (1,)]], [[(None,), (0,)]], [[(True,), (0,)]]]:
         with pytest.raises(UsageError):
             BlockVector(cfg, bad)
+    with pytest.raises(UsageError, match="element rank must be an integer, got True"):
+        BlockVector(SpaceConfig(Field(2), 1, 1, [[2]]), [[(True, False)]])
     v = BlockVector(cfg, [[(np.int64(1),), (np.uint8(1),)]])
     assert all(type(x) is int for row in v.blocks for b in row for x in b)
     assert v == parse_vector(cfg, "1,1") and v.rank() == 3 and weight(v) == 2

@@ -191,6 +191,28 @@ def test_translation_decomposes_back():
         assert decompose_full(cfg, want) == T
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        make_config(2, 1, 13, [[1] * 13]),
+        make_config(2, 4, 2, [[1, 1]] * 4, e=2),
+        make_config(3, 3, 2, [[1, 2], [2, 1], [1, 2]]),
+        make_config(3, 2, 1, [[1], [2]], e=2),
+        make_config(2, 1, 3, [[2, 1, 3]]),
+    ],
+    ids=["q2-chain13", "gf4-m4-n2", "gf3-mixed", "gf9", "q2-213"],
+)
+def test_translation_tables_are_the_model_sum(cfg):
+    # each chain's rank table is one add_ranks of w's chain digit over the
+    # chain, and its levels are read off that table: the whole-space table
+    # is v -> v + w as the model adds, digit by base-p digit
+    rng = random.Random(26)
+    geo, every = model.geometry(cfg.q, cfg.pi), np.arange(cfg.size)
+    for w in [cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(19))]:
+        T = make_translation(cfg.unrank(w))
+        assert np.array_equal(as_rank_table(T), geo.add(every, w))
+
+
 def test_translation_past_int64():
     # q=2, m=8, n=8 has 2^64 points and q=3 with seven chains of 3^6
     # points has 3^42, both past int64
@@ -294,8 +316,9 @@ def test_apply_is_exact_at_and_past_2_to_the_63_points():
         sigma = tuple(rng.sample(range(cfg.m), cfg.m))
         T = Symmetry(cfg, sigma, [random_chain(2, row, rng.randrange(1 << 32)) for row in cfg.pi])
         for r in [cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(20))]:
-            digits = [cfg.chain_subrank(r, k) for k in range(cfg.m)]
-            want = sum(int(T.chains[k].apply_ranks(np.array([digits[k]]))[0]) * cfg.chain_place[i]
+            # each chain's image read off its levels by the tuple-row apply
+            rows = [tuple(cfg.chain_subrank(r, k) >> j & 1 for j in range(cfg.n)) for k in range(cfg.m)]
+            want = sum(sum(x << j for j, x in enumerate(T.chains[k].apply(rows[k]))) * cfg.chain_place[i]
                        for i, k in enumerate(sigma))
             assert T.apply(cfg.unrank(r)).rank() == want
 
@@ -354,7 +377,7 @@ def test_apply_keeps_one_image_per_chain(n):
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
     ch = T.chains[0]
-    table = ch.apply_ranks(np.arange(cfg.size))
+    table = model.geometry(2, cfg.pi).apply(T.to_json(), np.arange(cfg.size))
     assert ch._table is None
     tracemalloc.start()
     try:
@@ -374,18 +397,23 @@ def test_apply_keeps_one_image_per_chain(n):
 
 
 def test_draws_and_code_maps_build_no_rank_table():
-    # search keeps these objects for a whole run: they must hold their
-    # levels only, and build a rank table only when one is asked for
+    # a draw and a map built from word pairs hold their levels only, and
+    # build a rank table only when one is asked for.  apply_to_code asks:
+    # it reads each chain's digits off the rank table, which the chain
+    # map keeps, as Symmetry.apply does; so a witness, which equivalent
+    # verifies through apply_to_code, keeps its tables too
     cfg = make_config(2, 2, 6, [[1] * 6] * 2)
     T = random_symmetry(cfg, 5)
+    pairs = chain_from_pairs(2, cfg.pi[0], [0, 1, 2], [5, 4, 7])
+    for ch in (*T.chains, pairs):
+        assert ch._table is None
     rng = random.Random(5)
     C = Code(cfg, [rng.randrange(cfg.size) for _ in range(20)])
     D = apply_to_code(T, C)
     found = equivalent(C, D)
     assert found.verdict == "equivalent"
-    pairs = chain_from_pairs(2, cfg.pi[0], [0, 1, 2], [5, 4, 7])
-    for ch in (*T.chains, *found.witness.chains, pairs):
-        assert ch._table is None
+    for ch in (*T.chains, *found.witness.chains):
+        assert ch._table.nbytes == 8 * cfg.chain_size[0] and not ch._table.flags.writeable
     # compose, invert and as_rank_table keep a table on their operands and
     # their results, so whatever a search keeps must not pass through them
     U = random_symmetry(cfg, 6)
