@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import ChainSymmetry, _check_dims, level_places, level_shapes
+from .chains import ChainSymmetry, _chain_table, _check_dims, level_places, level_shapes
 from .errors import CAPS, StructureError, UsageError, int_arg, int_array
 from .oracle import depth_first, enumerate_isometries
 from .space import SpaceConfig, format_vector, parse_vector, rank_distance
@@ -148,11 +148,14 @@ def code_invariants(C: Code) -> dict:
 
 def apply_to_code(T: Symmetry, C: Code) -> Code:
     """The image code: output chain i holds chain sigma[i]'s digits read off
-    its chain map's rank table, reassembled into Python-int ranks."""
+    its chain map's rank table, reassembled into Python-int ranks.  A table
+    the chain map keeps is reused; none is built onto it, so a symmetry
+    kept for a whole search stays at its levels."""
     if T.config != C.config:
         raise UsageError("symmetry and code live in different spaces")
     cfg = C.config
-    digits = [T.chains[k].rank_table()[C._digits[k]].tolist() for k in T.sigma]
+    tables = [ch._table if ch._table is not None else _chain_table(ch.tables) for ch in T.chains]
+    digits = [tables[k][C._digits[k]].tolist() for k in T.sigma]
     image = Code(cfg, [sum(d * p for d, p in zip(word, cfg.chain_place)) for word in zip(*digits)])
     if image.size != C.size or image.distance_distribution != C.distance_distribution:
         raise StructureError("isometry image changed a metric invariant")

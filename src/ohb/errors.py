@@ -104,8 +104,6 @@ def int_arg(value, name, low=None):
     """A parameter read as a Python int: a Python or numpy integer passes,
     and a bool, float, string or None is refused with UsageError naming
     the parameter, not coerced; so is a value below low, when low is given."""
-    if type(value) is int and (low is None or value >= low):
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
         raise UsageError(f"{name} must be an integer{bound}, got {value!r}")
