@@ -42,6 +42,8 @@ from .errors import (
     int_arg,
     int_array,
     int_text,
+    int_tuple,
+    seq,
 )
 from .space import bijection_array, distance_witness
 
@@ -52,7 +54,7 @@ LOG10_2PI = math.log10(2 * math.pi)
 def _check_dims(q, chain_pi):
     """q and chain_pi as Python ints, so that q ** k stays exact."""
     q = int_arg(q, "field size", 2)
-    chain_pi = tuple(int_arg(k, "chain width", 1) for k in chain_pi)
+    chain_pi = int_tuple(chain_pi, "chain width", 1)
     if not chain_pi:
         raise UsageError("chain shape must be nonempty")
     return q, chain_pi
@@ -129,19 +131,24 @@ class ChainSymmetry:
     def __init__(self, q, chain_pi, tables):
         q, chain_pi = _check_dims(q, chain_pi)
         shapes = level_shapes(q, chain_pi)
+        tables = seq(tables, "table level")
         if len(tables) != len(shapes):
             raise UsageError(f"need {len(shapes)} table levels, got {len(tables)}")
         clean = []
         for j, ((tails, sz), level) in enumerate(zip(shapes, tables)):
-            if len(level) != tails:
-                raise UsageError(f"level {j + 1} needs {tails} tail entries, got {len(level)}")
+            name = f"level {j + 1} entry"
+            rows = level if isinstance(level, np.ndarray) else seq(level, f"level {j + 1} row")
+            if len(rows) != tails:
+                raise UsageError(f"level {j + 1} needs {tails} tail entries, got {len(rows)}")
             try:
-                shape = np.shape(level)
-            except ValueError:
-                shape = None
-            if shape != (tails, sz):
+                arr = np.array(rows, dtype=object)  # the level's one conversion
+            except ValueError:  # rows of arrays that differ in shape
+                arr = np.empty(0)
+            if arr.shape != (tails, sz):
+                for row in rows:  # types before shape: a row of non-integers is a usage error
+                    int_tuple(row, name)
                 raise ValidationError(f"level {j + 1}: entries are not permutations of [0, {sz})")
-            arr = int_array(level, f"level {j + 1} entries")
+            arr = int_array(arr, name)
             t = _first_bad_row(arr)
             if t is not None:
                 raise ValidationError(f"level {j + 1}, tail {t}: entry is not a permutation of [0, {sz})")
@@ -150,9 +157,9 @@ class ChainSymmetry:
 
     @classmethod
     def _trusted(cls, q, chain_pi, tables, table=None) -> "ChainSymmetry":
-        """A map from tables already known to fit: chain_pi checked, and
-        every level a (tails, q^k) array or nested list whose rows are
-        permutations, as the builders below make them.  Skips the checks
+        """A map from tables already known to fit: chain_pi checked, and every
+        level a (tails, q^k) array or nested list whose rows are permutations,
+        as the builders below and chain_from_pairs make them.  Skips the checks
         of __init__.  A given rank table (int64, no one else's) is kept."""
         T = cls.__new__(cls)
         T._store(q, chain_pi, tables)
@@ -186,7 +193,7 @@ class ChainSymmetry:
         return len(self.chain_pi)
 
     def apply(self, row) -> tuple:
-        row = tuple(int_arg(x, "block rank") for x in row)
+        row = int_tuple(row, "block rank")
         if len(row) != self.n:
             raise UsageError(f"row has {len(row)} levels, expected {self.n}")
         place = self._place
@@ -229,12 +236,7 @@ class ChainSymmetry:
     @classmethod
     def from_json(cls, doc, q) -> "ChainSymmetry":
         try:
-            pi = tuple(int_arg(k, "chain pi entry") for k in doc["pi"])
-            tables = [
-                [[int_arg(x, "table entry") for x in row] for row in level]
-                for level in doc["tables"]
-            ]
-            return cls(q, pi, tables)
+            return cls(q, doc["pi"], doc["tables"])
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad chain symmetry document: {exc}") from exc
 
@@ -355,13 +357,13 @@ def all_chain_symmetries(q, chain_pi):
     """Yield every triangular symmetry of the chain, up to the group cap."""
     q, chain_pi = _check_dims(q, chain_pi)
     check_cap("chain group", chain_order(q, chain_pi), "elements", CAPS["group"])
-    # one pool of permutations per (level, tail) slot, levels ascending
+    # one pool of permutations per (level, tail) slot, levels ascending: no row needs a check
     pools, cuts = [], [0]
     for tails, sz in level_shapes(q, chain_pi):
         pools += [tuple(permutations(range(sz)))] * tails
         cuts.append(len(pools))
     for choice in product(*pools):
-        yield ChainSymmetry(q, chain_pi, [choice[a:b] for a, b in zip(cuts, cuts[1:])])
+        yield ChainSymmetry._trusted(q, chain_pi, [choice[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def decompose_chain(q, chain_pi, table) -> ChainSymmetry:

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .chains import ChainSymmetry, _chain_table, _check_dims, level_places, level_shapes
-from .errors import CAPS, StructureError, UsageError, int_arg, int_array
+from .errors import CAPS, StructureError, UsageError, int_arg, int_array, int_tuple
 from .oracle import depth_first, enumerate_isometries
 from .space import SpaceConfig, format_vector, parse_vector, rank_distance
 from .symmetry import (
@@ -56,13 +56,10 @@ class Code:
     def __init__(self, config: SpaceConfig, ranks):
         for k, size in enumerate(config.chain_size):
             if size >= CHAIN_SIZE_LIMIT:
-                raise UsageError(
-                    f"chain {k + 1} has {config.q}^{config.chain_dims[k]} points; "
-                    "codes need every chain under 2^63 points"
-                )
+                raise UsageError(f"chain {k + 1} has {config.q}^{config.chain_dims[k]} points; "
+                                 "codes need every chain under 2^63 points")
         read = set()
-        for r in ranks:
-            r = int_arg(r, "code vector rank")
+        for r in int_tuple(ranks, "code vector rank"):
             if not 0 <= r < config.size:
                 raise UsageError(f"vector rank {r} out of range")
             read.add(r)
@@ -246,10 +243,10 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
         if len(short):
             raise StructureError(f"level {j + 1}, tail {short[0]}: pairs collapse two points")
         # row-major order pairs each row's free slots with its unused
-        # values, both ascending
+        # values, both ascending, so each row is a permutation
         perm[perm < 0] = np.nonzero(~used)[1]
         tables.append(perm)
-    return ChainSymmetry(q, chain_pi, tables)
+    return ChainSymmetry._trusted(q, chain_pi, tables)
 
 
 def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceResult:

@@ -110,17 +110,28 @@ def int_arg(value, name, low=None):
     return int(value)
 
 
-def int_array(values, name):
-    """values as an int64 array.  An integer array is taken whole, with no
-    copy when it is int64; any other table, nested or not, is read entry by
-    entry, and an entry that is no integer (a bool, a float, a string) is
-    refused with UsageError, not coerced."""
+def seq(values, name):
+    """values as a tuple; a value that is no sequence is refused with UsageError."""
     try:
-        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-            values = np.array(list(values), dtype=object)
-            bad = [x for x in values.flat if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
-            if bad:
-                raise TypeError(f"got {bad[0]!r}")
-        return np.asarray(values, dtype=np.int64)
+        return tuple(values)
+    except TypeError:
+        raise UsageError(f"need a sequence of {name} values, got {values!r}") from None
+
+
+def int_tuple(values, name, low=None):
+    """A sequence of integers as a tuple of Python ints, each read by int_arg."""
+    return tuple(int_arg(x, name, low) for x in seq(values, name))
+
+
+def int_array(values, name):
+    """values as an int64 array, converted once.  An integer array is taken
+    whole, with no copy when it is int64; in any other table, nested or not,
+    entries are read by int_arg only if a type scan finds one no Python int."""
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.array(list(values), dtype=object)
+        if arr.dtype.kind not in "iu" and set(map(type, arr.flat)) != {int}:
+            for x in arr.flat:
+                int_arg(x, name)
+        return np.asarray(arr, dtype=np.int64)
     except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"{name} must be integer ranks: {exc}") from exc

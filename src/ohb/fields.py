@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import CAPS, DomainError, UsageError, ValidationError, check_cap, int_arg
+from .errors import CAPS, DomainError, UsageError, ValidationError, check_cap, int_arg, int_tuple
 
 # Moduli for the desk-scale extension fields, coefficients low-order
 # first including the leading 1.  Anything else needs a user-supplied
@@ -82,22 +82,16 @@ class Field:
                 try:
                     modulus = BUILTIN_MODULI[(p, e)]
                 except KeyError:
-                    raise UsageError(
-                        f"no built-in modulus for GF({p}^{e}); supply one"
-                    ) from None
-            modulus = tuple(int_arg(c, "modulus entry") % p for c in modulus)
+                    raise UsageError(f"no built-in modulus for GF({p}^{e}); supply one") from None
+            modulus = tuple(c % p for c in int_tuple(modulus, "modulus entry"))
             if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValidationError(
-                    f"modulus must be monic of degree {e}, got {list(modulus)}"
-                )
+                raise ValidationError(f"modulus must be monic of degree {e}, got {list(modulus)}")
             check_cap(f"GF({p}^{e})", p ** (2 * e), "multiplication table entries",
                       CAPS["points"], symbol="q^2")
             table = _mul_table(p, e, modulus)
             # F_p[x]/(modulus) is a field exactly when it has no zero divisors
             if not table[1:, 1:].all():
-                raise ValidationError(
-                    f"modulus {list(modulus)} is reducible over F_{p}"
-                )
+                raise ValidationError(f"modulus {list(modulus)} is reducible over F_{p}")
             # uint8 up to 256 elements, uint16 up to the cap's 1024: GF(2^10)
             # keeps 2 MB where nested lists of ints took about 34 MB
             self._mul = table.astype(np.min_scalar_type(p ** e - 1))
@@ -182,8 +176,7 @@ def block_rank(q: int, elems) -> int:
     """Rank of a block value, mixed radix base q, first element least
     significant."""
     q, r = int_arg(q, "field size", 2), 0
-    for x in reversed(elems):
-        x = int_arg(x, "element rank")
+    for x in reversed(int_tuple(elems, "element rank")):
         if not 0 <= x < q:
             raise UsageError(f"element rank {x} out of [0, {q})")
         r = r * q + x

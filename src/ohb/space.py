@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import CAPS, NotIsometryError, UsageError, check_cap, int_arg, int_array
+from .errors import CAPS, NotIsometryError, UsageError, check_cap, int_arg, int_array, int_tuple, seq
 from .fields import Field, block_unrank
 
 
@@ -33,9 +33,8 @@ class SpaceConfig:
     """The tuple (field, m, n, pi) plus cached offsets and powers."""
 
     def __init__(self, field: Field, m: int, n: int, pi):
-        m = int_arg(m, "m", 1)
-        n = int_arg(n, "n", 1)
-        pi = tuple(tuple(int_arg(k, "block dimension", 1) for k in row) for row in pi)
+        m, n = int_arg(m, "m", 1), int_arg(n, "n", 1)
+        pi = tuple(int_tuple(row, "block dimension", 1) for row in seq(pi, "pi row"))
         if len(pi) != m or any(len(row) != n for row in pi):
             raise UsageError(f"pi must be an {m}x{n} grid")
         self.field = field
@@ -123,10 +122,7 @@ class BlockVector:
     __slots__ = ("config", "_rank", "_blocks")
 
     def __init__(self, config: SpaceConfig, blocks):
-        try:
-            blocks = tuple(tuple(tuple(int_arg(x, "element rank") for x in b) for b in row) for row in blocks)
-        except TypeError as exc:
-            raise UsageError(f"blocks must hold integer element ranks: {exc}") from None
+        blocks = tuple(tuple(int_tuple(b, "element rank") for b in seq(row, "block")) for row in seq(blocks, "chain row"))
         if len(blocks) != config.m:
             raise UsageError(f"expected {config.m} chains, got {len(blocks)}")
         q, r, place = config.q, 0, 1

@@ -42,6 +42,8 @@ from .errors import (
     ValidationError,
     check_cap,
     int_arg,
+    int_tuple,
+    seq,
 )
 from .space import (
     BlockVector,
@@ -59,7 +61,7 @@ RUN_ENTRIES = 1 << 12  # the most joint digits of a run of several chains in Sym
 
 def is_admissible(sigma, config: SpaceConfig) -> bool:
     """True iff chain s(i) has the same block widths as chain i for all i."""
-    return _admissible(tuple(int_arg(x, "sigma entry") for x in sigma), config)
+    return _admissible(int_tuple(sigma, "sigma entry"), config)
 
 
 def _admissible(sigma: tuple, config: SpaceConfig) -> bool:
@@ -153,20 +155,18 @@ class Symmetry:
     __slots__ = ("config", "sigma", "chains", "_runs")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
-        sigma = tuple(int_arg(x, "sigma entry") for x in sigma)
+        sigma = int_tuple(sigma, "sigma entry")
         if not _admissible(sigma, config):
             raise ValidationError(f"permutation {sigma} moves a chain onto different widths")
-        chains = tuple(chains)
+        chains = seq(chains, "chain symmetry")
         if len(chains) != config.m:
             raise UsageError(f"need {config.m} chain symmetries, got {len(chains)}")
         for k, ch in enumerate(chains):
             if not isinstance(ch, ChainSymmetry):
                 raise UsageError(f"chain {k + 1}: not a ChainSymmetry")
             if ch.q != config.q or ch.chain_pi != config.pi[k]:
-                raise UsageError(
-                    f"chain {k + 1}: shape {ch.chain_pi} over q={ch.q} does not "
-                    f"match config row {config.pi[k]} over q={config.q}"
-                )
+                raise UsageError(f"chain {k + 1}: shape {ch.chain_pi} over q={ch.q} does not "
+                                 f"match config row {config.pi[k]} over q={config.q}")
         self.config = config
         self.sigma = sigma
         self.chains = chains
@@ -219,10 +219,8 @@ class Symmetry:
     @classmethod
     def from_json(cls, doc, config: SpaceConfig) -> "Symmetry":
         try:
-            sigma = tuple(int_arg(x, "sigma entry") - 1 for x in doc["sigma"])
-            chains = [
-                ChainSymmetry.from_json(cd, config.q) for cd in doc["chains"]
-            ]
+            sigma = tuple(x - 1 for x in int_tuple(doc["sigma"], "sigma entry"))
+            chains = [ChainSymmetry.from_json(cd, config.q) for cd in doc["chains"]]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad symmetry document: {exc}") from exc
         return cls(config, sigma, chains)

@@ -100,7 +100,7 @@ def test_scalar_law_checked_over_extensions():
 def test_a_table_entry_that_is_no_integer_is_refused():
     # int() would read these floats as the identity table, which is linear
     cfg = make_config(2, 1, 2, [[1, 1]])
-    with pytest.raises(UsageError, match="table entries must be integer ranks"):
+    with pytest.raises(UsageError, match="table entries must be an integer"):
         is_linear(cfg, [0.0, 1.9, 2.2, 3.0])
     with pytest.raises(UsageError, match="table has 3 entries, space has 4"):
         is_linear(cfg, [0, 1, 2])

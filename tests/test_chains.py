@@ -1,6 +1,7 @@
 """Triangular chain symmetries: algebra, decomposition, counting."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_sections_read_the_input_tail():
                 out2 = T.apply((1 - v1, v2))
                 assert out[1] == out2[1]
                 assert out[0] != out2[0]
+
+
+@pytest.mark.parametrize("tables, error, match", [
+    ([[[0, 1], [0]], [[0, 1]]], ValidationError, "not permutations"),  # ragged integers
+    ([[[0, 1, 0], [1, 0, 1]], [[0, 1]]], ValidationError, "not permutations"),  # rows too long
+    ([[5, 6], [[0, 1]]], UsageError, "need a sequence"),  # rows that are no sequences
+    ([[[0, [1]], [1, 0]], [[0, 1]]], UsageError, "must be an integer"),  # a list as an entry
+    ([[[0.5, 1, 2], [1, 0]], [[0, 1]]], UsageError, "must be an integer"),  # a float in a ragged level
+    ([[[[0], [1]], [[1], [0]]], [[0, 1]]], UsageError, "must be an integer"),  # one level too deep
+], ids=["ragged", "too-long", "scalar-rows", "list-entry", "float-ragged", "too-deep"])
+def test_entries_are_read_before_shapes(tables, error, match):
+    # a level is refused as a JSON document read entry by entry was: a
+    # level of integer rows of the wrong shape is no permutation, anything
+    # else in it is a usage error
+    with pytest.raises(error, match=match):
+        ChainSymmetry(2, (1, 1), tables)
+    with pytest.raises(error, match=match):
+        ChainSymmetry.from_json({"pi": [1, 1], "tables": tables}, 2)
 
 
 def test_tables_validation():
@@ -248,6 +267,22 @@ def test_enumeration_matches_chain_order():
         rows = enumerate_rows(q, chain_pi)
         tables = {tuple(T.apply(row) for row in rows) for T in syms}
         assert len(tables) == len(syms)
+
+
+# every chain of at most 16 points over q in {2, 3, 4} whose group has at
+# most 5000 elements
+SMALL_CHAINS = [(q, pi) for q in (2, 3, 4) for n in range(1, 5) for pi in product(range(1, 5), repeat=n)
+                if q ** sum(pi) <= 16 and chain_order(q, pi) <= 5000]
+
+
+@pytest.mark.parametrize("q, chain_pi", SMALL_CHAINS, ids=str)
+def test_enumerated_maps_are_ones_the_checking_constructor_accepts(q, chain_pi):
+    # all_chain_symmetries skips the constructor's checks, as its rows come
+    # from permutations(): each map must pass them unchanged
+    syms = list(all_chain_symmetries(q, chain_pi))
+    for T in syms:
+        assert T == ChainSymmetry(q, chain_pi, T.to_json()["tables"])
+    assert len(syms) == len(set(syms)) == chain_order(q, chain_pi)
 
 
 def test_alt_closed_form_disagrees_on_the_unit_chain():

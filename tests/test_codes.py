@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ohb.codes
 from conftest import WHOLE_SPACES, make_config
 from ohb import (
+    ChainSymmetry,
     Code,
     SpaceConfig,
     all_symmetries,
@@ -508,6 +509,22 @@ def test_chain_from_pairs_fill_rule():
         chain_from_pairs(2, (1, 1), [2, 2], [0, 1])  # (0,1)->(0,0), (0,1)->(1,0)
     with pytest.raises(StructureError, match="collapse"):
         chain_from_pairs(2, (1, 1), [2, 3], [3, 1])  # (0,1)->(1,1), (1,1)->(1,0)
+
+
+@pytest.mark.parametrize("cfg", [CHAIN2, make_config(3, 1, 2, [[1, 1]]), make_config(2, 1, 2, [[2, 1]]), HAMMING2,
+                                 make_config(2, 2, 2, [[1, 2], [2, 1]]), make_config(3, 2, 1, [[1], [2]])],
+                         ids=["chain", "gf3-chain", "mixed-chain", "hamming", "mixed-widths", "gf3-mixed-widths"])
+def test_witness_chain_maps_are_ones_the_checking_constructor_accepts(cfg):
+    # chain_from_pairs skips the constructor's checks, as its clash and
+    # collapse checks leave permutation rows: each witness map must pass them
+    rng = random.Random(41)
+    for _ in range(12):
+        c = Code(cfg, {rng.randrange(cfg.size) for _ in range(rng.randrange(1, 6))})
+        img = apply_to_code(random_symmetry(cfg, rng.randrange(10**9)), c)
+        res = equivalent(c, img)
+        assert res.verdict == "equivalent" and apply_to_code(res.witness, c) == img
+        for ch in res.witness.chains:
+            assert ch == ChainSymmetry(cfg.q, ch.chain_pi, ch.to_json()["tables"])
 
 
 def test_parse_code_text():

@@ -150,6 +150,37 @@ def test_an_integer_argument_that_is_no_integer_is_refused(slot, bad):
     check(slot, bad)
 
 
+# calls that pass a number or None where a sequence belongs
+NOT_SEQUENCES = {
+    "ChainSymmetry tables": lambda: ohb.ChainSymmetry(2, (1,), 5),
+    "ChainSymmetry level": lambda: ohb.ChainSymmetry(2, (1,), [5]),
+    "ChainSymmetry level None": lambda: ohb.ChainSymmetry(2, (1,), [None]),
+    "ChainSymmetry row": lambda: ohb.ChainSymmetry(2, (1, 1), [[5, 6], [[0, 1]]]),
+    "ChainSymmetry widths": lambda: ohb.ChainSymmetry(2, 5, [[[0, 1]]]),
+    "ChainSymmetry.apply row": lambda: ohb.identity_chain(2, (1,)).apply(5),
+    "random_chain widths": lambda: ohb.random_chain(2, 5, 1),
+    "chain_order widths": lambda: ohb.chain_order(2, 5),
+    "Symmetry sigma": lambda: ohb.Symmetry(CFG, 5, IDENTITY.chains),
+    "Symmetry chains": lambda: ohb.Symmetry(CFG, (0, 1), 5),
+    "Symmetry chains None": lambda: ohb.Symmetry(CFG, (0, 1), None),
+    "is_admissible sigma": lambda: ohb.is_admissible(5, CFG),
+    "SpaceConfig pi": lambda: SpaceConfig(F2, 1, 1, 5),
+    "SpaceConfig row": lambda: SpaceConfig(F2, 1, 1, [5]),
+    "Code ranks": lambda: Code(CFG, 5),
+    "block_rank elements": lambda: ohb.block_rank(2, 5),
+    "Field modulus": lambda: Field(2, 2, 5),
+    "BlockVector blocks": lambda: ohb.BlockVector(CFG, 5),
+    "BlockVector row": lambda: ohb.BlockVector(CFG, [5, 5]),
+    "BlockVector block": lambda: ohb.BlockVector(CFG, [[5], [5]]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_SEQUENCES)
+def test_a_sequence_argument_that_is_no_sequence_is_refused(name):
+    with pytest.raises(UsageError, match="need a sequence"):
+        NOT_SEQUENCES[name]()
+
+
 @pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(1.0), "1", None, -1],
                          ids=["true", "false", "float", "np-float", "string", "none", "negative"])
 def test_every_slot_refuses_each_kind(bad):

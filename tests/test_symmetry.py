@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from itertools import permutations, product
 
@@ -40,6 +41,7 @@ from ohb import (
     random_symmetry,
     s_pi_order,
 )
+import ohb.errors
 import ohb.symmetry
 from ohb.space import add_ranks, rank_array
 
@@ -755,7 +757,7 @@ def test_an_entry_q_to_the_n_below_its_rank_is_out_of_range(cfg):
                          ids=["floats", "a-bool", "strings", "float-array", "bool-array"])
 def test_a_table_entry_that_is_no_integer_is_refused(table):
     # floats would truncate and bools read as 0/1, each to some other map
-    with pytest.raises(UsageError, match="table entries must be integer ranks"):
+    with pytest.raises(UsageError, match="table entries must be an integer"):
         decompose_full(make_config(2, 1, 2, [[1, 1]]), table)
 
 
@@ -812,6 +814,25 @@ def test_json_round_trip_one_based_sigma():
         T = random_symmetry(MIXED, rng.randrange(10**9))
         again = Symmetry.from_json(T.to_json(), MIXED)
         assert as_rank_table(again).tolist() == as_rank_table(T).tolist()
+
+
+def test_a_document_is_read_level_by_level_not_entry_by_entry(monkeypatch):
+    # one chain of 13 unit levels holds 8191 rows and 16382 table entries;
+    # the integers read one by one are the field size, 13 widths and sigma
+    cfg = make_config(2, 1, 13, [[1] * 13])
+    doc = json.loads(json.dumps(random_symmetry(cfg, 5).to_json()))
+    reads = []
+
+    def int_arg(value, name, low=None):
+        reads.append(name)
+        return real(value, name, low)
+
+    real = ohb.errors.int_arg
+    for module in [m for name, m in sys.modules.items() if name.startswith("ohb.")]:
+        if getattr(module, "int_arg", None) is real:
+            monkeypatch.setattr(module, "int_arg", int_arg)
+    assert Symmetry.from_json(doc, cfg).to_json() == doc
+    assert len(reads) <= 2 * (cfg.n + 1)
 
 
 def test_random_symmetry_is_deterministic():
