@@ -8,19 +8,20 @@ are exactly the triangular maps
 
 where each F_j may read the tail (the levels above j) but must be a
 bijection of the level-j block for every fixed tail.  This module
-stores such a map as one integer array per level, indexed by (tail
-rank, block value), and provides application, composition, inversion,
-decomposition of a raw bijection table, uniform sampling, and the group
-order.
+stores such a map as its rank table, and provides application,
+composition, inversion, decomposition of a raw bijection table, uniform
+sampling, and the group order.
 
 A row is given by its rank or, to `apply`, as a tuple of block ranks,
 one per level.  Row ranks are mixed radix with level 1 least
 significant, matching the canonical vector ordering.  So the tail of
 level j in a row of rank r is r // place[j+1], and (tail, block value)
-flattened is r // place[j].  As F_j reads only its tail, a rank table is
-built top level first, one multiply-add per level and no division, and
-kept; the levels are read back off it at the zero prefix, so compose is
-one gather of rank tables and invert one scatter.
+flattened is r // place[j].  A map is stored as its rank table alone: the
+image rank of every row rank, in the narrowest unsigned type that holds
+one.  As F_j reads only its tail, the table is built from the level
+arrays top level first, one multiply-add per level and no division, and
+the levels are read back off it at the zero prefix (`_levels`) only for
+`tables` and JSON; compose is one gather and invert one scatter.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, groupby, permutations, product
+from itertools import accumulate, groupby, permutations
 
 import numpy as np
 
@@ -92,11 +93,16 @@ def _levels(q, chain_pi, f) -> list:
 
 
 def _chain_table(levels) -> np.ndarray:
-    """The rank tables (..., S) of maps given by levels (..., tails, sz), top
-    level first: a level's images are its tail's image times sz plus it."""
-    table = np.zeros((*levels[0].shape[:-2], 1), dtype=np.int64)
-    for level in reversed(levels):
-        table = (table[..., None] * level.shape[-1] + level).reshape(*level.shape[:-2], -1)
+    """The rank tables (..., S) of maps given by levels (..., tails, sz),
+    arrays or nested lists, in the narrowest unsigned type that holds a row
+    rank, top level first: a level's images are its tail's image times sz
+    plus it.  Every partial image is below S, so the narrow type is exact."""
+    levels = [np.asarray(level) for level in levels]
+    dtype = np.min_scalar_type(math.prod(level.shape[-1] for level in levels) - 1)
+    table = levels[-1].reshape(*levels[-1].shape[:-2], -1).astype(dtype)
+    for level in reversed(levels[:-1]):
+        images = table[..., None] * level.shape[-1] + level.astype(dtype, copy=False)
+        table = images.reshape(*level.shape[:-2], -1)
     return table
 
 
@@ -110,23 +116,17 @@ def _first_bad_row(level):
 
 
 class ChainSymmetry:
-    """A triangular symmetry, stored as one integer array per level.
+    """A triangular symmetry, stored as its rank table alone.
 
-    tables[j] is a read-only integer array of shape (tails, q^k_{j+1}):
-    row t is the permutation applied to the level j+1 block when the
-    tail (levels j+2..n) has rank t, level j+2 least significant.  The
-    last level has a single row (empty tail).  Entries are stored in the
-    narrowest unsigned type that holds them (uint8 up to 256 block
-    values), so a map costs a byte per entry where int64 would cost
-    eight; arithmetic on them goes through int64.
-
-    _table is the read-only int64 rank table, 8 bytes a row, once
-    rank_table() has built it or compose or invert has read the map off
-    it.  So compose_chain, invert_chain and as_rank_table leave a table
-    kept on their operands as well as on their result.
+    _table is the read-only array of the image of every row rank, uint8 up
+    to 256 points, uint16 up to 65536 and uint32 beyond; rank_table() hands
+    out an int64 copy.  tables, the JSON view, are the levels read off it:
+    tables[j] has shape (tails, q^k_{j+1}), and row t is the permutation of
+    the level j+1 block when the tail (levels j+2..n) has rank t, level j+2
+    least significant.  The last level has a single row (empty tail).
     """
 
-    __slots__ = ("q", "chain_pi", "tables", "_place", "_table")
+    __slots__ = ("q", "chain_pi", "_table")
 
     def __init__(self, q, chain_pi, tables):
         q, chain_pi = _check_dims(q, chain_pi)
@@ -153,76 +153,55 @@ class ChainSymmetry:
             if t is not None:
                 raise ValidationError(f"level {j + 1}, tail {t}: entry is not a permutation of [0, {sz})")
             clean.append(arr)
-        self._store(q, chain_pi, clean)
+        self.q, self.chain_pi, self._table = q, chain_pi, _chain_table(clean)
+        self._table.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, q, chain_pi, tables, table=None) -> "ChainSymmetry":
-        """A map from tables already known to fit: chain_pi checked, and every
-        level a (tails, q^k) array or nested list whose rows are permutations,
-        as the builders below and chain_from_pairs make them.  Skips the checks
-        of __init__.  A given rank table (int64, no one else's) is kept."""
+    def _of(cls, q, chain_pi, table) -> "ChainSymmetry":
+        """The map whose rank table is table, for builders whose chain_pi is
+        checked and whose table is known to be a map's: no check runs.  A
+        narrow table is kept as it is, frozen; a wider one is narrowed."""
         T = cls.__new__(cls)
-        T._store(q, chain_pi, tables)
-        if table is not None:
-            table.flags.writeable = False
-            T._table = table
+        T.q, T.chain_pi = q, chain_pi
+        T._table = table.astype(np.min_scalar_type(len(table) - 1), copy=False)
+        T._table.flags.writeable = False
         return T
-
-    @classmethod
-    def _from_table(cls, q, chain_pi, f) -> "ChainSymmetry":
-        """The map whose rank table is f, a fresh int64 array; it keeps f."""
-        return cls._trusted(q, chain_pi, _levels(q, chain_pi, f), f)
-
-    def _store(self, q, chain_pi, tables):
-        clean = []
-        for level in tables:
-            sz = len(level[0])
-            # a fresh C-ordered copy, so a caller's array is never frozen
-            dtype = np.uint8 if sz <= 1 << 8 else np.uint16 if sz <= 1 << 16 else np.int64
-            arr = np.array(level, dtype=dtype, order="C")
-            arr.flags.writeable = False
-            clean.append(arr)
-        self.q = q
-        self.chain_pi = chain_pi
-        self.tables = tuple(clean)
-        self._place = level_places(q, chain_pi)
-        self._table = None
 
     @property
     def n(self):
         return len(self.chain_pi)
 
+    @property
+    def tables(self) -> tuple:
+        """The level arrays, int64, read off the rank table."""
+        return tuple(_levels(self.q, self.chain_pi, self.rank_table()))
+
     def apply(self, row) -> tuple:
         row = int_tuple(row, "block rank")
         if len(row) != self.n:
             raise UsageError(f"row has {len(row)} levels, expected {self.n}")
-        place = self._place
-        r = 0
+        place, r = level_places(self.q, self.chain_pi), 0
         for j, x in enumerate(row):
             if not 0 <= x * place[j] < place[j + 1]:
                 raise UsageError(f"level {j + 1}: block rank {x} out of range")
             r += x * place[j]
-        return tuple([level.item(r // p) for level, p in zip(self.tables, place)])
+        image = self._table.item(r)
+        return tuple(image % place[j + 1] // place[j] for j in range(self.n))
 
     def rank_table(self) -> np.ndarray:
-        """Dense read-only int64 table: image rank of every row rank, built
-        by _chain_table on the first call, then kept."""
-        if self._table is None:
-            table = _chain_table(self.tables)
-            table.flags.writeable = False
-            self._table = table
-        return self._table
+        """The image rank of every row rank, a fresh int64 array."""
+        return self._table.astype(np.int64)
 
     def __eq__(self, other):
         return (
             isinstance(other, ChainSymmetry)
             and self.q == other.q
             and self.chain_pi == other.chain_pi
-            and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
+            and np.array_equal(self._table, other._table)
         )
 
     def __hash__(self):
-        return hash((self.q, self.chain_pi, *(level.tobytes() for level in self.tables)))
+        return hash((self.q, self.chain_pi, self._table.tobytes()))
 
     def __repr__(self):
         return f"ChainSymmetry(q={self.q}, pi={self.chain_pi})"
@@ -230,7 +209,7 @@ class ChainSymmetry:
     def to_json(self) -> dict:
         return {
             "pi": list(self.chain_pi),
-            "tables": [level.tolist() for level in self.tables],
+            "tables": [level.tolist() for level in _levels(self.q, self.chain_pi, self._table)],
         }
 
     @classmethod
@@ -243,22 +222,21 @@ class ChainSymmetry:
 
 def identity_chain(q, chain_pi) -> ChainSymmetry:
     q, chain_pi = _check_dims(q, chain_pi)
-    shapes = level_shapes(q, chain_pi)
-    return ChainSymmetry._trusted(q, chain_pi, [np.broadcast_to(np.arange(sz), (t, sz)) for t, sz in shapes])
+    return ChainSymmetry._of(q, chain_pi, np.arange(chain_space_size(q, chain_pi)))
 
 
 def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
     """The map u -> A(B(u))."""
     if A.q != B.q or A.chain_pi != B.chain_pi:
         raise UsageError("cannot compose chain symmetries of different shapes")
-    return ChainSymmetry._from_table(A.q, A.chain_pi, A.rank_table()[B.rank_table()])
+    return ChainSymmetry._of(A.q, A.chain_pi, A._table[B._table])
 
 
 def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
-    table = A.rank_table()
+    table = A._table
     inv = np.empty_like(table)
-    inv[table] = np.arange(len(table))
-    return ChainSymmetry._from_table(A.q, A.chain_pi, inv)
+    inv[table] = np.arange(len(table), dtype=table.dtype)
+    return ChainSymmetry._of(A.q, A.chain_pi, inv)
 
 
 def chain_order(q, chain_pi) -> int:
@@ -350,20 +328,26 @@ def random_chain(q, chain_pi, seed) -> ChainSymmetry:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     q, chain_pi = _check_dims(q, chain_pi)
     refuse_large_chains(q, [chain_pi])
-    return ChainSymmetry._trusted(q, chain_pi, random_levels(rng, level_shapes(q, chain_pi)))
+    return ChainSymmetry._of(q, chain_pi, _chain_table(random_levels(rng, level_shapes(q, chain_pi))))
 
 
 def all_chain_symmetries(q, chain_pi):
-    """Yield every triangular symmetry of the chain, up to the group cap."""
+    """Yield every triangular symmetry of the chain, up to the group cap, in
+    the order of itertools.product over the (level, tail) slots, levels
+    ascending.  The rank tables are built 4096 maps at a time: each slot's
+    pick is an unravelled index into its level's array of permutations."""
     q, chain_pi = _check_dims(q, chain_pi)
-    check_cap("chain group", chain_order(q, chain_pi), "elements", CAPS["group"])
-    # one pool of permutations per (level, tail) slot, levels ascending: no row needs a check
-    pools, cuts = [], [0]
-    for tails, sz in level_shapes(q, chain_pi):
-        pools += [tuple(permutations(range(sz)))] * tails
-        cuts.append(len(pools))
-    for choice in product(*pools):
-        yield ChainSymmetry._trusted(q, chain_pi, [choice[a:b] for a, b in zip(cuts, cuts[1:])])
+    order = chain_order(q, chain_pi)
+    check_cap("chain group", order, "elements", CAPS["group"])
+    shapes = level_shapes(q, chain_pi)
+    perms = [np.array(list(permutations(range(sz)))) for _, sz in shapes]
+    radix = [len(p) for p, (tails, _) in zip(perms, shapes) for _ in range(tails)]
+    for start in range(0, order, 1 << 12):
+        picks = iter(np.unravel_index(np.arange(start, min(start + (1 << 12), order)), radix))
+        table = _chain_table([np.stack([p[next(picks)] for _ in range(tails)], axis=1)
+                              for p, (tails, _) in zip(perms, shapes)])
+        for row in table:
+            yield ChainSymmetry._of(q, chain_pi, row)
 
 
 def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
@@ -382,15 +366,15 @@ def decompose_chain(q, chain_pi, table) -> ChainSymmetry:
 
 
 def _decompose_bijection(q, chain_pi, f, w=0, sub=None) -> ChainSymmetry:
-    """decompose_chain of f, an int64 bijection of the row ranks, keeping the
-    rebuilt rank table.  Its level rows are all permutations iff that table
+    """decompose_chain of f, an int64 bijection of the row ranks: the map of
+    the rebuilt rank table.  Its level rows are all permutations iff that table
     is a bijection, so only then is the row scan skipped.  A refusal is the
     one of f - w (sub subtracts ranks): only a bad row's anchors and the
     two ranks named move, as a translation keeps distances."""
     tables = _levels(q, chain_pi, f)
     rt = _chain_table(tables)
     if np.array_equal(rt, f):
-        return ChainSymmetry._trusted(q, chain_pi, tables, rt)
+        return ChainSymmetry._of(q, chain_pi, rt)
     place = level_places(q, chain_pi)
 
     def reject(context, *anchors):

@@ -68,8 +68,8 @@ class Code:
         self.config = config
         self.ranks = tuple(sorted(read))
         self._digits = [
-            np.array([config.chain_subrank(r, k) for r in self.ranks], dtype=np.int64)
-            for k in range(config.m)
+            np.array([r // place % size for r in self.ranks], dtype=np.int64)
+            for place, size in zip(config.chain_place, config.chain_size)
         ]
 
     @property
@@ -145,14 +145,11 @@ def code_invariants(C: Code) -> dict:
 
 def apply_to_code(T: Symmetry, C: Code) -> Code:
     """The image code: output chain i holds chain sigma[i]'s digits read off
-    its chain map's rank table, reassembled into Python-int ranks.  A table
-    the chain map keeps is reused; none is built onto it, so a symmetry
-    kept for a whole search stays at its levels."""
+    its chain map's rank table, reassembled into Python-int ranks."""
     if T.config != C.config:
         raise UsageError("symmetry and code live in different spaces")
     cfg = C.config
-    tables = [ch._table if ch._table is not None else _chain_table(ch.tables) for ch in T.chains]
-    digits = [tables[k][C._digits[k]].tolist() for k in T.sigma]
+    digits = [T.chains[k]._table[C._digits[k]].tolist() for k in T.sigma]
     image = Code(cfg, [sum(d * p for d, p in zip(word, cfg.chain_place)) for word in zip(*digits)])
     if image.size != C.size or image.distance_distribution != C.distance_distribution:
         raise StructureError("isometry image changed a metric invariant")
@@ -224,6 +221,9 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
     place = level_places(q, chain_pi)
     src = int_array(src, "source rows")
     dst = int_array(dst, "target rows")
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise UsageError(f"source and target rows must be two flat sequences of equal length, "
+                         f"got shapes {src.shape} and {dst.shape}")
     if ((src < 0) | (src >= place[-1]) | (dst < 0) | (dst >= place[-1])).any():
         raise UsageError(f"a row rank is out of [0, {place[-1]})")
     tables = []
@@ -246,7 +246,7 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
         # values, both ascending, so each row is a permutation
         perm[perm < 0] = np.nonzero(~used)[1]
         tables.append(perm)
-    return ChainSymmetry._trusted(q, chain_pi, tables)
+    return ChainSymmetry._of(q, chain_pi, _chain_table(tables))
 
 
 def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceResult:

@@ -104,8 +104,14 @@ class Field:
 
     # rank-level arithmetic
 
+    def _element(self, a) -> int:
+        """a read by int_arg as an element rank in [0, q)."""
+        if int_arg(a, "field element", 0) >= self.q:
+            raise UsageError(f"field element {a} out of [0, {self.q})")
+        return int(a)
+
     def add(self, a: int, b: int) -> int:
-        p = self.p
+        a, b, p = self._element(a), self._element(b), self.p
         if self.e == 1:
             return (a + b) % p
         r, place = 0, 1
@@ -117,7 +123,7 @@ class Field:
         return r
 
     def neg(self, a: int) -> int:
-        p = self.p
+        a, p = self._element(a), self.p
         if self.e == 1:
             return (-a) % p
         r, place = 0, 1
@@ -131,11 +137,13 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        a, b = self._element(a), self._element(b)
         if self.e == 1:
             return a * b % self.p
         return self._mul.item(a, b)
 
     def inv(self, a: int) -> int:
+        a = self._element(a)
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
         if self.e == 1:

@@ -69,7 +69,10 @@ class SpaceConfig:
         return BlockVector._of_rank(self, r)
 
     def chain_subrank(self, r: int, i: int) -> int:
-        """The chain-i digit of a vector rank."""
+        """The chain-i digit of a vector rank, i 0-based."""
+        r, i = int_arg(r, "vector rank", 0), int_arg(i, "chain index", 0)
+        if r >= self.size or i >= self.m:
+            raise UsageError(f"vector rank {r} or chain index {i} out of range")
         return (r // self.chain_place[i]) % self.chain_size[i]
 
     # equality / io

@@ -254,7 +254,7 @@ def make_translation(w: BlockVector) -> Symmetry:
     """The symmetry v -> v + w as a chain-only triangular map: chain k's
     rank table adds w's chain-k digit to each point of the chain."""
     cfg = w.config
-    chains = [ChainSymmetry._from_table(cfg.q, row, add_ranks(cfg, np.arange(size), cfg.chain_subrank(w.rank(), k)))
+    chains = [ChainSymmetry._of(cfg.q, row, add_ranks(cfg, np.arange(size), cfg.chain_subrank(w.rank(), k)))
               for k, (row, size) in enumerate(zip(cfg.pi, cfg.chain_size))]
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 
@@ -270,7 +270,7 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
         for pos, img in zip(idxs, rng.sample(idxs, len(idxs))):
             sigma[pos] = img
     levels = iter(random_levels(rng, [s for row in config.pi for s in level_shapes(config.q, row)]))
-    chains = [ChainSymmetry._trusted(config.q, row, [next(levels) for _ in row]) for row in config.pi]
+    chains = [ChainSymmetry._of(config.q, row, _chain_table([next(levels) for _ in row])) for row in config.pi]
     return Symmetry(config, tuple(sigma), chains)
 
 
@@ -288,20 +288,21 @@ def as_rank_table(T: Symmetry) -> np.ndarray:
     the points cap is refused."""
     T.config.check_materialize()
     out = _run_table(T, inverse(T.sigma), 0, T.config.m)
-    return out if out.flags.writeable else out.copy()
+    return out if out.flags.writeable else out.astype(np.int64)
 
 
 def _run_table(T: Symmetry, inv, lo, hi) -> np.ndarray:
     """The images of adjacent input chains lo..hi-1 by their joint digit: the
     sum of each chain k's rank table scaled to the place of output chain
-    inv[k] (a chain feeding output chain 1 alone: its kept table itself),
-    in exact Python ints past 2^63 points, where int64 overflows."""
+    inv[k], in int64, or in exact Python ints past 2^63 points, where int64
+    overflows.  A lone chain feeding output chain 1 gives its narrow
+    read-only table itself."""
     cfg = T.config
     out = None
     for k in range(lo, hi):  # chain k's digit is the outer axis, above lo..k-1
-        table, to = T.chains[k].rank_table(), cfg.chain_place[inv[k]]
-        if to != 1:
-            table = (table.astype(object) if cfg.size > 1 << 63 else table) * to
+        table, to = T.chains[k]._table, cfg.chain_place[inv[k]]
+        if to != 1 or hi - lo > 1:
+            table = table.astype(object if cfg.size > 1 << 63 else np.int64) * to
         out = table if out is None else (table[:, None] + out).ravel()
     return out
 
@@ -399,7 +400,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         rebuilt = _chain_table(levels)
         for i, same in enumerate((rebuilt == g).all(1)):
             if same:
-                chains[members[i]] = ChainSymmetry._trusted(q, row, [level[i] for level in levels], rebuilt[i])
+                chains[members[i]] = ChainSymmetry._of(q, row, rebuilt[i])
             else:
                 failed = min(failed, int(members[i]))
     if len(leaves) and chain[leaves[0]] <= failed:

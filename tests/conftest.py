@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -41,6 +42,18 @@ def elementwise(config, op, *ranks) -> int:
     rank is its element ranks read as one base-q number)."""
     coords = [block_unrank(config.q, r, config.N) for r in ranks]
     return block_rank(config.q, [op(*xs) for xs in zip(*coords)])
+
+
+def chain_arrays(T):
+    """The numpy arrays a chain map holds in its slots, tuples of arrays
+    included, so that any stored form is counted."""
+    values = [getattr(T, name, None) for name in type(T).__slots__]
+    return [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+
+
+def narrow_type(size):
+    """The declared type of a rank table over size points."""
+    return np.uint8 if size <= 1 << 8 else np.uint16 if size <= 1 << 16 else np.uint32
 
 
 # whole spaces of 1024 points, each the code of every point: more words

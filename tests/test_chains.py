@@ -9,15 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model
-from conftest import make_config, model_outcome, outcome
+from conftest import chain_arrays, make_config, model_outcome, narrow_type, outcome
 from ohb import (
     ChainSymmetry,
     NotIsometryError,
+    Symmetry,
     UsageError,
     ValidationError,
     all_chain_symmetries,
     alt_chain_order_unit,
     as_rank_table,
+    chain_from_pairs,
     chain_order,
     compose_chain,
     decompose_chain,
@@ -205,21 +207,19 @@ def chain_shapes(draw, max_points=1 << 12):
 @example((3, (1, 2)), 1)
 @example((2, (2, 1, 3)), 2)
 @example((2, (1,) * 13), 3)  # one long chain of rows of two values
-@example((2, (1, 9, 1)), 4)  # a uint16 level between uint8 ones
-@example((2, (17, 1)), 5)  # an int64 level of 2^17 values
+@example((2, (1, 9, 1)), 4)  # 2^11 points: a uint16 table
+@example((2, (17, 1)), 5)  # 2^18 points: a uint32 table
 def test_rank_table_matches_apply(shape, seed):
-    # the kept rank table against apply and the reference action; compose
-    # and invert read their levels back off a gather and a scatter of it, so
-    # their levels are checked through the reference, which reads only them
+    # a map holds one read-only array, its rank table in the narrowest
+    # unsigned type; rank_table() hands out a fresh int64 copy.  compose and
+    # invert are a gather and a scatter of it, and the reference action reads
+    # their levels off to_json, so both are checked through it
     q, chain_pi = shape
     T = random_chain(q, chain_pi, seed)
     S = chain_space_size(q, chain_pi)
-    assert T._table is None
+    check_storage(T)
     rt = T.rank_table()
-    assert T.rank_table() is rt and rt.dtype == np.int64 and rt.nbytes == 8 * S
-    assert not rt.flags.writeable
-    with pytest.raises(ValueError):
-        rt[0] = rt[0]
+    assert rt.dtype == np.int64 and rt.flags.writeable and T.rank_table() is not rt
     every = np.arange(S)
     assert np.array_equal(rt, reference_images(T, every))
     sample = range(S) if S <= 1 << 12 else random.Random(seed).sample(range(S), 256)
@@ -231,22 +231,50 @@ def test_rank_table_matches_apply(shape, seed):
     assert np.array_equal(reference_images(TU, every), rt[U.rank_table()])
     assert np.array_equal(inv.rank_table()[rt], every)
     assert np.array_equal(reference_images(inv, rt), every)
-    dtypes = [level.dtype for level in T.tables]
     for V in (TU, inv, decompose_chain(q, chain_pi, rt)):
-        assert [level.dtype for level in V.tables] == dtypes
-        assert not V.rank_table().flags.writeable
+        check_storage(V)
+    rt[0] = rt[1]  # the copy is the caller's: the map does not change
+    assert np.array_equal(T.rank_table(), reference_images(T, every))
+
+
+def check_storage(T):
+    """T holds one array: its read-only rank table, uint8 up to 256 points,
+    uint16 up to 65536 and uint32 beyond."""
+    S = chain_space_size(T.q, T.chain_pi)
+    [table] = chain_arrays(T)
+    assert table.shape == (S,) and table.dtype == narrow_type(S) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = table[0]
+
+
+# each side of each dtype boundary, and single levels of 256 values, whose
+# size does not fit the uint8 table
+BOUNDARIES = [(2, (8,)), (4, (4,)), (2, (1,) * 8), (3, (5,)), (2, (1, 8)), (3, (1, 5)),
+              (2, (4, 4, 8)), (2, (1, 16)), (4, (4, 4))]
 
 
 def test_narrow_levels_keep_exact_arithmetic():
-    # one byte per entry up to 256 block values, two beyond; the rank
-    # table, compose and invert still reach places far above 255
-    T = random_chain(2, (1, 9, 1), 5)
-    assert [level.dtype.itemsize for level in T.tables] == [1, 2, 1]
-    rows = enumerate_rows(2, (1, 9, 1))
-    assert T.rank_table().tolist() == [rank_of(2, (1, 9, 1), T.apply(r)) for r in rows]
-    U = compose_chain(T, invert_chain(T))
-    assert U == identity_chain(2, (1, 9, 1))
-    assert U.rank_table().tolist() == list(range(2 ** 11))
+    # narrow tables still reach every rank exactly: rank_table(), compose,
+    # invert, tables, to_json and as_rank_table against the reference, and
+    # the public constructor on tables gives back an equal map, equal hash
+    for q, chain_pi in BOUNDARIES:
+        S = chain_space_size(q, chain_pi)
+        T, U = random_chain(q, chain_pi, S), random_chain(q, chain_pi, S + 1)
+        check_storage(T)
+        every = np.arange(S)
+        rt, ru = T.rank_table(), U.rank_table()
+        assert np.array_equal(rt, reference_images(T, every))
+        assert np.array_equal(compose_chain(T, U).rank_table(), reference_images(T, ru))
+        assert np.array_equal(reference_images(invert_chain(T), rt), every)
+        tables = T.tables
+        assert all(level.dtype == np.int64 for level in tables)
+        assert [level.tolist() for level in tables] == T.to_json()["tables"]
+        again = ChainSymmetry(q, chain_pi, tables)
+        assert again == T and hash(again) == hash(T)
+        assert ChainSymmetry.from_json(T.to_json(), q) == T
+        cfg = make_config(3 if q == 3 else 2, 1, len(chain_pi), [chain_pi], e=2 if q == 4 else 1)
+        table = as_rank_table(Symmetry(cfg, (0,), [T]))
+        assert table.dtype == np.int64 and np.array_equal(table, rt)
     with pytest.raises(ValidationError):
         ChainSymmetry(2, (1,), [[[256, 1]]])
 
@@ -508,9 +536,11 @@ def test_json_round_trip():
        st.integers(0, 2 ** 32))
 @example((2, 1), [1] * 10, 7)  # long enough for random_levels to replay the shuffle stream
 def test_the_trusted_builders_pass_the_public_checks(field, chain_pi, seed):
-    # random_levels, compose, invert, identity, decompose_chain and
-    # make_translation build their tables without the checks of
-    # ChainSymmetry(...); every table they build must pass them
+    # random draws, compose, invert, identity, decompose_chain,
+    # make_translation, the group listing and chain_from_pairs build their
+    # rank tables without the checks of ChainSymmetry(...); every map they
+    # build must pass them, as an equal map with an equal hash, and hold
+    # its table as the public constructor does
     p, e = field
     q = p ** e
     while chain_space_size(q, chain_pi) > 1 << 12:
@@ -521,8 +551,12 @@ def test_the_trusted_builders_pass_the_public_checks(field, chain_pi, seed):
     cfg = make_config(p, 2, len(chain_pi), [chain_pi] * 2, e=e)
     built += random_symmetry(cfg, seed).chains
     built += make_translation(cfg.unrank(seed % cfg.size)).chains
+    if chain_order(q, chain_pi) <= 1 << 12:
+        built += list(all_chain_symmetries(q, chain_pi))[seed % 7::97]
+    rows = random.Random(seed).sample(range(cfg.chain_size[0]), 2)
+    built.append(chain_from_pairs(q, chain_pi, rows, A.rank_table()[rows]))
     for T in built:
         checked = ChainSymmetry(T.q, T.chain_pi, T.tables)
-        assert checked == T
-        assert [t.dtype for t in T.tables] == [t.dtype for t in checked.tables]
-        assert all(t.flags.c_contiguous and not t.flags.writeable for t in T.tables)
+        assert checked == T and hash(checked) == hash(T)
+        check_storage(T)
+        check_storage(checked)

@@ -511,6 +511,14 @@ def test_chain_from_pairs_fill_rule():
         chain_from_pairs(2, (1, 1), [2, 3], [3, 1])  # (0,1)->(1,1), (1,1)->(1,0)
 
 
+@pytest.mark.parametrize("chain_pi, src, dst", [((1,), [0, 1], [1]), ((1, 1), [[0], [1]], [[1], [0]])],
+                         ids=["unequal-lengths", "two-dimensional"])
+def test_chain_from_pairs_needs_two_flat_sequences_of_equal_length(chain_pi, src, dst):
+    # a malformed call, not a pair set that fails to be a map
+    with pytest.raises(UsageError, match="flat sequences of equal length"):
+        chain_from_pairs(2, chain_pi, src, dst)
+
+
 @pytest.mark.parametrize("cfg", [CHAIN2, make_config(3, 1, 2, [[1, 1]]), make_config(2, 1, 2, [[2, 1]]), HAMMING2,
                                  make_config(2, 2, 2, [[1, 2], [2, 1]]), make_config(3, 2, 1, [[1], [2]])],
                          ids=["chain", "gf3-chain", "mixed-chain", "hamming", "mixed-widths", "gf3-mixed-widths"])

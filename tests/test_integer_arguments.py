@@ -187,3 +187,75 @@ def test_every_slot_refuses_each_kind(bad):
     # the hypothesis walk samples slots; this visits each of them once per kind
     for slot in SLOTS:
         check(slot, bad)
+
+
+GF4 = Field(2, 2)
+# label -> (the object whose method the label names, the arguments of one
+# valid call), nested, with Int at each integer; a prime field and an
+# extension field each, where the two compute apart
+METHOD_CALLS = {
+    "ChainSymmetry.apply": (IDENTITY.chains[0], ((Int(1),),)),
+    "ChainSymmetry.from_json": (ohb.ChainSymmetry, ({"pi": [Int(1)], "tables": [[[Int(1), Int(0)]]]}, Int(2))),
+    "Field.add": (F2, (Int(1), Int(1))),
+    "Field.add on GF(4)": (GF4, (Int(2), Int(3))),
+    "Field.from_json": (Field, ({"p": Int(2), "e": Int(2), "modulus": [Int(1), Int(1), Int(1)]},)),
+    "Field.inv": (F2, (Int(1),)),
+    "Field.inv on GF(4)": (GF4, (Int(2),)),
+    "Field.mul": (F2, (Int(1), Int(1))),
+    "Field.mul on GF(4)": (GF4, (Int(2), Int(3))),
+    "Field.neg": (F2, (Int(1),)),
+    "Field.neg on GF(4)": (GF4, (Int(3),)),
+    "Field.sub": (F2, (Int(0), Int(1))),
+    "Field.sub on GF(4)": (GF4, (Int(2), Int(3))),
+    "SpaceConfig.chain_subrank": (CFG, (Int(3), Int(1))),
+    "SpaceConfig.from_json": (SpaceConfig, ({"field": {"p": Int(2)}, "m": Int(2), "n": Int(1),
+                                             "pi": [[Int(1)], [Int(1)]]},)),
+    "SpaceConfig.unrank": (CFG, (Int(3),)),
+    "Symmetry.from_json": (ohb.Symmetry, ({"sigma": [Int(2), Int(1)],
+                                          "chains": [{"pi": [Int(1)], "tables": [[[Int(1), Int(0)]]]}] * 2}, CFG)),
+}
+# public methods whose arguments hold no integer
+METHODS_WITHOUT_INTEGERS = {
+    "AutReport.to_json", "BlockVector.rank", "ChainSymmetry.rank_table", "ChainSymmetry.to_json",
+    "Code.to_json", "Code.vectors", "EquivalenceResult.to_json", "Field.to_json", "OracleReport.to_json",
+    "SpaceConfig.check_materialize", "SpaceConfig.rank", "SpaceConfig.to_json", "Symmetry.apply",
+    "Symmetry.to_json",
+}
+METHOD_SLOTS = [(label, i) for label in sorted(METHOD_CALLS) for i in range(len(ints(METHOD_CALLS[label][1])))]
+
+
+def method_call(label, slot=None, bad=None):
+    obj, args = METHOD_CALLS[label]
+    return getattr(obj, label.split()[0].split(".")[1])(*fill(args, slot, bad, [0]))
+
+
+def test_every_public_method_is_walked_and_its_valid_call_returns():
+    methods = set()
+    for name in ohb.__all__:
+        cls = getattr(ohb, name)
+        if isinstance(cls, type) and not issubclass(cls, Exception):
+            for attr in dir(cls):
+                static = inspect.getattr_static(cls, attr)
+                if not attr.startswith("_") and (inspect.isfunction(static) or isinstance(static, classmethod)):
+                    methods.add(f"{name}.{attr}")
+    walked = {label.split()[0] for label in METHOD_CALLS}
+    assert walked | METHODS_WITHOUT_INTEGERS == methods
+    assert not walked & METHODS_WITHOUT_INTEGERS
+    for label in METHOD_CALLS:
+        method_call(label)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(1.0), "1", None, -1],
+                         ids=["true", "false", "float", "np-float", "string", "none", "negative"])
+def test_every_method_slot_refuses_each_kind(bad):
+    # as the walk over callables: no integer is refused with UsageError, a
+    # negative number gives a result or an OhbError
+    for label, i in METHOD_SLOTS:
+        if isinstance(bad, int) and not isinstance(bad, bool):
+            try:
+                method_call(label, i, bad)
+            except OhbError:
+                pass
+        else:
+            with pytest.raises(UsageError):
+                method_call(label, i, bad)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model
-from conftest import elementwise, make_config, model_outcome, outcome, random_vector
+from conftest import chain_arrays, elementwise, make_config, model_outcome, outcome, random_vector
 from ohb import (
     BlockVector,
     Code,
@@ -372,35 +372,36 @@ def test_apply_builds_a_valid_vector(cfg):
 
 @pytest.mark.parametrize("n", [10, 11, 13])
 def test_apply_keeps_one_image_per_chain(n):
-    # one chain of n unit levels has 2^n rows.  The first apply keeps the
-    # chain map's rank table, 8 bytes a row, and reads each image off it,
-    # so applying every point keeps no more than that table.  as_rank_table
-    # then reuses the kept table and keeps nothing more
+    # one chain of n unit levels has 2^n rows, and its map holds their
+    # images as a uint16 rank table.  apply reads each image off that very
+    # table, so applying every point keeps no copy of it; as_rank_table
+    # then hands out a fresh int64 table and keeps nothing more
     cfg = make_config(2, 1, n, [[1] * n])
     T = random_symmetry(cfg, 32)
     ch = T.chains[0]
     table = model.geometry(2, cfg.pi).apply(T.to_json(), np.arange(cfg.size))
-    assert ch._table is None
+    [image] = chain_arrays(ch)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for r in range(cfg.size):
             assert T.apply(cfg.unrank(r)).rank() == table[r]
         kept = tracemalloc.get_traced_memory()[0] - before
-        image = ch._table
         full = as_rank_table(T)
         again = tracemalloc.get_traced_memory()[0] - before - full.nbytes
     finally:
         tracemalloc.stop()
-    assert image.nbytes == 8 * cfg.size and np.array_equal(image, table)
-    assert 8 * cfg.size <= kept <= 8 * cfg.size + (4 << 10)
-    assert ch._table is image and again <= kept + (4 << 10)
-    assert np.array_equal(full, table)
+    assert image.dtype == np.uint16 and np.array_equal(image, table)
+    assert kept <= 4 << 10 and again <= kept + (4 << 10)
+    assert chain_arrays(ch)[0] is image
+    assert full.dtype == np.int64 and full.flags.writeable and np.array_equal(full, table)
 
 
-def test_draws_and_code_maps_build_no_rank_table():
-    # search keeps these objects for a whole run: they must hold their
-    # levels only, and build a rank table only when one is asked for
+def test_kept_maps_hold_one_narrow_table():
+    # search keeps these objects for a whole run: each chain map holds its
+    # rank table alone, one byte a point up to 256 points, and neither a
+    # code map nor an operand of compose, invert or as_rank_table is left
+    # holding a wider copy: at most 2 bytes a point on 2^13 points
     cfg = make_config(2, 2, 6, [[1] * 6] * 2)
     T = random_symmetry(cfg, 5)
     rng = random.Random(5)
@@ -410,18 +411,14 @@ def test_draws_and_code_maps_build_no_rank_table():
     assert found.verdict == "equivalent"
     pairs = chain_from_pairs(2, cfg.pi[0], [0, 1, 2], [5, 4, 7])
     for ch in (*T.chains, *found.witness.chains, pairs):
-        assert ch._table is None
-    # compose, invert and as_rank_table keep a table on their operands and
-    # their results, so whatever a search keeps must not pass through them
-    U = random_symmetry(cfg, 6)
-    V = compose_symmetry(T, U)
-    assert all(ch._table is not None for ch in (*T.chains, *U.chains, *V.chains))
-    W = random_symmetry(cfg, 7)
-    X = invert_symmetry(W)
-    assert all(ch._table is not None for ch in (*W.chains, *X.chains))
-    Y = random_symmetry(cfg, 8)
+        [table] = chain_arrays(ch)
+        assert table.dtype == np.uint8 and table.nbytes == cfg.chain_size[0]
+    long = make_config(2, 1, 13, [[1] * 13])
+    A, B, W, Y = (random_symmetry(long, seed) for seed in (6, 7, 8, 9))
+    V, X = compose_symmetry(A, B), invert_symmetry(W)
     as_rank_table(Y)
-    assert all(ch._table.nbytes == 8 * cfg.chain_size[0] for ch in Y.chains)
+    for ch in (*A.chains, *B.chains, *V.chains, *W.chains, *X.chains, *Y.chains):
+        assert sum(a.nbytes for a in chain_arrays(ch)) <= 2 * long.size
 
 
 def test_decompose_full_strips_the_translation_on_chain_axes_only():

@@ -10,11 +10,29 @@ have full_order elements, and decompose_full of each table gives back its
 symmetry.
 """
 
+import json
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
-from ohb import Field, SpaceConfig, all_symmetries, as_rank_table, decompose_full, enumerate_isometries, full_order
+import model
+from ohb import (
+    ChainSymmetry,
+    Field,
+    SpaceConfig,
+    Symmetry,
+    all_chain_symmetries,
+    all_symmetries,
+    as_rank_table,
+    compose_symmetry,
+    decompose_full,
+    enumerate_automorphisms,
+    enumerate_isometries,
+    full_order,
+    invert_symmetry,
+    is_linear,
+)
 
 MAX_POINTS = 16  # the oracle_list cap
 MAX_ORDER = 5000
@@ -53,3 +71,33 @@ def test_the_group_is_the_set_of_canonical_pairs(cfg):
     assert len(built) == len(listed) == len(syms) == full_order(cfg)
     for T, table in zip(syms, tables):
         assert decompose_full(cfg, table) == T
+
+
+# closure is checked over all pairs of a group of at most this many elements
+MAX_PAIRED = 128
+
+
+@pytest.mark.parametrize("cfg", SPACES, ids=lambda cfg: f"q{cfg.q}-{'|'.join(map(str, cfg.pi))}")
+def test_every_element_acts_as_the_reference_and_round_trips(cfg):
+    # per element: the reference action of tests/model.py, apply at every
+    # point and the JSON round trip; per chain map of the listing, its JSON
+    # round trip; the automorphisms are the linear tables; and where the
+    # group is small, compose and invert are table composition and inversion
+    syms = list(all_symmetries(cfg))
+    tables = np.stack([as_rank_table(T) for T in syms])
+    every = np.arange(cfg.size)
+    geo = model.geometry(cfg.q, cfg.pi)
+    for T, table in zip(syms, tables):
+        assert np.array_equal(geo.apply(T.to_json(), every), table)
+        assert [T.apply(cfg.unrank(r)).rank() for r in range(cfg.size)] == table.tolist()
+        assert Symmetry.from_json(json.loads(json.dumps(T.to_json())), cfg) == T
+    for row in set(cfg.pi):
+        for ch in all_chain_symmetries(cfg.q, row):
+            assert ChainSymmetry.from_json(json.loads(json.dumps(ch.to_json())), cfg.q) == ch
+    count, _ = enumerate_automorphisms(cfg)
+    assert count == sum(is_linear(cfg, table) for table in tables)
+    if len(syms) <= MAX_PAIRED:
+        for A, a in zip(syms, tables):
+            composed = np.stack([as_rank_table(compose_symmetry(A, B)) for B in syms])
+            assert np.array_equal(composed, a[tables])
+            assert np.array_equal(as_rank_table(invert_symmetry(A))[a], every)
