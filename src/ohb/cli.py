@@ -3,9 +3,12 @@
 Every capability is a subcommand operating on a space config file.
 Output is a single document per invocation: JSON with sorted keys in
 --format json (byte-identical across identical invocations), or a thin
-human rendering of the same data.  Exit codes: 0 success, 1 domain
-rejection (non-isometry input, cap refusal, unsupported formula), 2
-usage error (bad flags or malformed files).
+human rendering of the same data.  Each handler builds its document once
+and returns it with the function that renders it as text, so neither
+format is decided twice.  An order too long to print is refused from its
+log10, before it is built.  Exit codes: 0 success, 1 domain rejection
+(non-isometry input, cap refusal, unsupported formula), 2 usage error
+(bad flags or malformed files).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import os
 import sys
 
-from .automorphisms import aut_order_antichain, aut_report, gl_order
+from .automorphisms import AutReport, aut_order_antichain, aut_order_antichain_log10, aut_report, gl_order
 from .chains import chain_order
 from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
 from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, int_arg
@@ -156,45 +159,63 @@ def _resolve_seed(args):
 
 
 # subcommand handlers: each takes the loaded space and the parsed
-# arguments and returns (doc, schema_key)
+# arguments and returns its JSON document and a function of no arguments
+# that renders the same data as human text, so that the text is built
+# only under --format human
 
 
 def _cmd_weight(cfg, args):
     v = parse_vector(cfg, args.vec)
-    return {"op": "weight", "vector": format_vector(v), "weight": weight(v)}, "weight"
+    doc = {"op": "weight", "vector": format_vector(v), "weight": weight(v)}
+    return doc, lambda: str(doc["weight"])
 
 
 def _cmd_dist(cfg, args):
     u = parse_vector(cfg, args.u)
     v = parse_vector(cfg, args.v)
-    return {
-        "op": "dist",
-        "u": format_vector(u),
-        "v": format_vector(v),
-        "distance": distance(u, v),
-    }, "dist"
+    doc = {"op": "dist", "u": format_vector(u), "v": format_vector(v), "distance": distance(u, v)}
+    return doc, lambda: str(doc["distance"])
+
+
+def _symmetry(T):
+    """A symmetry's document, and its rows as text."""
+    doc = T.to_json()
+
+    def text():
+        lines = ["sigma: " + " ".join(map(str, doc["sigma"]))]
+        for i, ch in enumerate(doc["chains"], start=1):
+            for j, level in enumerate(ch["tables"], start=1):
+                lines += [f"chain {i} level {j} tail {t}: " + " ".join(map(str, perm)) for t, perm in enumerate(level)]
+        return "\n".join(lines)
+
+    return doc, text
 
 
 def _cmd_sym_gen(cfg, args):
-    T = random_symmetry(cfg, _resolve_seed(args))
-    return T.to_json(), "symmetry"
+    return _symmetry(random_symmetry(cfg, _resolve_seed(args)))
 
 
 def _cmd_sym_apply(cfg, args):
     T = _load_symmetry(cfg, args.sym)
     v = parse_vector(cfg, args.vec)
-    return {"op": "sym.apply", "vector": format_vector(T.apply(v))}, "sym.apply"
+    doc = {"op": "sym.apply", "vector": format_vector(T.apply(v))}
+    return doc, lambda: doc["vector"]
 
 
 def _cmd_sym_compose(cfg, args):
     A = _load_symmetry(cfg, args.a)
     B = _load_symmetry(cfg, args.b)
-    return compose_symmetry(A, B).to_json(), "symmetry"
+    return _symmetry(compose_symmetry(A, B))
 
 
 def _cmd_sym_invert(cfg, args):
-    T = _load_symmetry(cfg, args.sym)
-    return invert_symmetry(T).to_json(), "symmetry"
+    return _symmetry(invert_symmetry(_load_symmetry(cfg, args.sym)))
+
+
+def _tail(doc):
+    """The witness pair, else the failing chain, of a refusal document as text."""
+    w, k = doc["witness"], doc.get("chain_index")
+    return f" (witness ranks {w[0]}, {w[1]})" if w else f" (chain {k})" if k else ""
 
 
 def _cmd_sym_verify(cfg, args):
@@ -204,13 +225,24 @@ def _cmd_sym_verify(cfg, args):
         else:
             _load_symmetry(cfg, args.sym)
     except (NotIsometryError, StructureError) as exc:
-        return {"op": "sym.verify", "valid": False, "error": str(exc), "witness": exc.witness}, "sym.verify"
-    return {"op": "sym.verify", "valid": True, "error": None, "witness": None}, "sym.verify"
+        doc = {"op": "sym.verify", "valid": False, "error": str(exc), "witness": exc.witness}
+        return doc, lambda: f"invalid: {doc['error']}{_tail(doc)}"
+    return {"op": "sym.verify", "valid": True, "error": None, "witness": None}, lambda: "valid"
 
 
 def _cmd_sym_decompose(cfg, args):
-    T = decompose_full(cfg, _load_map(args.map, cfg.size))
-    return T.to_json(), "symmetry"
+    return _symmetry(decompose_full(cfg, _load_map(args.map, cfg.size)))
+
+
+def _oracle_fields(rep):
+    """The fields that order --both and report take from an oracle run."""
+    return {"alt_counts": rep.alt_counts, "matches": rep.matches, "discrepant": rep.discrepant}
+
+
+def _alternates(rep):
+    """An oracle run's alternative closed forms, one line each."""
+    return [f"alternate {label}: {value}, " + ("match" if rep.matches[label] else "MISMATCH (flagged)")
+            for label, value in sorted(rep.alt_counts.items())]
 
 
 def _cmd_order(cfg, args):
@@ -219,45 +251,48 @@ def _cmd_order(cfg, args):
     doc = {"op": "order", "mode": args.mode}
     if args.mode == "formula":
         doc["formula_order"] = full_order(cfg)
-    elif args.mode == "oracle":
-        doc["oracle_count"] = enumerate_isometries(cfg, cap=args.cap).isometry_count
-    else:
-        rep = enumerate_isometries(cfg, cap=args.cap)
-        doc["formula_order"] = rep.formula_count
-        doc["oracle_count"] = rep.isometry_count
-        doc["match"] = rep.matches["formula"]
-        doc["alt_counts"] = rep.alt_counts
-        doc["matches"] = rep.matches
-        doc["discrepant"] = rep.discrepant
-    return doc, "order"
+        return doc, lambda: f"formula {doc['formula_order']}"
+    rep = enumerate_isometries(cfg, cap=args.cap)
+    doc["oracle_count"] = rep.isometry_count
+    if args.mode == "oracle":
+        return doc, lambda: f"oracle {rep.isometry_count}"
+    doc.update(formula_order=rep.formula_count, match=rep.matches["formula"], **_oracle_fields(rep))
+
+    def text():
+        verdict = "match" if rep.matches["formula"] else "MISMATCH"
+        return "\n".join([f"formula {rep.formula_count}, oracle {rep.isometry_count}, {verdict}", *_alternates(rep)])
+
+    return doc, text
 
 
 def _cmd_aut(cfg, args):
     if args.mode == "formula":
-        order = aut_order_antichain(cfg)
-        _check_printable("automorphism group order", math.log10(order))
-        doc = {
-            "op": "aut",
-            "space": cfg.to_json(),
-            "formula_order": order,
-            "enumerated_order": None,
-            "per_block_gl_orders": [[gl_order(cfg.q, k) for k in row] for row in cfg.pi],
-            "discrepant": None,
-        }
-        return doc, "aut"
-    rep = aut_report(cfg, cap=args.cap)
-    doc = rep.to_json()
-    doc["op"] = "aut"
-    return doc, "aut"
+        _check_printable("automorphism group order", aut_order_antichain_log10(cfg))
+        per_block = [[gl_order(cfg.q, k) for k in row] for row in cfg.pi]
+        rep = AutReport(cfg, aut_order_antichain(cfg), None, per_block)
+    else:
+        rep = aut_report(cfg, cap=args.cap)
+
+    def text():
+        lines = [] if rep.formula_order is None else [f"formula {rep.formula_order}"]
+        if rep.enumerated_order is not None:
+            lines.append(f"enumerated {rep.enumerated_order}")
+        if rep.discrepant:
+            lines.append("DISCREPANT")
+        return "\n".join(lines)
+
+    return {"op": "aut", **rep.to_json()}, text
 
 
 def _cmd_equiv(cfg, args):
-    c1 = _load_code(cfg, args.c1)
-    c2 = _load_code(cfg, args.c2)
-    res = equivalent(c1, c2, budget=args.budget)
-    doc = res.to_json()
-    doc["op"] = "equiv"
-    return doc, "equiv"
+    res = equivalent(_load_code(cfg, args.c1), _load_code(cfg, args.c2), budget=args.budget)
+
+    def text():
+        if res.verdict == "equivalent":
+            return f"equivalent (witness found, {res.nodes} nodes)"
+        return f"{res.verdict.replace('_', ' ')}: {res.reason} ({res.nodes} nodes)"
+
+    return {"op": "equiv", **res.to_json()}, text
 
 
 def _cmd_report(cfg, args):
@@ -270,100 +305,33 @@ def _cmd_report(cfg, args):
         "chain_orders": [chain_order(cfg.q, row) for row in cfg.pi],
         "full_order": full_order(cfg),
     }
-    if cfg.size <= cap:
-        rep = enumerate_isometries(cfg, cap=cap)
-        doc["isometry_count"] = rep.isometry_count
-        doc["alt_counts"] = rep.alt_counts
-        doc["matches"] = rep.matches
-        doc["discrepant"] = rep.discrepant
-    else:
+    rep = enumerate_isometries(cfg, cap=cap) if cfg.size <= cap else None
+    if rep is None:
         doc["oracle_skipped"] = f"q^N = {cfg.size} exceeds the oracle cap {cap}"
-    return doc, "report"
+    else:
+        doc.update(isometry_count=rep.isometry_count, **_oracle_fields(rep))
 
-
-def _human(doc, schema_key):
-    if schema_key == "weight":
-        return str(doc["weight"])
-    if schema_key == "dist":
-        return str(doc["distance"])
-    if schema_key == "symmetry":
-        lines = ["sigma: " + " ".join(str(x) for x in doc["sigma"])]
-        for i, ch in enumerate(doc["chains"], start=1):
-            for j, level in enumerate(ch["tables"], start=1):
-                for t, perm in enumerate(level):
-                    lines.append(
-                        f"chain {i} level {j} tail {t}: "
-                        + " ".join(str(x) for x in perm)
-                    )
-        return "\n".join(lines)
-    if schema_key == "sym.apply":
-        return doc["vector"]
-    if schema_key == "sym.verify":
-        if doc["valid"]:
-            return "valid"
-        w = doc.get("witness")
-        tail = f" (witness ranks {w[0]}, {w[1]})" if w else ""
-        return f"invalid: {doc['error']}{tail}"
-    if schema_key == "order":
-        parts = []
-        if doc.get("formula_order") is not None:
-            parts.append(f"formula {doc['formula_order']}")
-        if doc.get("oracle_count") is not None:
-            parts.append(f"oracle {doc['oracle_count']}")
-        if doc.get("match") is not None:
-            parts.append("match" if doc["match"] else "MISMATCH")
-        out = [", ".join(parts)]
-        for label, value in sorted(doc.get("alt_counts", {}).items()):
-            verdict = "match" if doc["matches"][label] else "MISMATCH (flagged)"
-            out.append(f"alternate {label}: {value}, {verdict}")
-        return "\n".join(out)
-    if schema_key == "aut":
-        lines = []
-        if doc["formula_order"] is not None:
-            lines.append(f"formula {doc['formula_order']}")
-        if doc["enumerated_order"] is not None:
-            lines.append(f"enumerated {doc['enumerated_order']}")
-        if doc["discrepant"]:
-            lines.append("DISCREPANT")
-        return "\n".join(lines)
-    if schema_key == "equiv":
-        if doc["verdict"] == "equivalent":
-            return f"equivalent (witness found, {doc['nodes']} nodes)"
-        return f"{doc['verdict'].replace('_', ' ')}: {doc['reason']} ({doc['nodes']} nodes)"
-    if schema_key == "report":
+    def text():
         lines = [
-            f"space: q={doc['space']['field']['p']}^{doc['space']['field'].get('e', 1)}"
-            f" m={doc['space']['m']} n={doc['space']['n']} pi={doc['space']['pi']}",
-            f"chain orders: {' '.join(str(x) for x in doc['chain_orders'])}",
+            f"space: q={cfg.field.p}^{cfg.field.e} m={cfg.m} n={cfg.n} pi={doc['space']['pi']}",
+            f"chain orders: {' '.join(map(str, doc['chain_orders']))}",
             f"admissible permutations: {doc['s_pi_order']}",
             f"full order: {doc['full_order']}",
         ]
-        if "isometry_count" in doc:
-            ok = "match" if doc["matches"]["formula"] else "MISMATCH"
-            lines.append(f"oracle count: {doc['isometry_count']} ({ok})")
-            for label, value in sorted(doc.get("alt_counts", {}).items()):
-                verdict = "match" if doc["matches"][label] else "MISMATCH (flagged)"
-                lines.append(f"alternate {label}: {value}, {verdict}")
-            if doc["discrepant"]:
-                lines.append("DISCREPANT")
-        else:
+        if rep is None:
             lines.append(f"oracle skipped: {doc['oracle_skipped']}")
+        else:
+            ok = "match" if rep.matches["formula"] else "MISMATCH"
+            lines += [f"oracle count: {rep.isometry_count} ({ok})", *_alternates(rep)]
+            if rep.discrepant:
+                lines.append("DISCREPANT")
         return "\n".join(lines)
-    if schema_key == "error":
-        tail = ""
-        if doc.get("witness"):
-            tail = f" (witness ranks {doc['witness'][0]}, {doc['witness'][1]})"
-        elif doc.get("chain_index"):
-            tail = f" (chain {doc['chain_index']})"
-        return f"error: {doc['error']}{tail}"
-    return json.dumps(doc, sort_keys=True)
+
+    return doc, text
 
 
-def _emit(doc, schema_key, fmt):
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(_human(doc, schema_key))
+def _emit(doc, render, fmt):
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")) if fmt == "json" else render())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,23 +418,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    fmt = getattr(args, "format", "human")
     op = args.cmd if not getattr(args, "subcmd", None) else f"{args.cmd}.{args.subcmd}"
     try:
-        doc, schema_key = args.handler(_load_space(args.space), args)
+        doc, render = args.handler(_load_space(args.space), args)
     except UsageError as exc:
         print(f"ohb: error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         # a witness is a tuple of two ints, which JSON prints as a list
         doc = {"op": op, "error": str(exc), "witness": exc.witness, "chain_index": exc.chain_index}
-        _emit(doc, "error", fmt)
+        _emit(doc, lambda: f"error: {doc['error']}{_tail(doc)}", args.format)
         return 1
-    _emit(doc, schema_key, fmt)
-    if schema_key == "sym.verify" and not doc["valid"]:
-        return 1
-    return 0
-
+    _emit(doc, render, args.format)
+    return 0 if doc.get("valid", True) else 1
 
 if __name__ == "__main__":
     sys.exit(main())

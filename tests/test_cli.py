@@ -635,6 +635,21 @@ def test_orders_are_refused_with_the_print_limit_off(pi, tmp_path):
     assert "decimal digits, over the cap 4300" in res.stdout
 
 
+def test_aut_formula_refuses_before_building_the_order(capsys, tmp_path, monkeypatch):
+    # |GL(4000, 2)| has 4816480 digits and takes over a minute to build:
+    # its digits are counted from log10 alone
+    def unbuilt(config):
+        raise AssertionError("the order was built before the print limit was checked")
+
+    monkeypatch.setattr("ohb.cli.aut_order_antichain", unbuilt)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**WIDE, "pi": [[4000]]}))
+    code, out, err = run(capsys, "aut", "--formula", "--space", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert out == ('{"chain_index":null,"error":"automorphism group order has 4816480 decimal digits, '
+                   'over the cap 4300; Python prints no integer that long","op":"aut","witness":null}\n')
+
+
 # sha256 of the stdout of q=2, one chain of 13 unit levels, whose group
 # order 2^8191 has 2466 digits: the same bytes as before the refusal
 PINNED_N13 = {

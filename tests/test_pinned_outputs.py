@@ -427,3 +427,174 @@ def test_codes_refuse_a_chain_of_2_to_the_63_points(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("ohb: error: chain 1 has 2^70 points")
+
+
+# The human format of every subcommand, recorded from the same release as
+# the JSON pins.  First the calls of test_cli_outputs_are_pinned, each made
+# in the human format just before its JSON call, which writes the files
+# that later calls read
+PINNED_HUMAN = {
+    'chain': [
+        ('gen 7', 0, 'sigma: 1\nchain 1 level 1 tail 0: 1 0\nchain 1 level 1 tail 1: 0 1\nchain 1 level 1 tail 2: 1 0\nchain 1 level 1 tail 3: 1 0\nchain 1 level 1 tail 4: 1 0\nchain 1 level 1 tail 5: 0 1\nchain 1 level 1 tail 6: 1 0\nchain 1 level 1 tail 7: 1 0\nchain 1 level 2 tail 0: 1 0\nchain 1 level 2 tail 1: 1 0\nchain 1 level 2 tail 2: 0 1\nchain 1 level 2 tail 3: 0 1\nchain 1 level 3 tail 0: 1 0\nchain 1 level 3 tail 1: 1 0\nchain 1 level 4 tail 0: 1 0\n'),
+        ('gen 8', 0, 'sigma: 1\nchain 1 level 1 tail 0: 0 1\nchain 1 level 1 tail 1: 0 1\nchain 1 level 1 tail 2: 1 0\nchain 1 level 1 tail 3: 1 0\nchain 1 level 1 tail 4: 1 0\nchain 1 level 1 tail 5: 1 0\nchain 1 level 1 tail 6: 1 0\nchain 1 level 1 tail 7: 1 0\nchain 1 level 2 tail 0: 1 0\nchain 1 level 2 tail 1: 0 1\nchain 1 level 2 tail 2: 1 0\nchain 1 level 2 tail 3: 0 1\nchain 1 level 3 tail 0: 0 1\nchain 1 level 3 tail 1: 0 1\nchain 1 level 4 tail 0: 0 1\n'),
+        ('compose', 0, 'sigma: 1\nchain 1 level 1 tail 0: 0 1\nchain 1 level 1 tail 1: 1 0\nchain 1 level 1 tail 2: 0 1\nchain 1 level 1 tail 3: 0 1\nchain 1 level 1 tail 4: 1 0\nchain 1 level 1 tail 5: 0 1\nchain 1 level 1 tail 6: 0 1\nchain 1 level 1 tail 7: 0 1\nchain 1 level 2 tail 0: 0 1\nchain 1 level 2 tail 1: 1 0\nchain 1 level 2 tail 2: 1 0\nchain 1 level 2 tail 3: 0 1\nchain 1 level 3 tail 0: 1 0\nchain 1 level 3 tail 1: 1 0\nchain 1 level 4 tail 0: 1 0\n'),
+        ('invert', 0, 'sigma: 1\nchain 1 level 1 tail 0: 0 1\nchain 1 level 1 tail 1: 0 1\nchain 1 level 1 tail 2: 0 1\nchain 1 level 1 tail 3: 1 0\nchain 1 level 1 tail 4: 0 1\nchain 1 level 1 tail 5: 0 1\nchain 1 level 1 tail 6: 0 1\nchain 1 level 1 tail 7: 1 0\nchain 1 level 2 tail 0: 0 1\nchain 1 level 2 tail 1: 1 0\nchain 1 level 2 tail 2: 1 0\nchain 1 level 2 tail 3: 0 1\nchain 1 level 3 tail 0: 1 0\nchain 1 level 3 tail 1: 1 0\nchain 1 level 4 tail 0: 1 0\n'),
+        ('decompose good', 0, 'sigma: 1\nchain 1 level 1 tail 0: 0 1\nchain 1 level 1 tail 1: 1 0\nchain 1 level 1 tail 2: 0 1\nchain 1 level 1 tail 3: 0 1\nchain 1 level 1 tail 4: 1 0\nchain 1 level 1 tail 5: 0 1\nchain 1 level 1 tail 6: 0 1\nchain 1 level 1 tail 7: 0 1\nchain 1 level 2 tail 0: 0 1\nchain 1 level 2 tail 1: 1 0\nchain 1 level 2 tail 2: 1 0\nchain 1 level 2 tail 3: 0 1\nchain 1 level 3 tail 0: 1 0\nchain 1 level 3 tail 1: 1 0\nchain 1 level 4 tail 0: 1 0\n'),
+        ('decompose swapped 0 2', 1, 'error: distance not preserved for ranks 0 and 1 (witness ranks 0, 1)\n'),
+        ('decompose swapped 5 12', 1, 'error: distance not preserved for ranks 0 and 5 (witness ranks 0, 5)\n'),
+        ('decompose non-bijection', 1, 'error: not a bijection: ranks 0 and 2 share the image 12 (witness ranks 0, 2)\n'),
+    ],
+    'gf3': [
+        ('gen 7', 0, 'sigma: 2 1\nchain 1 level 1 tail 0: 2 0 1\nchain 1 level 1 tail 1: 1 2 0\nchain 1 level 1 tail 2: 2 0 1\nchain 1 level 1 tail 3: 1 0 2\nchain 1 level 1 tail 4: 1 2 0\nchain 1 level 1 tail 5: 0 2 1\nchain 1 level 1 tail 6: 1 2 0\nchain 1 level 1 tail 7: 2 1 0\nchain 1 level 1 tail 8: 1 2 0\nchain 1 level 2 tail 0: 1 2 5 7 8 6 4 0 3\nchain 2 level 1 tail 0: 1 0 2\nchain 2 level 1 tail 1: 0 2 1\nchain 2 level 1 tail 2: 1 2 0\nchain 2 level 1 tail 3: 0 1 2\nchain 2 level 1 tail 4: 1 0 2\nchain 2 level 1 tail 5: 1 2 0\nchain 2 level 1 tail 6: 2 0 1\nchain 2 level 1 tail 7: 1 0 2\nchain 2 level 1 tail 8: 1 0 2\nchain 2 level 2 tail 0: 0 6 1 2 8 4 5 7 3\n'),
+        ('gen 8', 0, 'sigma: 1 2\nchain 1 level 1 tail 0: 2 0 1\nchain 1 level 1 tail 1: 1 2 0\nchain 1 level 1 tail 2: 1 2 0\nchain 1 level 1 tail 3: 1 2 0\nchain 1 level 1 tail 4: 2 0 1\nchain 1 level 1 tail 5: 0 2 1\nchain 1 level 1 tail 6: 0 2 1\nchain 1 level 1 tail 7: 2 0 1\nchain 1 level 1 tail 8: 2 0 1\nchain 1 level 2 tail 0: 5 4 1 8 2 0 6 3 7\nchain 2 level 1 tail 0: 1 0 2\nchain 2 level 1 tail 1: 0 1 2\nchain 2 level 1 tail 2: 1 2 0\nchain 2 level 1 tail 3: 0 2 1\nchain 2 level 1 tail 4: 1 2 0\nchain 2 level 1 tail 5: 2 0 1\nchain 2 level 1 tail 6: 1 0 2\nchain 2 level 1 tail 7: 2 0 1\nchain 2 level 1 tail 8: 1 0 2\nchain 2 level 2 tail 0: 7 6 2 4 8 5 3 0 1\n'),
+        ('compose', 0, 'sigma: 2 1\nchain 1 level 1 tail 0: 1 0 2\nchain 1 level 1 tail 1: 2 0 1\nchain 1 level 1 tail 2: 2 0 1\nchain 1 level 1 tail 3: 2 0 1\nchain 1 level 1 tail 4: 1 2 0\nchain 1 level 1 tail 5: 2 1 0\nchain 1 level 1 tail 6: 1 0 2\nchain 1 level 1 tail 7: 2 1 0\nchain 1 level 1 tail 8: 0 2 1\nchain 1 level 2 tail 0: 6 8 2 3 5 1 4 7 0\nchain 2 level 1 tail 0: 0 1 2\nchain 2 level 1 tail 1: 2 0 1\nchain 2 level 1 tail 2: 2 0 1\nchain 2 level 1 tail 3: 1 2 0\nchain 2 level 1 tail 4: 0 2 1\nchain 2 level 1 tail 5: 0 1 2\nchain 2 level 1 tail 6: 1 0 2\nchain 2 level 1 tail 7: 2 1 0\nchain 2 level 1 tail 8: 2 0 1\nchain 2 level 2 tail 0: 7 5 1 8 3 4 2 0 6\n'),
+        ('invert', 0, 'sigma: 2 1\nchain 1 level 1 tail 0: 2 1 0\nchain 1 level 1 tail 1: 1 2 0\nchain 1 level 1 tail 2: 1 0 2\nchain 1 level 1 tail 3: 0 2 1\nchain 1 level 1 tail 4: 0 1 2\nchain 1 level 1 tail 5: 1 2 0\nchain 1 level 1 tail 6: 1 2 0\nchain 1 level 1 tail 7: 0 1 2\nchain 1 level 1 tail 8: 2 0 1\nchain 1 level 2 tail 0: 7 2 6 4 5 1 8 0 3\nchain 2 level 1 tail 0: 0 2 1\nchain 2 level 1 tail 1: 2 1 0\nchain 2 level 1 tail 2: 1 2 0\nchain 2 level 1 tail 3: 1 2 0\nchain 2 level 1 tail 4: 1 0 2\nchain 2 level 1 tail 5: 2 0 1\nchain 2 level 1 tail 6: 1 0 2\nchain 2 level 1 tail 7: 2 1 0\nchain 2 level 1 tail 8: 1 2 0\nchain 2 level 2 tail 0: 8 5 2 3 6 4 0 7 1\n'),
+        ('decompose good', 0, 'sigma: 2 1\nchain 1 level 1 tail 0: 1 0 2\nchain 1 level 1 tail 1: 2 0 1\nchain 1 level 1 tail 2: 2 0 1\nchain 1 level 1 tail 3: 2 0 1\nchain 1 level 1 tail 4: 1 2 0\nchain 1 level 1 tail 5: 2 1 0\nchain 1 level 1 tail 6: 1 0 2\nchain 1 level 1 tail 7: 2 1 0\nchain 1 level 1 tail 8: 0 2 1\nchain 1 level 2 tail 0: 6 8 2 3 5 1 4 7 0\nchain 2 level 1 tail 0: 0 1 2\nchain 2 level 1 tail 1: 2 0 1\nchain 2 level 1 tail 2: 2 0 1\nchain 2 level 1 tail 3: 1 2 0\nchain 2 level 1 tail 4: 0 2 1\nchain 2 level 1 tail 5: 0 1 2\nchain 2 level 1 tail 6: 1 0 2\nchain 2 level 1 tail 7: 2 1 0\nchain 2 level 1 tail 8: 2 0 1\nchain 2 level 2 tail 0: 7 5 1 8 3 4 2 0 6\n'),
+        ('decompose swapped 0 3', 1, 'error: distance not preserved for ranks 0 and 1 (witness ranks 0, 1)\n'),
+        ('decompose swapped 27 81', 1, 'error: distance not preserved for ranks 0 and 27 (witness ranks 0, 27)\n'),
+        ('decompose non-bijection', 1, 'error: not a bijection: ranks 0 and 3 share the image 534 (witness ranks 0, 3)\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_cli_outputs_are_pinned_in_human_format(space, tmp_path, capsys, monkeypatch):
+    run, human = main, []
+
+    def both(argv):
+        code = run([*argv[:-1], "human"])  # argv ends in "--format", "json"
+        human.append((code, capsys.readouterr().out))
+        return run(argv)
+
+    monkeypatch.setitem(globals(), "main", both)
+    labels = [label for label, _, _ in session(space, tmp_path, capsys)]
+    assert [(label, *out) for label, out in zip(labels, human)] == PINNED_HUMAN[space]
+
+
+# the command lines of test_count_outputs_are_pinned in the human format
+PINNED_COUNTS_HUMAN = {
+    'big': [
+        ('order --oracle', 1, 'error: space has q^N = 256 points, over the cap 64; a full search would face 256! (about 10^507) candidate bijections before pruning\n'),
+        ('order --both', 1, 'error: space has q^N = 256 points, over the cap 64; a full search would face 256! (about 10^507) candidate bijections before pruning\n'),
+        ('report', 0, 'space: q=2^1 m=2 n=2 pi=[[2, 2], [2, 2]]\nchain orders: 7962624 7962624\nadmissible permutations: 2\nfull order: 126806761930752\noracle skipped: q^N = 256 exceeds the oracle cap 64\n'),
+        ('aut --formula', 1, 'error: closed form requires a single level, this space has n = 2; use enumeration instead\n'),
+    ],
+    'blocks': [
+        ('order --oracle', 0, 'oracle 128\n'),
+        ('order --both', 0, 'formula 128, oracle 128, match\nalternate unit_product: 512, MISMATCH (flagged)\n'),
+        ('report', 0, 'space: q=2^1 m=2 n=2 pi=[[1, 1], [1, 1]]\nchain orders: 8 8\nadmissible permutations: 2\nfull order: 128\noracle count: 128 (match)\nalternate unit_product: 512, MISMATCH (flagged)\nDISCREPANT\n'),
+        ('aut --enumerate', 0, 'enumerated 8\n'),
+        ('aut --formula', 1, 'error: closed form requires a single level, this space has n = 2; use enumeration instead\n'),
+    ],
+    'chain3': [
+        ('order --oracle', 0, 'oracle 128\n'),
+        ('order --both', 0, 'formula 128, oracle 128, match\nalternate unit_chain: 256, MISMATCH (flagged)\nalternate unit_product: 256, MISMATCH (flagged)\n'),
+        ('report', 0, 'space: q=2^1 m=1 n=3 pi=[[1, 1, 1]]\nchain orders: 128\nadmissible permutations: 1\nfull order: 128\noracle count: 128 (match)\nalternate unit_chain: 256, MISMATCH (flagged)\nalternate unit_product: 256, MISMATCH (flagged)\nDISCREPANT\n'),
+        ('aut --enumerate', 0, 'enumerated 8\n'),
+        ('aut --formula', 1, 'error: closed form requires a single level, this space has n = 3; use enumeration instead\n'),
+    ],
+    'gf3': [
+        ('order --oracle', 0, 'oracle 72\n'),
+        ('order --both', 0, 'formula 72, oracle 72, match\nalternate unit_product: 2592, MISMATCH (flagged)\n'),
+        ('report', 0, 'space: q=3^1 m=2 n=1 pi=[[1], [1]]\nchain orders: 6 6\nadmissible permutations: 2\nfull order: 72\noracle count: 72 (match)\nalternate unit_product: 2592, MISMATCH (flagged)\nDISCREPANT\n'),
+        ('aut --enumerate', 0, 'formula 8\nenumerated 8\n'),
+        ('aut --formula', 0, 'formula 8\n'),
+    ],
+    'gf3aut': [
+        ('aut --enumerate', 0, 'formula 96\nenumerated 96\n'),
+        ('aut --formula', 0, 'formula 96\n'),
+    ],
+    'gf4': [
+        ('order --oracle', 0, 'oracle 1152\n'),
+        ('order --both', 0, 'formula 1152, oracle 1152, match\nalternate unit_product: 663552, MISMATCH (flagged)\n'),
+        ('report', 0, 'space: q=2^2 m=2 n=1 pi=[[1], [1]]\nchain orders: 24 24\nadmissible permutations: 2\nfull order: 1152\noracle count: 1152 (match)\nalternate unit_product: 663552, MISMATCH (flagged)\nDISCREPANT\n'),
+        ('aut --enumerate', 0, 'formula 18\nenumerated 18\n'),
+        ('aut --formula', 0, 'formula 18\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("space", sorted(COUNT_SPACES))
+def test_count_outputs_are_pinned_in_human_format(space, tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(COUNT_SPACES[space]))
+    got = []
+    for label, _, _ in PINNED_COUNTS[space]:
+        code = main([*label.split(), "--space", str(space_file), "--format", "human"])
+        got.append((label, code, capsys.readouterr().out))
+    assert got == PINNED_COUNTS_HUMAN[space]
+
+
+def human_calls(space, tmp_path, capsys):
+    """weight, dist, sym verify and equiv in the human format on one space
+    of SPACES: (label, exit code, stdout).  A label is the command line,
+    with each file named by what it holds."""
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(SPACES[space]))
+    cfg = SpaceConfig.from_json(SPACES[space])
+    rng = random.Random(1)  # its drawn code is not equivalent to c1 on either space
+    out = []
+
+    def call(label, *argv):
+        code = main([*argv, "--space", str(space_file), "--format", "human"])
+        out.append((label, code, capsys.readouterr().out))
+
+    def save(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    u, v = (format_vector(cfg.unrank(rng.randrange(cfg.size))) for _ in range(2))
+    call(f"weight --vec {u}", "weight", "--vec", u)
+    call(f"weight --vec {v}", "weight", "--vec", v)
+    call(f"dist --u {u} --v {v}", "dist", "--u", u, "--v", v)
+    T = random_symmetry(cfg, 7)
+    call("sym verify --sym gen7", "sym", "verify", "--sym", save("t.json", json.dumps(T.to_json())))
+    table = as_rank_table(T)
+    call("sym verify --map gen7", "sym", "verify", "--map", save("good.tbl", json.dumps(table.tolist())))
+    for a, b in SWAPS[space]:
+        bad = table.copy()
+        bad[[a, b]] = bad[[b, a]]
+        call(f"sym verify --map gen7 swapped {a} {b}", "sym", "verify", "--map", save("bad.tbl", json.dumps(bad.tolist())))
+    c1 = Code(cfg, rng.sample(range(cfg.size), 4))
+    others = {"scrambled": apply_to_code(random_symmetry(cfg, 8), c1),
+              "drawn": Code(cfg, rng.sample(range(cfg.size), 4))}
+    files = {name: save(f"{name}.json", json.dumps(c.to_json())) for name, c in [("c1", c1), *others.items()]}
+    for name in others:
+        call(f"equiv --c1 c1 --c2 {name}", "equiv", "--c1", files["c1"], "--c2", files[name])
+        call(f"equiv --c1 c1 --c2 {name} --budget 1", "equiv", "--c1", files["c1"], "--c2", files[name], "--budget", "1")
+    return out
+
+
+PINNED_HUMAN_CALLS = {
+    'chain': [
+        ('weight --vec 0,0,1,0', 0, '3\n'),
+        ('weight --vec 0,1,0,0', 0, '2\n'),
+        ('dist --u 0,0,1,0 --v 0,1,0,0', 0, '3\n'),
+        ('sym verify --sym gen7', 0, 'valid\n'),
+        ('sym verify --map gen7', 0, 'valid\n'),
+        ('sym verify --map gen7 swapped 0 2', 1, 'invalid: distance not preserved for ranks 0 and 1 (witness ranks 0, 1)\n'),
+        ('sym verify --map gen7 swapped 5 12', 1, 'invalid: distance not preserved for ranks 0 and 5 (witness ranks 0, 5)\n'),
+        ('equiv --c1 c1 --c2 scrambled', 0, 'equivalent (witness found, 22 nodes)\n'),
+        ('equiv --c1 c1 --c2 scrambled --budget 1', 0, 'equivalent (witness found, 22 nodes)\n'),
+        ('equiv --c1 c1 --c2 drawn', 0, 'not equivalent: distance distribution mismatch (0 nodes)\n'),
+        ('equiv --c1 c1 --c2 drawn --budget 1', 0, 'not equivalent: distance distribution mismatch (0 nodes)\n'),
+    ],
+    'gf3': [
+        ('weight --vec 2,00;2,10', 0, '3\n'),
+        ('weight --vec 0,21;0,12', 0, '4\n'),
+        ('dist --u 2,00;2,10 --v 0,21;0,12', 0, '4\n'),
+        ('sym verify --sym gen7', 0, 'valid\n'),
+        ('sym verify --map gen7', 0, 'valid\n'),
+        ('sym verify --map gen7 swapped 0 3', 1, 'invalid: distance not preserved for ranks 0 and 1 (witness ranks 0, 1)\n'),
+        ('sym verify --map gen7 swapped 27 81', 1, 'invalid: distance not preserved for ranks 0 and 27 (witness ranks 0, 27)\n'),
+        ('equiv --c1 c1 --c2 scrambled', 0, 'equivalent (witness found, 4 nodes)\n'),
+        ('equiv --c1 c1 --c2 scrambled --budget 1', 0, 'inconclusive: budget exhausted (2 nodes)\n'),
+        ('equiv --c1 c1 --c2 drawn', 0, 'not equivalent: distance distribution mismatch (0 nodes)\n'),
+        ('equiv --c1 c1 --c2 drawn --budget 1', 0, 'not equivalent: distance distribution mismatch (0 nodes)\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_human_outputs_are_pinned(space, tmp_path, capsys):
+    assert human_calls(space, tmp_path, capsys) == PINNED_HUMAN_CALLS[space]

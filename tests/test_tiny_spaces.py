@@ -7,16 +7,18 @@ points and a group of at most MAX_ORDER elements, each multiset of chain
 rows once (a space and its chains reordered have the same group).  On each,
 the tables of all_symmetries are the oracle's distance-only listing, both
 have full_order elements, and decompose_full of each table gives back its
-symmetry.
+symmetry.  The automorphism count is the model's closed form, and every
+transposition of the identity is accepted or refused as the model decides it.
 """
 
 import json
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 import model
+from conftest import model_outcome, outcome
 from ohb import (
     ChainSymmetry,
     Field,
@@ -101,3 +103,23 @@ def test_every_element_acts_as_the_reference_and_round_trips(cfg):
             composed = np.stack([as_rank_table(compose_symmetry(A, B)) for B in syms])
             assert np.array_equal(composed, a[tables])
             assert np.array_equal(as_rank_table(invert_symmetry(A))[a], every)
+
+
+@pytest.mark.parametrize("cfg", SPACES, ids=lambda cfg: f"q{cfg.q}-{'|'.join(map(str, cfg.pi))}")
+def test_the_automorphism_count_is_the_closed_form(cfg):
+    count, _ = enumerate_automorphisms(cfg)
+    assert count == model.automorphism_order(cfg.q, cfg.pi)
+
+
+@pytest.mark.parametrize("cfg", SPACES, ids=lambda cfg: f"q{cfg.q}-{'|'.join(map(str, cfg.pi))}")
+def test_every_transposition_of_the_identity_is_decided_as_the_model(cfg):
+    # the images of every pair of points of the identity exchanged: 840
+    # tables over the 18 spaces, 49 of them isometries; decompose_full must
+    # accept or refuse each as the model does, under every witness regime
+    identity = as_rank_table(next(iter(all_symmetries(cfg))))
+    assert np.array_equal(identity, np.arange(cfg.size))
+    geo = model.geometry(cfg.q, cfg.pi)
+    for u, v in combinations(range(cfg.size), 2):
+        f = identity.copy()
+        f[[u, v]] = f[[v, u]]
+        assert outcome(decompose_full, cfg, f) == model_outcome(model.decompose_full, geo, f)
