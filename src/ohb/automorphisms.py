@@ -164,7 +164,7 @@ class AutReport:
 
 
 def aut_report(config: SpaceConfig, cap: int | None = None) -> AutReport:
+    enumerated, _ = enumerate_automorphisms(config, cap=cap)  # refuses before any order is built
     formula = aut_order_antichain(config) if config.n == 1 else None
-    enumerated, _ = enumerate_automorphisms(config, cap=cap)
     per_block = [[gl_order(config.q, k) for k in row] for row in config.pi]
     return AutReport(config, formula, enumerated, per_block)

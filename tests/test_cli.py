@@ -650,6 +650,18 @@ def test_aut_formula_refuses_before_building_the_order(capsys, tmp_path, monkeyp
                    'over the cap 4300; Python prints no integer that long","op":"aut","witness":null}\n')
 
 
+def test_aut_enumerate_refuses_before_building_the_closed_form(capsys, tmp_path, monkeypatch):
+    # the same space is over the points cap, which is checked first
+    def unbuilt(config):
+        raise AssertionError("the closed form was built before the points cap was checked")
+
+    monkeypatch.setattr("ohb.automorphisms.aut_order_antichain", unbuilt)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**WIDE, "pi": [[4000]]}))
+    doc = run_json(capsys, "aut", "--enumerate", "--space", str(path), schema="error", expect=1)
+    assert doc["error"].startswith(f"space has q^N = {2 ** 4000} points, over the cap ")
+
+
 # sha256 of the stdout of q=2, one chain of 13 unit levels, whose group
 # order 2^8191 has 2466 digits: the same bytes as before the refusal
 PINNED_N13 = {

@@ -4,7 +4,8 @@ Each case runs one `ohb ... --format json` call (`sym apply` also in
 the human format) and compares its exit code and stdout with bytes
 recorded from ohb 0.1.0.  A mismatch means
 the JSON format, the order of the seeded draws, the choice of a
-rejection witness, or a group count or cap refusal changed.  The order
+rejection witness, or a group count or cap refusal changed.  The last
+cases pin the human format of every subcommand the same way.  The order
 in which the isometry and automorphism listings come out is pinned by
 digest too: code equivalence takes its fallback witness from it.  So
 are the results of seeded equivalence queries and the code invariants,
