@@ -7,8 +7,9 @@ admissible chain permutations.  For n > 1 no closed form is evaluated
 here; the count from basis images with weight pruning is the
 authority.  It runs the oracle's one group search,
 oracle.stabilizer_orbits, with the basis slots as base, so its cost
-follows the number of basis slots and orbit points, not the group
-order; only listing every automorphism visits each one.
+follows the basis slots, the orbit points and the candidate images that
+pass the weight tests, each of which walks its subtree; it does not
+follow the group order, and only listing visits every automorphism.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
 
     A linear map is fixed by the images of the standard basis slots
     e_t = q^t, assigned in order; a search state is the span of the
-    images so far, and a candidate image w of e_t is kept only if every
+    images so far.  A candidate image w of e_t has e_t's weight and its
+    count of weight-1 points u per weight(w + u), and is kept only if every
     vector x + c*e_t of that span keeps its weight under
     x + c*e_t -> f(x) + c*w, read from the weight table at
     add_ranks(f(x), c*w).  The e_t are the base of
@@ -114,12 +116,24 @@ def enumerate_automorphisms(config: SpaceConfig, cap: int | None = None, want_li
     weights = weight_array(config)
     ranks = np.arange(S, dtype=np.int64)
     scaled = [scale_ranks(config, c, ranks) for c in range(q)]
+    # a linear isometry fixes 0 and permutes the weight-1 points u, so the
+    # image of e_t has its counts of weight(v + u) per weight (2^16 pairs a block)
+    ones = np.flatnonzero(weights == 1)
+    top = int(weights.max()) + 1
+    counts = np.zeros((S, top), dtype=np.int64)
+    rows = max(1, (1 << 16) // len(ones))
+    for lo in range(0, S, rows):
+        v = ranks[lo:lo + rows, None]
+        cells = weights[add_ranks(config, v, ones)] + top * (v - lo)
+        counts[lo:lo + len(v)] = np.bincount(cells.ravel(), minlength=len(v) * top).reshape(-1, top)
+    images = {q ** t: np.flatnonzero((weights == weights[q ** t]) & (counts == counts[q ** t]).all(1))
+              for t in range(config.N)}
 
     def candidates(span):
         """Ascending images of e_t that keep the weights over span + c*e_t,
         where span holds the images of ranks 0..q^t - 1."""
         e_t = len(span)
-        ws = np.flatnonzero(weights == weights[e_t])
+        ws = images[e_t]
         # each block of candidates against the span reads about 2^16 weights
         rows = max(1, (1 << 16) // e_t)
         keep = []

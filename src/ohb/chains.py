@@ -21,7 +21,7 @@ image rank of every row rank, in the narrowest unsigned type that holds
 one.  As F_j reads only its tail, the table is built from the level
 arrays top level first, one multiply-add per level and no division, and
 the levels are read back off it at the zero prefix (`_levels`) only for
-`tables` and JSON; compose is one gather and invert one scatter.
+JSON and decompose_chain; compose is one gather and invert one scatter.
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ class ChainSymmetry:
 
     _table is the read-only array of the image of every row rank, uint8 up
     to 256 points, uint16 up to 65536 and uint32 beyond; rank_table() hands
-    out an int64 copy.  tables, the JSON view, are the levels read off it:
-    tables[j] has shape (tails, q^k_{j+1}), and row t is the permutation of
-    the level j+1 block when the tail (levels j+2..n) has rank t, level j+2
-    least significant.  The last level has a single row (empty tail).
+    out an int64 copy.  The one levels view, to_json()["tables"], reads the
+    levels off it as lists: tables[j] has tails rows of q^k_{j+1} entries,
+    and row t is the permutation of the level j+1 block when the tail
+    (levels j+2..n) has rank t, level j+2 least significant.  The last
+    level has a single row (empty tail).  The constructor takes that form.
     """
 
     __slots__ = ("q", "chain_pi", "_table")
@@ -170,11 +171,6 @@ class ChainSymmetry:
     @property
     def n(self):
         return len(self.chain_pi)
-
-    @property
-    def tables(self) -> tuple:
-        """The level arrays, int64, read off the rank table."""
-        return tuple(_levels(self.q, self.chain_pi, self.rank_table()))
 
     def apply(self, row) -> tuple:
         row = int_tuple(row, "block rank")

@@ -6,13 +6,15 @@ first), rank = sum c_t * p^t.  The rank is a bijection onto [0, q) with
 rank(0) = 0 and rank(1) = 1, and it fixes the ordering used by every
 permutation table downstream.
 
-Prime fields are plain arithmetic mod p and need no table.  An extension
-field multiplies through its q x q table on ranks, built once per Field in
-one numpy pass (_mul_table) and kept as a read-only array of the narrowest
-unsigned type, and reads its inverses off that table.  The
+Prime fields are plain arithmetic mod p and need no table; add and sub
+share one base-p digit loop.  An extension field multiplies through its
+q x q table on ranks, built once per Field in one numpy pass (_mul_table)
+and kept as a read-only array of the narrowest unsigned type, and reads
+its inverses off that table.  The
 modulus is irreducible exactly when the table has no zero divisors, so
 the table is also the irreducibility test.  The table counts against
 CAPS["points"], so q <= 1024: GF(2^10) is built, GF(2^11) refused.
+block_unrank reads a block off its rank; a BlockVector ranks its own.
 """
 
 from __future__ import annotations
@@ -110,31 +112,24 @@ class Field:
             raise UsageError(f"field element {a} out of [0, {self.q})")
         return int(a)
 
-    def add(self, a: int, b: int) -> int:
+    def _combine(self, a, b, sign: int) -> int:
+        """a + sign * b, digit by digit in base p."""
         a, b, p = self._element(a), self._element(b), self.p
         if self.e == 1:
-            return (a + b) % p
+            return (a + sign * b) % p
         r, place = 0, 1
         for _ in range(self.e):
-            r += ((a + b) % p) * place
+            r += ((a + sign * b) % p) * place
             a //= p
             b //= p
             place *= p
         return r
 
-    def neg(self, a: int) -> int:
-        a, p = self._element(a), self.p
-        if self.e == 1:
-            return (-a) % p
-        r, place = 0, 1
-        for _ in range(self.e):
-            r += ((-a) % p) * place
-            a //= p
-            place *= p
-        return r
+    def add(self, a: int, b: int) -> int:
+        return self._combine(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._combine(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._element(a), self._element(b)
@@ -180,19 +175,9 @@ class Field:
             raise UsageError(f"bad field spec: {doc!r}") from exc
 
 
-def block_rank(q: int, elems) -> int:
-    """Rank of a block value, mixed radix base q, first element least
-    significant."""
-    q, r = int_arg(q, "field size", 2), 0
-    for x in reversed(int_tuple(elems, "element rank")):
-        if not 0 <= x < q:
-            raise UsageError(f"element rank {x} out of [0, {q})")
-        r = r * q + x
-    return r
-
-
 def block_unrank(q: int, r: int, k: int):
-    """Inverse of block_rank for a block of width k."""
+    """The elements of a block of width k from its rank: mixed radix base
+    q, first element least significant."""
     q, r, k = int_arg(q, "field size", 2), int_arg(r, "block rank"), int_arg(k, "block width", 1)
     if not 0 <= r < q ** k:
         raise UsageError(f"block rank {r} out of [0, {q ** k})")

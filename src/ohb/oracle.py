@@ -36,37 +36,24 @@ class OracleReport:
     records agreement with the enumerated count per formula, and
     discrepant is set when any stated formula disagrees.  elapsed is
     wall time in seconds and orbit_sizes the orbit size at each base
-    point of the stabilizer chain (their product is isometry_count);
-    neither is serialized, so that identical runs emit identical
-    documents.
+    point of the stabilizer chain (their product is isometry_count).
+    The report has no JSON view of its own: the CLI's order --both and
+    report documents take the counts, alt_counts, matches and discrepant,
+    and never elapsed or orbit_sizes, so that identical runs emit
+    identical documents.
     """
 
-    def __init__(self, config, isometry_count, formula_count, alt_counts, cap, listed=False,
-                 elapsed=None, orbit_sizes=None):
+    def __init__(self, config, isometry_count, formula_count, alt_counts, elapsed=None, orbit_sizes=None):
         self.config = config
         self.isometry_count = isometry_count
         self.formula_count = formula_count
         self.alt_counts = dict(alt_counts)
-        self.cap = cap
-        self.listed = listed
         self.elapsed = elapsed
         self.orbit_sizes = orbit_sizes
         self.matches = {"formula": isometry_count == formula_count}
         for label, value in self.alt_counts.items():
             self.matches[label] = isometry_count == value
         self.discrepant = not all(self.matches.values())
-
-    def to_json(self) -> dict:
-        return {
-            "space": self.config.to_json(),
-            "isometry_count": self.isometry_count,
-            "formula_count": self.formula_count,
-            "alt_counts": self.alt_counts,
-            "matches": self.matches,
-            "discrepant": self.discrepant,
-            "cap": self.cap,
-            "listed": self.listed,
-        }
 
 
 def pair_classes(D: np.ndarray) -> np.ndarray:
@@ -190,16 +177,7 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
         if config.m == 1:
             alt["unit_chain"] = alt_chain_order_unit(config.q, config.n)
         alt["unit_product"] = alt_full_order_unit(config.q, config.m, config.n)
-    report = OracleReport(
-        config,
-        isometry_count=count,
-        formula_count=full_order(config),
-        alt_counts=alt,
-        cap=cap,
-        listed=want_list,
-        elapsed=elapsed,
-        orbit_sizes=sizes,
-    )
+    report = OracleReport(config, count, full_order(config), alt, elapsed=elapsed, orbit_sizes=sizes)
     if want_list:
         return report, maps
     return report

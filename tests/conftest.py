@@ -17,8 +17,6 @@ from ohb import (
     SpaceConfig,
     StructureError,
     UsageError,
-    block_rank,
-    block_unrank,
 )
 from ohb.errors import CAPS
 
@@ -39,9 +37,11 @@ def random_vector(config, rng: random.Random) -> BlockVector:
 def elementwise(config, op, *ranks) -> int:
     """Reference vector arithmetic: op applied to the field elements of
     the vectors with the given ranks, one coordinate at a time (a vector
-    rank is its element ranks read as one base-q number)."""
-    coords = [block_unrank(config.q, r, config.N) for r in ranks]
-    return block_rank(config.q, [op(*xs) for xs in zip(*coords)])
+    rank is its element ranks read as one base-q number, the first least
+    significant)."""
+    q = config.q
+    coords = [[r // q**i % q for i in range(config.N)] for r in ranks]
+    return sum(op(*xs) * q**i for i, xs in enumerate(zip(*coords)))
 
 
 def chain_arrays(T):

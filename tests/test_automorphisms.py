@@ -1,7 +1,10 @@
 """Linear symmetries: GL orders, the antichain closed form, enumeration."""
 
+from itertools import product
+
 import pytest
 
+import model
 from conftest import make_config
 from ohb import (
     DomainError,
@@ -48,6 +51,22 @@ def test_enumeration_matches_formula():
     ]:
         count, _ = enumerate_automorphisms(cfg)
         assert count == aut_order_antichain(cfg)
+
+
+def test_every_space_of_at_most_128_points_counts_its_closed_form():
+    # every pi over q in {2, 3, 4} with q^N <= 128, chains in every order:
+    # 334 spaces, plus two of unequal widths that once ran for minutes
+    # because a basis vector of the narrower block could only be refused
+    # as the image of one of the wider block by walking its whole subtree
+    spaces = [(q, [list(flat[i * n:(i + 1) * n]) for i in range(m)])
+              for q in (2, 3, 4) for N in range(1, 8) if q ** N <= 128
+              for m in range(1, N + 1) for n in range(1, N // m + 1)
+              for flat in product(range(1, N + 1), repeat=m * n) if sum(flat) == N]
+    assert len(spaces) == 334
+    spaces += [(2, [[3], [5]]), (2, [[4], [5]])]
+    for q, pi in spaces:
+        cfg = make_config(3 if q == 3 else 2, len(pi), len(pi[0]), pi, e=2 if q == 4 else 1)
+        assert enumerate_automorphisms(cfg)[0] == model.automorphism_order(q, pi)
 
 
 def test_enumerated_maps_are_linear_isometries():

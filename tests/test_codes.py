@@ -164,7 +164,7 @@ def test_apply_to_code_is_the_rank_table_action(cfg):
         image = apply_to_code(T, C)
         assert image.ranks == tuple(sorted(as_rank_table(T)[list(C.ranks)].tolist()))
         assert all(type(r) is int for r in image.ranks)
-        # as_rank_table left each chain's table kept: apply reads it then
+        # the same image comes back on a second call
         assert apply_to_code(T, C) == image
     assert moved
 

@@ -14,7 +14,6 @@ from ohb import (
     SpaceConfig,
     UsageError,
     ValidationError,
-    block_rank,
     block_unrank,
 )
 from ohb.space import scale_ranks
@@ -26,7 +25,7 @@ def check_axioms(f: Field):
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.sub(0, a)) == 0
         for b in range(q):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
@@ -196,9 +195,8 @@ def test_prime_fields_need_no_table():
 
 def test_block_rank_round_trip():
     # first element least significant
-    assert block_rank(3, (2, 1)) == 2 + 1 * 3
     assert block_unrank(3, 5, 2) == (2, 1)
     for q in (2, 3, 4):
         for k in (1, 2, 3):
             for r in range(q**k):
-                assert block_rank(q, block_unrank(q, r, k)) == r
+                assert sum(x * q**i for i, x in enumerate(block_unrank(q, r, k))) == r

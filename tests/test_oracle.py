@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_config
 from ohb import CapExceeded, all_symmetries, as_rank_table
+from ohb.cli import main
 from ohb.oracle import enumerate_isometries
 from ohb.space import distance_matrix_array
 
@@ -82,17 +83,32 @@ def test_cap_refusal_mentions_search_size():
         enumerate_isometries(make_config(2, 1, 1, [[5]]), want_list=True)
 
 
-def test_report_fields_and_alternates():
-    report = enumerate_isometries(make_config(2, 1, 2, [[1, 1]]))
+def cli_documents(tmp_path, capsys, cfg):
+    """The order --both and report documents of cfg, each run twice."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    outs = []
+    for argv in (["order", "--both"], ["report"]) * 2:
+        assert main([*argv, "--space", str(path), "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[:2] == outs[2:]  # identical runs emit identical documents
+    return [json.loads(out) for out in outs[:2]]
+
+
+def test_report_fields_and_alternates(tmp_path, capsys):
+    cfg = make_config(2, 1, 2, [[1, 1]])
+    report = enumerate_isometries(cfg)
     assert report.isometry_count == 8
     assert report.formula_count == 8
     assert report.alt_counts == {"unit_chain": 16, "unit_product": 16}
     assert report.matches == {"formula": True, "unit_chain": False, "unit_product": False}
     assert report.discrepant
 
-    doc = report.to_json()
-    assert "elapsed" not in doc
-    json.dumps(doc)  # serializable as-is
+    # the CLI serializes the report: its fields, never the wall time
+    for doc in cli_documents(tmp_path, capsys, cfg):
+        assert "elapsed" not in doc
+        assert (doc["alt_counts"], doc["matches"], doc["discrepant"]) == (
+            report.alt_counts, report.matches, report.discrepant)
 
     # alternates are only stated for all-unit-width configs
     blocky = enumerate_isometries(make_config(2, 1, 2, [[2, 1]]))
@@ -100,13 +116,13 @@ def test_report_fields_and_alternates():
     assert not blocky.discrepant
 
 
-def test_orbit_sizes_multiply_to_the_count_and_stay_out_of_json():
+def test_orbit_sizes_multiply_to_the_count_and_stay_out_of_json(tmp_path, capsys):
     for cfg in [make_config(2, 2, 2, [[1, 1], [1, 1]]), make_config(3, 1, 2, [[1, 1]])]:
         report = enumerate_isometries(cfg)
         assert len(report.orbit_sizes) == cfg.size
         assert report.orbit_sizes[0] == cfg.size  # translations move 0 anywhere
         assert math.prod(report.orbit_sizes) == report.isometry_count
-        assert "orbit_sizes" not in report.to_json()
+        assert all("orbit_sizes" not in doc for doc in cli_documents(tmp_path, capsys, cfg))
 
 
 def test_unit_chain_alternate_only_for_single_chain():
