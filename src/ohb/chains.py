@@ -40,6 +40,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_cap,
+    check_group_cap,
     int_arg,
     int_array,
     int_text,
@@ -245,6 +246,12 @@ def chain_order(q, chain_pi) -> int:
     return total
 
 
+def chain_order_log10(q, chain_pi) -> Fraction:
+    """log10 of chain_order(q, chain_pi), summed from log10_factorial
+    without building a factorial."""
+    return sum(tails * log10_factorial(sz) for tails, sz in level_shapes(q, chain_pi))
+
+
 def log10_factorial(x: int) -> Fraction:
     """log10(x!) without building x!: lgamma below 2^20, and beyond it
     Stirling's series to its 1/(12x) term (error under 1e-19), which
@@ -333,8 +340,7 @@ def all_chain_symmetries(q, chain_pi):
     ascending.  The rank tables are built 4096 maps at a time: each slot's
     pick is an unravelled index into its level's array of permutations."""
     q, chain_pi = _check_dims(q, chain_pi)
-    order = chain_order(q, chain_pi)
-    check_cap("chain group", order, "elements", CAPS["group"])
+    order = check_group_cap("chain group", chain_order_log10(q, chain_pi), lambda: chain_order(q, chain_pi))
     shapes = level_shapes(q, chain_pi)
     perms = [np.array(list(permutations(range(sz)))) for _, sz in shapes]
     radix = [len(p) for p, (tails, _) in zip(perms, shapes) for _ in range(tails)]

@@ -19,10 +19,10 @@ import math
 import os
 import sys
 
-from .automorphisms import AutReport, aut_order_antichain, aut_order_antichain_log10, aut_report, gl_order
+from .automorphisms import AutReport, aut_order_antichain, aut_order_antichain_log10, aut_report
 from .chains import chain_order
 from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
-from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, int_arg
+from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, int_arg, print_limit
 from .oracle import enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
@@ -90,7 +90,7 @@ def _load_map(path, size) -> list:
             raise UsageError(f"{path}: bad JSON array: {exc}") from exc
         table = [int_arg(x, f"{path}: map entry") for x in entries]
     elif "->" in stripped:
-        table = [None] * size
+        pairs = {}  # a table is built only once every rank has an image
         for lineno, line in enumerate(stripped.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -104,12 +104,12 @@ def _load_map(path, size) -> list:
                 raise UsageError(f"{path}:{lineno}: not integers: {line!r}") from exc
             if not 0 <= src < size:
                 raise UsageError(f"{path}:{lineno}: source rank {src} out of range")
-            if table[src] is not None:
+            if src in pairs:
                 raise UsageError(f"{path}:{lineno}: rank {src} mapped twice")
-            table[src] = dst
-        missing = [r for r, x in enumerate(table) if x is None]
-        if missing:
-            raise UsageError(f"{path}: no image for rank {missing[0]}")
+            pairs[src] = dst
+        if len(pairs) < size:
+            raise UsageError(f"{path}: no image for rank {next(r for r in range(size) if r not in pairs)}")
+        table = [pairs[r] for r in range(size)]
     else:
         try:
             table = [int(x) for x in stripped.split()]
@@ -137,12 +137,10 @@ def _load_symmetry(cfg, path) -> Symmetry:
 
 def _check_printable(subject, log10_value):
     """Refuse, in the one cap format, a number with more decimal digits
-    than Python converts to text (sys.get_int_max_str_digits()), given
-    the log10 of the number so it need not be built.  With the limit off
-    (0), Python's default limit still bounds the work of building it."""
-    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
-             or getattr(sys.int_info, "default_max_str_digits", 4300))
-    check_cap(subject, math.floor(log10_value) + 1, "decimal digits", limit,
+    than Python converts to text (print_limit), given the log10 of the
+    number so it need not be built.  With the limit off (0), Python's
+    default limit still bounds the work of building it."""
+    check_cap(subject, math.floor(log10_value) + 1, "decimal digits", print_limit(),
               "Python prints no integer that long")
 
 
@@ -268,8 +266,7 @@ def _cmd_order(cfg, args):
 def _cmd_aut(cfg, args):
     if args.mode == "formula":
         _check_printable("automorphism group order", aut_order_antichain_log10(cfg))
-        per_block = [[gl_order(cfg.q, k) for k in row] for row in cfg.pi]
-        rep = AutReport(cfg, aut_order_antichain(cfg), None, per_block)
+        rep = AutReport(cfg, aut_order_antichain(cfg), None)
     else:
         rep = aut_report(cfg, cap=args.cap)
 

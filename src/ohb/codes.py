@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .chains import ChainSymmetry, _chain_table, _check_dims, level_places, level_shapes
-from .errors import CAPS, StructureError, UsageError, int_arg, int_array, int_tuple
+from .errors import CAPS, StructureError, UsageError, check_cap, int_arg, int_array, int_text, int_tuple
 from .oracle import depth_first, enumerate_isometries
 from .space import SpaceConfig, format_vector, parse_vector, rank_distance
 from .symmetry import (
@@ -215,10 +215,13 @@ def chain_from_pairs(q, chain_pi, src, dst) -> ChainSymmetry:
     The pairs must preserve chain distance (checked implicitly: any
     contradiction surfaces as an inconsistent or non-injective table
     entry).  Unconstrained entries are filled in ascending order and
-    untouched tails stay identity, so the result is deterministic.
+    untouched tails stay identity, so the result is deterministic.  A
+    chain over the points cap is refused before any table is built.
     """
     q, chain_pi = _check_dims(q, chain_pi)
     place = level_places(q, chain_pi)
+    check_cap("chain", place[-1], "points", CAPS["points"], "a map of it built from word pairs would hold "
+              f"{int_text(sum(tails * sz for tails, sz in level_shapes(q, chain_pi)))} table entries")
     src = int_array(src, "source rows")
     dst = int_array(dst, "target rows")
     if src.ndim != 1 or src.shape != dst.shape:
@@ -311,10 +314,7 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
                 chain_from_pairs(cfg.q, cfg.pi[k], C1._digits[k][order], C2._digits[tau[k]][match])
                 for k in range(cfg.m)
             ]
-            T = Symmetry(cfg, sigma, chains)
-            if apply_to_code(T, C1) != C2:
-                raise StructureError("matched witness failed verification")
-            return EquivalenceResult("equivalent", witness=T, nodes=nodes)
+            return _verified(Symmetry(cfg, sigma, chains), C1, C2, "matched", nodes)
         if nodes > budget:
             break
 
@@ -327,10 +327,7 @@ def equivalent(C1: Code, C2: Code, budget: int = DEFAULT_BUDGET) -> EquivalenceR
         dst = set(C2.ranks)
         for table in tables:
             if {table[r] for r in src} == dst:
-                T = decompose_full(cfg, table)
-                if apply_to_code(T, C1) != C2:
-                    raise StructureError("fallback witness failed verification")
-                return EquivalenceResult("equivalent", witness=T, nodes=nodes)
+                return _verified(decompose_full(cfg, table), C1, C2, "fallback", nodes)
         return EquivalenceResult(
             "not_equivalent", reason="every isometry checked", nodes=nodes
         )
@@ -360,6 +357,12 @@ def _equivalent_one_chain(C1: Code, C2: Code) -> EquivalenceResult:
     for g1, g2 in zip(reversed(kids[0]), reversed(kids[1])):
         pairs = [(x, y) for a, b in pairs for (_, x), (_, y) in zip(g1[a], g2[b])]
     T = Symmetry(C1.config, (0,), [chain_from_pairs(q, pi, *zip(*pairs))])
+    return _verified(T, C1, C2, "chain-form", nodes)
+
+
+def _verified(T: Symmetry, C1: Code, C2: Code, source: str, nodes: int) -> EquivalenceResult:
+    """The equivalent verdict with witness T, once T is checked to map C1
+    onto C2; source names the search that found T in the refusal."""
     if apply_to_code(T, C1) != C2:
-        raise StructureError("chain-form witness failed verification")
+        raise StructureError(f"{source} witness failed verification")
     return EquivalenceResult("equivalent", witness=T, nodes=nodes)

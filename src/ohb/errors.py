@@ -8,6 +8,7 @@ table CAPS, and check_cap, the one place that refuses work over a cap.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -77,15 +78,36 @@ CAPS = {
 }
 
 
-def check_cap(subject, value, unit, cap, detail=None, symbol=None):
+def check_cap(subject, value, unit, cap, detail=None, symbol=None, shown=None):
     """Refuse value over cap with CapExceeded, whose message reads
     "<subject> has <value> <unit>, over the cap <cap>[; <detail>]"; a
     symbol names the value, as in "space has q^N = 256 points".  Numbers
-    are shown as int_text shows them."""
+    are shown as int_text shows them, or value as shown when given."""
     if value > cap:
-        shown = f"{symbol} = {int_text(value)}" if symbol else int_text(value)
+        shown = shown or int_text(value)
+        shown = f"{symbol} = {shown}" if symbol else shown
         tail = f"; {detail}" if detail else ""
         raise CapExceeded(f"{subject} has {shown} {unit}, over the cap {int_text(cap)}{tail}")
+
+
+def check_group_cap(subject, log10_order, order):
+    """check_cap of a group of order() elements against the group cap, read
+    from log10_order first: an order past both the cap's bit count and the
+    digits Python prints (print_limit) is over the cap, and is refused by
+    its digit count, as int_text shows it, before order() builds it.
+    Returns order()."""
+    if log10_order > max(print_limit(), CAPS["group"].bit_length()):
+        check_cap(subject, math.inf, "elements", CAPS["group"], shown=f"<{math.floor(log10_order) + 1}-digit number>")
+    value = order()
+    check_cap(subject, value, "elements", CAPS["group"])
+    return value
+
+
+def print_limit():
+    """The most decimal digits Python converts to text:
+    sys.get_int_max_str_digits(), or with that limit off (0), its default."""
+    return (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            or getattr(sys.int_info, "default_max_str_digits", 4300))
 
 
 def int_text(value):

@@ -14,7 +14,6 @@ its inverses off that table.  The
 modulus is irreducible exactly when the table has no zero divisors, so
 the table is also the irreducibility test.  The table counts against
 CAPS["points"], so q <= 1024: GF(2^10) is built, GF(2^11) refused.
-block_unrank reads a block off its rank; a BlockVector ranks its own.
 """
 
 from __future__ import annotations
@@ -173,16 +172,3 @@ class Field:
             return cls(doc["p"], doc.get("e", 1), doc.get("modulus"))
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad field spec: {doc!r}") from exc
-
-
-def block_unrank(q: int, r: int, k: int):
-    """The elements of a block of width k from its rank: mixed radix base
-    q, first element least significant."""
-    q, r, k = int_arg(q, "field size", 2), int_arg(r, "block rank"), int_arg(k, "block width", 1)
-    if not 0 <= r < q ** k:
-        raise UsageError(f"block rank {r} out of [0, {q ** k})")
-    out = []
-    for _ in range(k):
-        out.append(r % q)
-        r //= q
-    return tuple(out)

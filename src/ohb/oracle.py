@@ -17,7 +17,6 @@ search at desk scale.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -34,21 +33,18 @@ class OracleReport:
     order product; alt_counts maps labels of alternative closed forms
     (stated only for all-unit-width configs) to their values.  matches
     records agreement with the enumerated count per formula, and
-    discrepant is set when any stated formula disagrees.  elapsed is
-    wall time in seconds and orbit_sizes the orbit size at each base
-    point of the stabilizer chain (their product is isometry_count).
-    The report has no JSON view of its own: the CLI's order --both and
-    report documents take the counts, alt_counts, matches and discrepant,
-    and never elapsed or orbit_sizes, so that identical runs emit
-    identical documents.
+    discrepant is set when any stated formula disagrees.  orbit_sizes is
+    the orbit size at each base point of the stabilizer chain (their
+    product is isometry_count).  The report has no JSON view of its own:
+    the CLI's order --both and report documents take the counts,
+    alt_counts, matches and discrepant, and never orbit_sizes.
     """
 
-    def __init__(self, config, isometry_count, formula_count, alt_counts, elapsed=None, orbit_sizes=None):
+    def __init__(self, config, isometry_count, formula_count, alt_counts, orbit_sizes=None):
         self.config = config
         self.isometry_count = isometry_count
         self.formula_count = formula_count
         self.alt_counts = dict(alt_counts)
-        self.elapsed = elapsed
         self.orbit_sizes = orbit_sizes
         self.matches = {"formula": isometry_count == formula_count}
         for label, value in self.alt_counts.items():
@@ -153,7 +149,6 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     S = config.size
     check_cap("space", S, "points", cap, f"a full search would face {int_text(S)}! (about 10^"
               f"{int_text(round(log10_factorial(S)))}) candidate bijections before pruning", symbol="q^N")
-    start = time.perf_counter()
     D = distance_matrix_array(config)
     weights = D[0]
     D = pair_classes(D)
@@ -169,15 +164,12 @@ def enumerate_isometries(config: SpaceConfig, cap: int | None = None, want_list:
     sizes, maps = stabilizer_orbits(order, lambda t: order[:t], candidates,
                                     lambda imgs, y: np.concatenate((imgs, [y])),
                                     lambda imgs: imgs[back], want_list)
-    count = math.prod(sizes)
-    elapsed = time.perf_counter() - start
-
     alt = {}
     if all(k == 1 for row in config.pi for k in row):
         if config.m == 1:
             alt["unit_chain"] = alt_chain_order_unit(config.q, config.n)
         alt["unit_product"] = alt_full_order_unit(config.q, config.m, config.n)
-    report = OracleReport(config, count, full_order(config), alt, elapsed=elapsed, orbit_sizes=sizes)
+    report = OracleReport(config, math.prod(sizes), full_order(config), alt, orbit_sizes=sizes)
     if want_list:
         return report, maps
     return report

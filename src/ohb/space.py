@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import CAPS, NotIsometryError, UsageError, check_cap, int_arg, int_array, int_tuple, seq
-from .fields import Field, block_unrank
+from .fields import Field
 
 
 class SpaceConfig:
@@ -163,7 +163,7 @@ class BlockVector:
                 row = []
                 for k in widths:
                     r, x = divmod(r, q ** k)
-                    row.append(block_unrank(q, x, k))
+                    row.append(tuple(x // q ** t % q for t in range(k)))  # first element least significant
                 grid.append(tuple(row))
             self._blocks = tuple(grid)
         return self._blocks

@@ -26,6 +26,7 @@ from .chains import (
     _levels,
     all_chain_symmetries,
     chain_order,
+    chain_order_log10,
     compose_chain,
     identity_chain,
     invert_chain,
@@ -35,12 +36,11 @@ from .chains import (
     refuse_large_chains,
 )
 from .errors import (
-    CAPS,
     NotIsometryError,
     StructureError,
     UsageError,
     ValidationError,
-    check_cap,
+    check_group_cap,
     int_arg,
     int_tuple,
     seq,
@@ -59,13 +59,9 @@ from .space import (
 RUN_ENTRIES = 1 << 12  # the most joint digits of a run of several chains in Symmetry.apply
 
 
-def is_admissible(sigma, config: SpaceConfig) -> bool:
-    """True iff chain s(i) has the same block widths as chain i for all i."""
-    return _admissible(int_tuple(sigma, "sigma entry"), config)
-
-
 def _admissible(sigma: tuple, config: SpaceConfig) -> bool:
-    """is_admissible of a sigma already read as Python ints."""
+    """True iff chain s(i) has the same block widths as chain i for all i,
+    for a sigma already read as Python ints."""
     if sorted(sigma) != list(range(config.m)):
         raise UsageError(f"not a permutation of 0..{config.m - 1}: {sigma}")
     return all(config.pi[sigma[i]] == config.pi[i] for i in range(config.m))
@@ -127,10 +123,8 @@ def full_order_log10(config: SpaceConfig):
     """log10 of full_order(config), summed from log10_factorial without
     computing a factorial, so that a caller can refuse an order too
     large to print before building it."""
-    total = sum(log10_factorial(len(c)) for c in width_classes(config))
-    for row in config.pi:
-        total += sum(tails * log10_factorial(sz) for tails, sz in level_shapes(config.q, row))
-    return total
+    return (sum(log10_factorial(len(c)) for c in width_classes(config))
+            + sum(chain_order_log10(config.q, row) for row in config.pi))
 
 
 def alt_full_order_unit(q, m, n) -> int:
@@ -276,7 +270,7 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
 
 def all_symmetries(config: SpaceConfig):
     """Yield the whole symmetry group in canonical form, up to the group cap."""
-    check_cap("symmetry group", full_order(config), "elements", CAPS["group"])
+    check_group_cap("symmetry group", full_order_log10(config), lambda: full_order(config))
     chain_groups = [list(all_chain_symmetries(config.q, row)) for row in config.pi]
     for sigma in admissible_permutations(config):
         for chains in product(*chain_groups):

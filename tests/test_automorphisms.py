@@ -2,11 +2,13 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 import model
-from conftest import make_config
+from conftest import elementwise, make_config
 from ohb import (
+    AutReport,
     DomainError,
     UsageError,
     aut_order_antichain,
@@ -16,8 +18,10 @@ from ohb import (
     is_linear,
     make_translation,
     as_rank_table,
+    decompose_full,
 )
 from ohb.oracle import enumerate_isometries
+from ohb.space import add_ranks
 
 
 def test_gl_order_values():
@@ -108,12 +112,21 @@ def test_translation_is_not_linear():
 
 
 def test_scalar_law_checked_over_extensions():
-    # the Frobenius map x -> x^2 on GF(4) is additive but not GF(4)-linear
-    cfg = make_config(2, 1, 1, [[1]], e=2)
-    f = cfg.field
-    table = [f.mul(x, x) for x in range(4)]
-    assert sorted(table) == [0, 1, 2, 3]
-    assert not is_linear(cfg, table)
+    # the Frobenius map x -> x^2 on every element of a GF(4) space:
+    # (x + y)^2 = x^2 + y^2, and x^2 = y^2 only when x = y, so the map is
+    # additive and keeps every support; but (c*x)^2 = c^2 * x^2, so it is no
+    # GF(4)-linear map, and the one comparison with the linear extension of
+    # its basis images refuses it
+    for cfg in [make_config(2, 1, 1, [[1]], e=2), make_config(2, 2, 2, [[1, 2], [2, 1]], e=2)]:
+        f = cfg.field
+        table = np.array([elementwise(cfg, lambda x: f.mul(x, x), r) for r in range(cfg.size)])
+        ranks = np.arange(cfg.size)
+        for b in ranks[:: max(1, cfg.size // 8)]:
+            assert np.array_equal(table[add_ranks(cfg, ranks, b)], add_ranks(cfg, table, table[b]))
+        decompose_full(cfg, table)  # an isometry
+        assert not is_linear(cfg, table)
+        # composed with itself it is the identity, which is linear
+        assert np.array_equal(table[table], ranks) and is_linear(cfg, table[table])
 
 
 def test_a_table_entry_that_is_no_integer_is_refused():
@@ -134,6 +147,8 @@ def test_report_document():
     doc = rep.to_json()
     assert doc["per_block_gl_orders"] == [[6], [6]]
     assert "elapsed" not in doc
+    # a report of the closed form alone reads the same GL factors off its space
+    assert AutReport(cfg, 72, None).to_json() == {**doc, "enumerated_order": None, "discrepant": None}
 
     chain = make_config(2, 1, 2, [[1, 1]])
     rep = aut_report(chain)

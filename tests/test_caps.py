@@ -61,6 +61,10 @@ CASES = {
         "group", 8, lambda: list(all_symmetries(CHAIN2)),
         "symmetry group has 8 elements, over the cap 7",
     ),
+    "chain_from_pairs": (
+        "points", 4, lambda: chain_from_pairs(2, (1, 1), [1], [2]),
+        "chain has 4 points, over the cap 3; a map of it built from word pairs would hold 6 table entries",
+    ),
     "enumerate_automorphisms": (
         "aut_points", 4, lambda: enumerate_automorphisms(CHAIN2), SPACE_OVER,
     ),
@@ -143,6 +147,32 @@ def test_a_value_at_the_cap_passes_and_one_over_is_refused(case, monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         check()
     assert str(exc.value) == refusal
+
+
+def test_a_group_too_long_to_print_is_refused_before_its_order_is_built(monkeypatch):
+    # (2^40)! has about 1.3 * 10^13 digits, and building it would run for
+    # hours: its listing is refused from the log10 of the order alone
+    def unbuilt(*args):
+        raise AssertionError("the order was built before the group cap was checked")
+
+    monkeypatch.setattr(ohb.chains, "chain_order", unbuilt)
+    monkeypatch.setattr(ohb.symmetry, "full_order", unbuilt)
+    cfg = make_config(2, 1, 1, [[40]])
+    for listing in (lambda: next(all_symmetries(cfg)), lambda: next(all_chain_symmetries(2, (40,)))):
+        with pytest.raises(CapExceeded, match=r"group has <12761927388952-digit number> elements, over the cap 1048576$"):
+            listing()
+
+
+@pytest.mark.parametrize("pi", [[[6, 1, 3]] * 3, [[3, 1, 7]] * 3, [[10], [10]], [[11]]])
+def test_an_order_refused_from_its_log10_reads_as_the_built_order_would(pi):
+    # orders of 4299 digits, shown whole, and of 4301, 5280 and 5895 digits,
+    # past the 4300 that Python prints, shown by their digit count
+    cfg = make_config(2, len(pi), len(pi[0]), pi)
+    with pytest.raises(CapExceeded) as exc:
+        next(all_symmetries(cfg))
+    with pytest.raises(CapExceeded) as built:
+        ohb.errors.check_cap("symmetry group", ohb.full_order(cfg), "elements", CAPS["group"])
+    assert str(exc.value) == str(built.value)
 
 
 def test_a_field_over_the_points_cap_is_refused_before_its_table():

@@ -361,10 +361,16 @@ def test_map_file_validation(capsys, space_file, tmp_path):
     short.write_text("0 -> 1\n")
     code, _, err = run(capsys, "sym", "verify", "--space", space_file, "--map", str(short))
     assert code == 2
+    assert err == f"ohb: error: {short}: no image for rank 1\n"
+    gap = tmp_path / "gap.tbl"  # the first rank with no image is named
+    gap.write_text("3 -> 0\n0 -> 1\n2 -> 3\n")
+    code, _, err = run(capsys, "sym", "verify", "--space", space_file, "--map", str(gap))
+    assert (code, err) == (2, f"ohb: error: {gap}: no image for rank 1\n")
     dup = tmp_path / "dup.tbl"
     dup.write_text("0 -> 1\n0 -> 2\n2 -> 3\n3 -> 0\n")
     code, _, err = run(capsys, "sym", "verify", "--space", space_file, "--map", str(dup))
     assert code == 2
+    assert err == f"ohb: error: {dup}:2: rank 0 mapped twice\n"
 
 
 def test_aut_enumerate(capsys, hamming_file):
@@ -679,3 +685,52 @@ def test_orders_under_the_print_limit_are_unchanged(command, fmt, capsys, tmp_pa
     code, out, _ = run(capsys, *command.split(), "--space", str(path), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_N13[command, fmt]
+
+
+# q=2, one block of width 40: 2^40 points, past every cap; each call either
+# answers or refuses, and the exit code it gives
+PAST_EVERY_CAP = {
+    "weight": (["weight", "--vec", "1" * 40], 0),
+    "dist": (["dist", "--u", "1" * 40, "--v", "0" * 40], 0),
+    "sym gen": (["sym", "gen", "--seed", "1"], 1),
+    "sym apply": (["sym", "apply", "--sym", "{sym}", "--vec", "0" * 40], 1),
+    "sym compose": (["sym", "compose", "--a", "{sym}", "--b", "{sym}"], 1),
+    "sym invert": (["sym", "invert", "--sym", "{sym}"], 1),
+    "sym verify sym": (["sym", "verify", "--sym", "{sym}"], 1),
+    "sym verify map json": (["sym", "verify", "--map", "{json_map}"], 2),
+    "sym verify map arrows": (["sym", "verify", "--map", "{arrow_map}"], 2),
+    "sym decompose map json": (["sym", "decompose", "--map", "{json_map}"], 2),
+    "sym decompose map arrows": (["sym", "decompose", "--map", "{arrow_map}"], 2),
+    "order formula": (["order", "--formula"], 1),
+    "order oracle": (["order", "--oracle"], 1),
+    "order both": (["order", "--both"], 1),
+    "aut formula": (["aut", "--formula"], 0),
+    "aut enumerate": (["aut", "--enumerate"], 1),
+    "equiv": (["equiv", "--c1", "{c1}", "--c2", "{c2}"], 1),
+    "report": (["report"], 1),
+}
+
+
+@pytest.mark.parametrize("case", PAST_EVERY_CAP)
+def test_no_command_leaks_a_traceback_on_a_space_past_every_cap(case, capsys, tmp_path):
+    space = {"field": {"p": 2}, "m": 1, "n": 1, "pi": [[40]]}
+    files = {
+        "space": space,
+        "sym": {"sigma": [1], "chains": [{"pi": [40], "tables": [[[1, 0]]]}]},
+        "json_map": [1, 0],
+        "arrow_map": "0 -> 1\n1 -> 0\n",
+        "c1": {"config": space, "vectors": [0, 1]},
+        "c2": {"config": space, "vectors": [0, 2]},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    argv, expect = PAST_EVERY_CAP[case]
+    argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+    code, out, err = run(capsys, *argv, "--space", str(tmp_path / "space"), "--format", "json")
+    assert code == expect, (out, err)
+    if code == 2:
+        assert out == "" and err.startswith("ohb: error: ") and len(err.splitlines()) == 1
+    else:
+        assert err == "" and len(out.splitlines()) == 1
+        doc = json.loads(out)
+        assert code == 0 or doc.get("error") or doc.get("valid") is False

@@ -14,7 +14,6 @@ from ohb import (
     SpaceConfig,
     UsageError,
     ValidationError,
-    block_unrank,
 )
 from ohb.space import scale_ranks
 
@@ -194,9 +193,13 @@ def test_prime_fields_need_no_table():
 
 
 def test_block_rank_round_trip():
-    # first element least significant
-    assert block_unrank(3, 5, 2) == (2, 1)
-    for q in (2, 3, 4):
-        for k in (1, 2, 3):
-            for r in range(q**k):
-                assert sum(x * q**i for i, x in enumerate(block_unrank(q, r, k))) == r
+    # a block's elements are the digits of its rank, first element least
+    # significant, as BlockVector.blocks reads them off a vector's rank
+    assert SpaceConfig(Field(3), 1, 1, [[2]]).unrank(5).blocks == (((2, 1),),)
+    for (p, e), k in product([(2, 1), (3, 1), (2, 2)], (1, 2, 3)):
+        cfg = SpaceConfig(Field(p, e), 1, 2, [[k, 1]])
+        q = cfg.q
+        for r in range(q ** (k + 1)):
+            (low, top), = cfg.unrank(r).blocks
+            assert sum(x * q**i for i, x in enumerate(low + top)) == r
+            assert len(low) == k and len(top) == 1

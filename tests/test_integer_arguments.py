@@ -48,7 +48,6 @@ CALLS = {
     "alt_chain_order_unit": (Int(2), Int(3)),
     "alt_full_order_unit": (Int(2), Int(1), Int(2)),
     "aut_report": (CFG, Int(16, cap=True)),
-    "block_unrank": (Int(2), Int(1), Int(2)),
     "chain_from_pairs": (Int(2), (Int(1), Int(1)), [Int(0), Int(1)], [Int(1), Int(0)]),
     "chain_order": (Int(2), (Int(1), Int(1))),
     "decompose_chain": (Int(2), (Int(1), Int(1)), [Int(1), Int(0), Int(2), Int(3)]),
@@ -58,7 +57,6 @@ CALLS = {
     "equivalent": (CODE, IMAGE, Int(10)),
     "gl_order": (Int(2), Int(2)),
     "identity_chain": (Int(2), (Int(1), Int(1))),
-    "is_admissible": ((Int(1), Int(0)), CFG),
     "is_linear": (CFG, [Int(0), Int(1), Int(2), Int(3)]),
     "parse_code_json": ({"config": {"field": {"p": Int(2)}, "m": Int(2), "n": Int(1), "pi": [[Int(1)], [Int(1)]]},
                          "vectors": [Int(0), "1;1"]},),
@@ -143,7 +141,6 @@ def test_the_valid_calls_return(name):
 @given(st.sampled_from(SLOTS), st.one_of(NO_INTEGER, NEGATIVE))
 @example(("alt_chain_order_unit", 0), 2.0)
 @example(("alt_full_order_unit", 1), 1.0)
-@example(("block_unrank", 1), 1.5)
 def test_an_integer_argument_that_is_no_integer_is_refused(slot, bad):
     check(slot, bad)
 
@@ -161,7 +158,6 @@ NOT_SEQUENCES = {
     "Symmetry sigma": lambda: ohb.Symmetry(CFG, 5, IDENTITY.chains),
     "Symmetry chains": lambda: ohb.Symmetry(CFG, (0, 1), 5),
     "Symmetry chains None": lambda: ohb.Symmetry(CFG, (0, 1), None),
-    "is_admissible sigma": lambda: ohb.is_admissible(5, CFG),
     "SpaceConfig pi": lambda: SpaceConfig(F2, 1, 1, 5),
     "SpaceConfig row": lambda: SpaceConfig(F2, 1, 1, [5]),
     "Code ranks": lambda: Code(CFG, 5),

@@ -35,7 +35,6 @@ from ohb import (
     identity_chain,
     identity_symmetry,
     invert_symmetry,
-    is_admissible,
     make_translation,
     random_chain,
     random_symmetry,
@@ -76,20 +75,25 @@ def test_first_admissible_permutation_is_cheap():
     assert peak < 1 << 20
 
 def test_is_admissible():
-    assert is_admissible((0, 1, 2), MIXED)
-    assert is_admissible((1, 0, 2), MIXED)
-    assert not is_admissible((2, 1, 0), MIXED)
-    assert not is_admissible((0, 2, 1), MIXED)
-    with pytest.raises(UsageError):
-        is_admissible((0, 0, 1), MIXED)
+    # a sigma is admissible iff admissible_permutations lists it, and only
+    # then does Symmetry take it
+    chains = identity_symmetry(MIXED).chains
+    assert set(admissible_permutations(MIXED)) == {(0, 1, 2), (1, 0, 2)}
+    for sigma in [(0, 1, 2), (1, 0, 2)]:
+        assert Symmetry(MIXED, sigma, chains).sigma == sigma
+    for sigma in [(2, 1, 0), (0, 2, 1)]:
+        with pytest.raises(ValidationError, match="moves a chain onto different widths"):
+            Symmetry(MIXED, sigma, chains)
+    with pytest.raises(UsageError, match="not a permutation"):
+        Symmetry(MIXED, (0, 0, 1), chains)
 
 
 @pytest.mark.parametrize("probe", [
     lambda: Symmetry(MIXED, (0.5, 1.2, 2), identity_symmetry(MIXED).chains),  # once read as (0, 1, 2)
-    lambda: is_admissible((1.9, 0.2, 2), MIXED),  # once True
-    lambda: is_admissible((True, 0, 2), MIXED),
-    lambda: is_admissible(("1", 0, 2), MIXED),
-    lambda: is_admissible(np.array([1.0, 0.0, 2.0]), MIXED),
+    lambda: Symmetry(MIXED, (1.9, 0.2, 2), identity_symmetry(MIXED).chains),  # once admissible
+    lambda: Symmetry(MIXED, (True, 0, 2), identity_symmetry(MIXED).chains),
+    lambda: Symmetry(MIXED, ("1", 0, 2), identity_symmetry(MIXED).chains),
+    lambda: Symmetry(MIXED, np.array([1.0, 0.0, 2.0]), identity_symmetry(MIXED).chains),
     lambda: identity_chain(2, (1,)).apply((1.9,)),  # once (1,)
     lambda: identity_chain(2, (1, 1)).apply((0, None)),
 ], ids=["sigma-floats", "admissible-floats", "admissible-bool", "admissible-string", "admissible-float-array",
@@ -106,7 +110,7 @@ def test_a_sigma_entry_or_row_entry_that_is_no_integer_is_refused(probe):
 def test_admissible_permutations_count():
     perms = list(admissible_permutations(MIXED))
     assert len(perms) == s_pi_order(MIXED) == 2
-    assert all(is_admissible(p, MIXED) for p in perms)
+    assert all(Symmetry(MIXED, p, identity_symmetry(MIXED).chains).sigma == p for p in perms)
     uniform = make_config(2, 3, 1, [[1], [1], [1]])
     assert len(list(admissible_permutations(uniform))) == 6 == s_pi_order(uniform)
 
@@ -650,6 +654,19 @@ def test_decompose_recovers_translation():
         T = make_translation(w)
         R = decompose_full(cfg, as_rank_table(T).tolist())
         assert as_rank_table(R).tolist() == as_rank_table(T).tolist()
+
+
+def test_a_chain_sent_onto_a_chain_of_other_widths_is_refused_as_the_model_refuses_it():
+    # q=2, pi=[[1,1],[1,2]]: bit 0 is chain 1's level 1 and bit 2 chain 2's;
+    # swapping them sends each chain's weight-1 points of level 1 into the
+    # other chain, whose widths differ, so tau passes every probe and only
+    # the widths refuse it
+    cfg = make_config(2, 2, 2, [[1, 1], [1, 2]])
+    r = np.arange(cfg.size)
+    f = r & ~0b101 | (r & 1) << 2 | (r >> 2) & 1
+    refusals = outcome(decompose_full, cfg, f)
+    assert refusals == model_outcome(model.decompose_full, model.geometry(cfg.q, cfg.pi), f)
+    assert refusals[-1] == ("StructureError", "chain 1 maps onto a chain with different widths", None, 1)
 
 
 def test_decompose_rejects_non_isometry():
