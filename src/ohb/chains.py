@@ -26,8 +26,10 @@ JSON and decompose_chain; compose is one gather and invert one scatter.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import threading
 from fractions import Fraction
 from itertools import accumulate, groupby, permutations
 
@@ -219,7 +221,9 @@ class ChainSymmetry:
 
 def identity_chain(q, chain_pi) -> ChainSymmetry:
     q, chain_pi = _check_dims(q, chain_pi)
-    return ChainSymmetry._of(q, chain_pi, np.arange(chain_space_size(q, chain_pi)))
+    size = chain_space_size(q, chain_pi)
+    check_cap("chain", size, "points", CAPS["points"], "its rank table would hold one entry per point")
+    return ChainSymmetry._of(q, chain_pi, np.arange(size))
 
 
 def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
@@ -284,21 +288,70 @@ def refuse_large_chains(q, chain_pis):
                   f"a random map of it would hold {int_text(entries)} table entries")
 
 
+MT_BLOCK = 624  # words of Mersenne Twister state, regenerated as one block
+# below this many words, rng is advanced by drawing them; at or above it, it
+# is set from the untempered block that holds the last word used
+REWIND_WORDS = 8 * MT_BLOCK
+SHUFFLED_PAIRS = np.array([[1, 0], [0, 1]], dtype=np.uint8)  # row j is [1 - j, j]
+
+
+@functools.cache
+def _stream():
+    """One scratch numpy MT19937 that reads a random.Random's word stream
+    ahead, and the lock held while its state is set and read.  Built on the
+    first replay, so `import ohb` leaves numpy.random unimported.  The lock
+    is not the generator's own, which random_raw takes itself and which
+    numpy does not promise to be reentrant."""
+    from numpy.random import MT19937
+
+    return MT19937(0), threading.Lock()
+
+
+def _untemper(words):
+    """The Mersenne Twister state words behind uint32 output words: its
+    tempering (Matsumoto & Nishimura, 1998) undone, last step first."""
+    y = words ^ (words >> 18)
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):  # each pass fixes 7 more low bits
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    return x ^ (x >> 11) ^ (x >> 22)
+
+
 def _replay_shuffles(rng, rows):
     """`rows` calls of rng.shuffle([0, 1]) as one (rows, 2) array.
 
     Each shuffle draws randbelow(2): the top bit of the first 32-bit word
-    below 2 << 30.  So row [1 - j, j] reads j off that word, and as each
-    row takes at least one word, fetching only the rows still missing
-    never draws a word too many.
+    below 2 << 30, so row [1 - j, j] reads j off that word.  A numpy
+    MT19937 set to rng's state reads the words ahead, and more while too
+    few are accepted.  rng is then left right after the last word used: by
+    drawing the words used, when fewer than REWIND_WORDS, or else by
+    setting its state to the untempered block that holds the last one.  So
+    that this block is read whole, a first read of REWIND_WORDS words or
+    more, and every further read, ends at a block end.
     """
-    found = []
-    while rows:
-        words = np.frombuffer(rng.getrandbits(32 * rows).to_bytes(4 * rows, "little"), dtype="<u4")
-        found.append(words[words < 2 << 30] >> 30)
-        rows -= len(found[-1])
-    j = np.concatenate(found)
-    return np.stack([1 - j, j], axis=1)
+    version, state, gauss = rng.getstate()
+    key, pos = state[:MT_BLOCK], state[MT_BLOCK]
+    ahead = 2 * rows + 4 * math.isqrt(rows) + 32  # mean words + about 2.8 sigma
+    if ahead >= REWIND_WORDS:
+        ahead += -(pos + ahead) % MT_BLOCK
+    gen, lock = _stream()
+    with lock:
+        gen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+        words = gen.random_raw(ahead)
+        hits = (words < 2 << 30).nonzero()[0]
+        while len(hits) < rows:
+            words = np.concatenate([words, gen.random_raw(MT_BLOCK - (pos + len(words)) % MT_BLOCK)])
+            hits = (words < 2 << 30).nonzero()[0]
+    hits = hits[:rows]
+    used = int(hits[-1]) + 1
+    if used < REWIND_WORDS:
+        rng.getrandbits(32 * used)
+    else:
+        start = (pos + used - 1) // MT_BLOCK * MT_BLOCK - pos
+        block = _untemper(words[start:start + MT_BLOCK].astype(np.uint32))
+        rng.setstate((version, tuple(block.tolist()) + (used - start,), gauss))
+    return SHUFFLED_PAIRS.take(words[hits] >> 30, axis=0)
 
 
 def random_levels(rng, shapes) -> list:

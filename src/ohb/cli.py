@@ -45,15 +45,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _ascii_int(text) -> int:
+    """An integer written as an optional '-' and ASCII digits, the one form
+    the CLI reads from its arguments, the environment and text maps; int()
+    alone would also take '+', spaces, '_' and non-ASCII digits.  Raises
+    ValueError on anything else."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _count(text) -> int:
     """A cap or a node budget: an integer >= 0."""
     try:
-        value = int(text)
+        value = _ascii_int(text)
     except ValueError:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
+
+
+def _seed(text) -> int:
+    """A --seed value: any integer."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _read_text(path):
@@ -99,7 +118,7 @@ def _load_map(path, size) -> list:
             if len(parts) != 2:
                 raise UsageError(f"{path}:{lineno}: expected 'rank -> rank'")
             try:
-                src, dst = int(parts[0]), int(parts[1])
+                src, dst = _ascii_int(parts[0].strip()), _ascii_int(parts[1].strip())
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: not integers: {line!r}") from exc
             if not 0 <= src < size:
@@ -112,7 +131,7 @@ def _load_map(path, size) -> list:
         table = [pairs[r] for r in range(size)]
     else:
         try:
-            table = [int(x) for x in stripped.split()]
+            table = [_ascii_int(x) for x in stripped.split()]
         except ValueError as exc:
             raise UsageError(f"{path}: not a dense integer table") from exc
     if len(table) != size:
@@ -150,7 +169,7 @@ def _resolve_seed(args):
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            return _ascii_int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
     raise UsageError(f"a seed is required: pass --seed or set {SEED_ENV}")
@@ -354,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     symsub = sym.add_subparsers(dest="subcmd", required=True, metavar="action")
 
     p = symsub.add_parser("gen", parents=[common], help="random symmetry")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (or {SEED_ENV})")
+    p.add_argument("--seed", type=_seed, default=None, help=f"RNG seed (or {SEED_ENV})")
     p.set_defaults(handler=_cmd_sym_gen)
 
     p = symsub.add_parser("apply", parents=[common], help="apply symmetry to a vector")

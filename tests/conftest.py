@@ -21,7 +21,8 @@ from ohb import (
 from ohb.errors import CAPS
 
 # every hypothesis test draws the same examples on every run, so tier-1
-# stays deterministic; max_examples is set per test
+# stays deterministic; max_examples is set per test, and each test pins its
+# examples with @seed, since without one they follow a hash of its source
 settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
 settings.load_profile("derandomized")
 

@@ -28,7 +28,9 @@ from ohb import (
     enumerate_isometries,
     equivalent,
     gl_order,
+    identity_chain,
     identity_symmetry,
+    make_translation,
     random_chain,
     weight_array,
 )
@@ -40,11 +42,17 @@ SRC = Path(ohb.__file__).parent
 # 4 points, and a symmetry group of order 8
 CHAIN2 = make_config(2, 1, 2, [[1, 1]])
 SPACE_OVER = "space has q^N = 4 points, over the cap 3"
+CHAIN_OVER = "has 4 points, over the cap 3; its rank table would hold one entry per point"
+# built under the default caps, so that only as_rank_table's check is patched
+IDENTITY2 = identity_symmetry(CHAIN2)
 
 # entry, the value its check sees, the check, and its refusal at value - 1
 CASES = {
     "weight_array": ("points", 4, lambda: weight_array(CHAIN2), SPACE_OVER),
-    "as_rank_table": ("points", 4, lambda: as_rank_table(identity_symmetry(CHAIN2)), SPACE_OVER),
+    "as_rank_table": ("points", 4, lambda: as_rank_table(IDENTITY2), SPACE_OVER),
+    "identity_chain": ("points", 4, lambda: identity_chain(2, (1, 1)), "chain " + CHAIN_OVER),
+    "identity_symmetry": ("points", 4, lambda: identity_symmetry(CHAIN2), "chain " + CHAIN_OVER),
+    "make_translation": ("points", 4, lambda: make_translation(CHAIN2.unrank(3)), "chain 1 " + CHAIN_OVER),
     "random_chain": (
         "points", 4, lambda: random_chain(2, (1, 1), 0),
         "chain 1 has 4 points, over the cap 3; a random map of it would hold 6 table entries",
@@ -147,6 +155,16 @@ def test_a_value_at_the_cap_passes_and_one_over_is_refused(case, monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         check()
     assert str(exc.value) == refusal
+
+
+def test_identity_and_translation_maps_refuse_a_chain_over_the_cap():
+    # each builds a chain-sized arange, here of 2^40 entries, so the points
+    # cap is checked first
+    cfg = make_config(2, 1, 1, [[40]])
+    for build in (lambda: identity_chain(2, (40,)), lambda: identity_symmetry(cfg),
+                  lambda: make_translation(cfg.unrank(1))):
+        with pytest.raises(CapExceeded, match=r"^chain (1 )?has 1099511627776 points, over the cap 1048576;"):
+            build()
 
 
 def test_a_group_too_long_to_print_is_refused_before_its_order_is_built(monkeypatch):

@@ -373,6 +373,48 @@ def test_map_file_validation(capsys, space_file, tmp_path):
     assert err == f"ohb: error: {dup}:2: rank 0 mapped twice\n"
 
 
+# an integer in a text map, a seed or a count is an optional '-' and ASCII
+# digits; int() also takes the first five of these, Arabic-Indic and
+# fullwidth digits among them
+NOT_ASCII_INTEGERS = ["\u0661", "+1", "1_0", " 1", "\uff11", "1.0", "-"]
+
+
+def test_text_maps_read_ascii_integers_only(capsys, tmp_path):
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps(TINY))
+    arrows = tmp_path / "arrows.tbl"
+    arrows.write_text("\u0661 -> 0\n0 -> \u0661\n")
+    code, out, err = run(capsys, "sym", "decompose", "--space", str(space), "--map", str(arrows))
+    assert (code, out) == (2, "")
+    assert err == f"ohb: error: {arrows}:1: not integers: '\u0661 -> 0'\n"
+    dense = tmp_path / "dense.tbl"
+    for text in ("1_0 0", "\u0661 0", "+1 0"):
+        dense.write_text(text)
+        assert run(capsys, "sym", "verify", "--space", str(space), "--map", str(dense)) == (
+            2, "", f"ohb: error: {dense}: not a dense integer table\n")
+    arrows.write_text(" 1 ->  0 \n0->1\n")  # spaces around the arrow stay allowed
+    assert run_json(capsys, "sym", "decompose", "--space", str(space), "--map", str(arrows))["sigma"] == [1]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+def test_seeds_and_counts_read_ascii_integers_only(capsys, text, space_file, monkeypatch):
+    code, out, err = run(capsys, "sym", "gen", "--space", space_file, "--seed", text)
+    assert (code, out) == (2, "")
+    assert err == f"ohb sym gen: error: argument --seed: expected an integer, got {text!r}\n"
+    code, out, err = run(capsys, "report", "--space", space_file, "--cap", text)
+    assert (code, out) == (2, "")
+    assert err == f"ohb report: error: argument --cap: expected an integer >= 0, got {text!r}\n"
+    monkeypatch.setenv("OHB_SEED", text)
+    assert run(capsys, "sym", "gen", "--space", space_file) == (
+        2, "", f"ohb: error: OHB_SEED must be an integer, got {text!r}\n")
+
+
+def test_a_negative_seed_is_a_seed(capsys, space_file, monkeypatch):
+    explicit = run_json(capsys, "sym", "gen", "--space", space_file, "--seed", "-7")
+    monkeypatch.setenv("OHB_SEED", "-7")
+    assert run_json(capsys, "sym", "gen", "--space", space_file) == explicit
+
+
 def test_aut_enumerate(capsys, hamming_file):
     doc = run_json(capsys, "aut", "--space", hamming_file, "--enumerate", schema="aut")
     assert doc["enumerated_order"] == 2

@@ -1,25 +1,35 @@
 """Random chain maps and symmetries against the stdlib shuffle loop.
 
-random_chain and random_symmetry replay the generator's word stream for
-a long run of rows of two values in one vectorized pass, instead of
-calling rng.shuffle once per table row.
-The reference below is that loop, kept here only: every draw must give
-the same tables and leave the generator in the same state.
+random_chain and random_symmetry draw a run of at least 64 rows of two
+values from a plain random.Random without calling rng.shuffle per row:
+a numpy MT19937 set to the generator's state reads its 32-bit words
+ahead, each row reads its swap off its first word below 2 << 30, and the
+generator is then left right after the last word used, either by drawing
+that many words or by setting its state from the untempered block that
+holds the last one.  Other rows are shuffled one by one.
+The reference below is the shuffle loop, kept here only: every draw must
+give the same tables and leave the generator in the same state, the
+stored second gauss value included.
 """
 
 import json
 import math
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
+import ohb.chains
 from ohb import CapExceeded, ChainSymmetry, Symmetry, random_chain, random_symmetry
-from ohb.chains import level_shapes, random_levels
+from ohb.chains import MT_BLOCK, level_shapes, random_levels
 from ohb.errors import CAPS
 from ohb.cli import main
 
@@ -72,6 +82,7 @@ def chain_shapes(draw, max_points=POINTS):
 
 
 @settings(max_examples=200)
+@seed(1)
 @given(chain_shapes(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 # rows of two values that are replayed, and of 3, 4, 8 and 4096 values that
 # are shuffled one by one
@@ -109,6 +120,7 @@ def spaces(draw):
 
 
 @settings(max_examples=100)
+@seed(1)
 @given(spaces(), st.integers(0, 2 ** 32 - 1))
 # chains whose rows of two values are replayed in one run together, and
 # whose rows of three values are shuffled one by one
@@ -141,6 +153,101 @@ def test_rows_of_two_values_replay_the_shuffle_loop(rows):
         [level] = random_levels(got, [(rows, 2)])
         assert np.asarray(level).tolist() == shuffled_rows(want, [(rows, 2)])[0]
         assert got.getstate() == want.getstate()
+
+
+def at_position(seed, pos):
+    """A generator pos words into its current block of 624: a fresh one is
+    at 624, and no draw leaves one at 0, so that state is set directly."""
+    rng = random.Random(seed)
+    if pos == 0:
+        version, state, gauss = rng.getstate()
+        rng.setstate((version, state[:MT_BLOCK] + (0,), gauss))
+    elif pos < MT_BLOCK:
+        rng.getrandbits(32 * pos)
+    return rng
+
+
+def check_replay(rows, seed, pos):
+    got, want = at_position(seed, pos), at_position(seed, pos)
+    got.gauss(0, 1), want.gauss(0, 1)  # each keeps its second value
+    [level] = random_levels(got, [(rows, 2)])
+    assert np.asarray(level).tolist() == shuffled_rows(want, [(rows, 2)])[0]
+    assert got.getstate() == want.getstate()
+    assert got.gauss(0, 1) == want.gauss(0, 1)
+    assert got.random() == want.random()
+
+
+# rng is left after its last word used by drawing the words used, below
+# REWIND_WORDS of them, or else from that word's untempered block; patching
+# REWIND_WORDS forces either way (the untempered one once a draw passes its
+# first block)
+REWINDS = {"default": None, "untempered": MT_BLOCK, "drawn": 1 << 40}
+
+
+@pytest.mark.parametrize("rewind", REWINDS)
+@pytest.mark.parametrize("pos", [0, 1, MT_BLOCK - 1, MT_BLOCK])
+@pytest.mark.parametrize("rows", [64, 311, 312, 4095, 8191])
+def test_the_replay_matches_the_shuffle_loop_anywhere_in_a_block(rows, pos, rewind, monkeypatch):
+    if REWINDS[rewind]:
+        monkeypatch.setattr(ohb.chains, "REWIND_WORDS", REWINDS[rewind])
+    for seed in range(6):
+        check_replay(rows, seed, pos)
+
+
+@pytest.mark.parametrize("rewind", REWINDS)
+def test_a_short_look_ahead_reads_more_words(rewind, monkeypatch):
+    # seed 1208's first 2 * 2000 + 4 * isqrt(2000) + 32 = 4208 words hold only
+    # 1984 below 2 << 30, short of the 2000 rows
+    if REWINDS[rewind]:
+        monkeypatch.setattr(ohb.chains, "REWIND_WORDS", REWINDS[rewind])
+    words = random.Random(1208).getrandbits(32 * 4208).to_bytes(4 * 4208, "little")
+    assert np.count_nonzero(np.frombuffer(words, dtype="<u4") < 2 << 30) == 1984
+    check_replay(2000, 1208, MT_BLOCK)
+
+
+def test_threads_share_the_look_ahead_generator():
+    # one scratch generator serves every replay, so each sets its state and
+    # reads its words under one lock; more threads than cores, switching often
+    seeds = range(8)
+    want = {seed: random_chain(2, (1,) * 10, seed) for seed in seeds}
+    done, errors = [], []
+
+    def draw(seeds):
+        try:
+            for _ in range(50):
+                for seed in seeds:
+                    assert random_chain(2, (1,) * 10, seed) == want[seed]
+            done.extend(seeds)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seeds[k::4],)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and sorted(done) == list(seeds)
+
+
+def test_import_and_short_draws_leave_numpy_random_unimported():
+    # numpy.random costs about 15 ms to import, so only the first replay of
+    # 64 rows or more imports it
+    code = ("import sys, ohb\n"
+            "cfg = ohb.SpaceConfig(ohb.Field(2), 1, 6, [[1] * 6])\n"
+            "ohb.random_chain(2, (1,) * 6, 1)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "ohb.random_chain(2, (1,) * 7, 1)\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src), "PATH": ""})
+    assert (res.returncode, res.stdout, res.stderr) == (0, "False\nTrue\n", "")
 
 
 class DrawsThroughRandom(random.Random):

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import model
@@ -264,6 +264,7 @@ TEXT_SPACES = [
 @example(TEXT_SPACES[0], "\u00b2,0")  # superscript two: isdigit() but not a digit int() reads
 @example(TEXT_SPACES[0], "\u0661,0")  # Arabic-Indic one: int() reads it as 1
 @example(TEXT_SPACES[0], "\u20030,1")  # a non-ASCII space that strip() would remove
+@seed(1)
 @given(
     st.sampled_from(TEXT_SPACES),
     st.text(st.one_of(st.sampled_from("012389,; "), st.characters()), max_size=14),
@@ -450,6 +451,7 @@ def mixed_spaces(draw, points=1 << 12):
 
 
 @settings(max_examples=40)
+@seed(1)
 @given(mixed_spaces(), st.randoms(use_true_random=False), st.sampled_from([np.int8, np.int64]),
        st.sampled_from([np.int8, np.int64]))
 def test_rank_distance_is_the_ideal_weight_of_the_difference(cfg, rng, given_dtype, dtype):
@@ -551,6 +553,7 @@ WITNESS_SPACES = [
 
 
 @settings(max_examples=200)
+@seed(1)
 @given(data=st.data())
 def test_distance_witness_is_the_first_bad_pair_of_the_rows_it_scans(data):
     cfg = data.draw(st.sampled_from(WITNESS_SPACES))

@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIGS, make_config
@@ -61,6 +61,7 @@ def tiny_configs(draw):
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
+@seed(1)
 @given(tiny_configs())
 def test_counts_on_drawn_configs(cfg):
     check_config(cfg)

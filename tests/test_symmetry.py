@@ -9,7 +9,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import model
@@ -274,6 +274,7 @@ def check_table_and_apply(T, rng):
 
 
 @settings(max_examples=40)
+@seed(1)
 @given(movable_symmetries(), st.randoms(use_true_random=False))
 def test_rank_table_and_apply_match_the_per_rank_action(T, rng):
     check_table_and_apply(T, rng)
@@ -531,6 +532,7 @@ def corrupted_table(cfg, f, how, rng):
 
 
 @settings(max_examples=400)
+@seed(1)
 @given(small_spaces(), st.sampled_from(FULL_CORRUPTIONS), st.integers(0, 2 ** 32 - 1))
 @example(make_config(2, 1, 3, [[1, 2, 1]]), "none", 1)
 @example(make_config(3, 2, 2, [[1, 1], [1, 1]]), "merge", 2)
@@ -558,6 +560,7 @@ def test_decompose_full_matches_the_translation_composed_after(cfg, how, seed):
 
 
 @settings(max_examples=100)
+@seed(1)
 @given(st.sampled_from([(2, 1, [2, 2, 2]), (2, 2, [1, 1, 1]), (3, 1, [2, 1]), (2, 1, [1, 2, 2, 1])]),
        st.integers(0, 2 ** 32 - 1))
 def test_a_shuffled_block_is_refused_as_the_model_refuses_it(shape, seed):
