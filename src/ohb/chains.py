@@ -219,11 +219,16 @@ class ChainSymmetry:
             raise UsageError(f"bad chain symmetry document: {exc}") from exc
 
 
+def chain_ranks(name, size):
+    """np.arange(size), the identity rank table of a chain of `size`
+    points, refused over the points cap before it is allocated."""
+    check_cap(name, size, "points", CAPS["points"], "its rank table would hold one entry per point")
+    return np.arange(size)
+
+
 def identity_chain(q, chain_pi) -> ChainSymmetry:
     q, chain_pi = _check_dims(q, chain_pi)
-    size = chain_space_size(q, chain_pi)
-    check_cap("chain", size, "points", CAPS["points"], "its rank table would hold one entry per point")
-    return ChainSymmetry._of(q, chain_pi, np.arange(size))
+    return ChainSymmetry._of(q, chain_pi, chain_ranks("chain", chain_space_size(q, chain_pi)))
 
 
 def compose_chain(A: ChainSymmetry, B: ChainSymmetry) -> ChainSymmetry:
@@ -289,9 +294,6 @@ def refuse_large_chains(q, chain_pis):
 
 
 MT_BLOCK = 624  # words of Mersenne Twister state, regenerated as one block
-# below this many words, rng is advanced by drawing them; at or above it, it
-# is set from the untempered block that holds the last word used
-REWIND_WORDS = 8 * MT_BLOCK
 SHUFFLED_PAIRS = np.array([[1, 0], [0, 1]], dtype=np.uint8)  # row j is [1 - j, j]
 
 
@@ -324,33 +326,30 @@ def _replay_shuffles(rng, rows):
     Each shuffle draws randbelow(2): the top bit of the first 32-bit word
     below 2 << 30, so row [1 - j, j] reads j off that word.  A numpy
     MT19937 set to rng's state reads the words ahead, and more while too
-    few are accepted.  rng is then left right after the last word used: by
-    drawing the words used, when fewer than REWIND_WORDS, or else by
-    setting its state to the untempered block that holds the last one.  So
-    that this block is read whole, a first read of REWIND_WORDS words or
-    more, and every further read, ends at a block end.
+    few are accepted.  rng then draws the words used itself, from the
+    start of the block that holds the last one: when a read block comes
+    before that block, rng's state is first set to it, untempered, so that
+    rng regenerates at most two blocks.
     """
     version, state, gauss = rng.getstate()
     key, pos = state[:MT_BLOCK], state[MT_BLOCK]
     ahead = 2 * rows + 4 * math.isqrt(rows) + 32  # mean words + about 2.8 sigma
-    if ahead >= REWIND_WORDS:
-        ahead += -(pos + ahead) % MT_BLOCK
     gen, lock = _stream()
     with lock:
         gen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
         words = gen.random_raw(ahead)
         hits = (words < 2 << 30).nonzero()[0]
         while len(hits) < rows:
-            words = np.concatenate([words, gen.random_raw(MT_BLOCK - (pos + len(words)) % MT_BLOCK)])
+            words = np.concatenate([words, gen.random_raw(MT_BLOCK)])
             hits = (words < 2 << 30).nonzero()[0]
     hits = hits[:rows]
     used = int(hits[-1]) + 1
-    if used < REWIND_WORDS:
-        rng.getrandbits(32 * used)
-    else:
-        start = (pos + used - 1) // MT_BLOCK * MT_BLOCK - pos
-        block = _untemper(words[start:start + MT_BLOCK].astype(np.uint32))
-        rng.setstate((version, tuple(block.tolist()) + (used - start,), gauss))
+    start = (pos + used - 1) // MT_BLOCK * MT_BLOCK - pos  # of the last word's block
+    if start >= MT_BLOCK:
+        block = _untemper(words[start - MT_BLOCK:start].astype(np.uint32))
+        rng.setstate((version, tuple(block.tolist()) + (MT_BLOCK,), gauss))
+        used -= start
+    rng.getrandbits(32 * used)
     return SHUFFLED_PAIRS.take(words[hits] >> 30, axis=0)
 
 

@@ -27,6 +27,7 @@ from .chains import (
     all_chain_symmetries,
     chain_order,
     chain_order_log10,
+    chain_ranks,
     compose_chain,
     identity_chain,
     invert_chain,
@@ -36,12 +37,10 @@ from .chains import (
     refuse_large_chains,
 )
 from .errors import (
-    CAPS,
     NotIsometryError,
     StructureError,
     UsageError,
     ValidationError,
-    check_cap,
     check_group_cap,
     int_arg,
     int_tuple,
@@ -250,9 +249,8 @@ def make_translation(w: BlockVector) -> Symmetry:
     """The symmetry v -> v + w as a chain-only triangular map: chain k's
     rank table adds w's chain-k digit to each point of the chain."""
     cfg = w.config
-    for k, size in enumerate(cfg.chain_size):
-        check_cap(f"chain {k + 1}", size, "points", CAPS["points"], "its rank table would hold one entry per point")
-    chains = [ChainSymmetry._of(cfg.q, row, add_ranks(cfg, np.arange(size), cfg.chain_subrank(w.rank(), k)))
+    chains = [ChainSymmetry._of(cfg.q, row, add_ranks(cfg, chain_ranks(f"chain {k + 1}", size),
+                                                      cfg.chain_subrank(w.rank(), k)))
               for k, (row, size) in enumerate(zip(cfg.pi, cfg.chain_size))]
     return Symmetry(cfg, tuple(range(cfg.m)), chains)
 

@@ -3,10 +3,11 @@
 random_chain and random_symmetry draw a run of at least 64 rows of two
 values from a plain random.Random without calling rng.shuffle per row:
 a numpy MT19937 set to the generator's state reads its 32-bit words
-ahead, each row reads its swap off its first word below 2 << 30, and the
-generator is then left right after the last word used, either by drawing
-that many words or by setting its state from the untempered block that
-holds the last one.  Other rows are shuffled one by one.
+ahead, and each row reads its swap off its first word below 2 << 30.
+The generator then draws the words used itself; when numpy read a whole
+block before the one that holds the last word used, the generator's
+state is first set to that block, untempered.  Other rows are shuffled
+one by one.
 The reference below is the shuffle loop, kept here only: every draw must
 give the same tables and leave the generator in the same state, the
 stored second gauss value included.
@@ -27,7 +28,6 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
-import ohb.chains
 from ohb import CapExceeded, ChainSymmetry, Symmetry, random_chain, random_symmetry
 from ohb.chains import MT_BLOCK, level_shapes, random_levels
 from ohb.errors import CAPS
@@ -156,20 +156,17 @@ def test_rows_of_two_values_replay_the_shuffle_loop(rows):
 
 
 def at_position(seed, pos):
-    """A generator pos words into its current block of 624: a fresh one is
-    at 624, and no draw leaves one at 0, so that state is set directly."""
+    """A generator pos words into its current block of 624, holding the
+    second value of a gauss draw."""
     rng = random.Random(seed)
-    if pos == 0:
-        version, state, gauss = rng.getstate()
-        rng.setstate((version, state[:MT_BLOCK] + (0,), gauss))
-    elif pos < MT_BLOCK:
-        rng.getrandbits(32 * pos)
+    rng.gauss(0, 1)
+    version, state, gauss = rng.getstate()
+    rng.setstate((version, state[:MT_BLOCK] + (pos,), gauss))
     return rng
 
 
 def check_replay(rows, seed, pos):
     got, want = at_position(seed, pos), at_position(seed, pos)
-    got.gauss(0, 1), want.gauss(0, 1)  # each keeps its second value
     [level] = random_levels(got, [(rows, 2)])
     assert np.asarray(level).tolist() == shuffled_rows(want, [(rows, 2)])[0]
     assert got.getstate() == want.getstate()
@@ -177,31 +174,21 @@ def check_replay(rows, seed, pos):
     assert got.random() == want.random()
 
 
-# rng is left after its last word used by drawing the words used, below
-# REWIND_WORDS of them, or else from that word's untempered block; patching
-# REWIND_WORDS forces either way (the untempered one once a draw passes its
-# first block)
-REWINDS = {"default": None, "untempered": MT_BLOCK, "drawn": 1 << 40}
-
-
-@pytest.mark.parametrize("rewind", REWINDS)
+# rng draws the words used itself, after its state is set to the read block
+# before the last word's block when there is one: never at 64 rows, about
+# half the time at 311 and 312 rows from a block end, always at 4095 rows
 @pytest.mark.parametrize("pos", [0, 1, MT_BLOCK - 1, MT_BLOCK])
 @pytest.mark.parametrize("rows", [64, 311, 312, 4095, 8191])
-def test_the_replay_matches_the_shuffle_loop_anywhere_in_a_block(rows, pos, rewind, monkeypatch):
-    if REWINDS[rewind]:
-        monkeypatch.setattr(ohb.chains, "REWIND_WORDS", REWINDS[rewind])
+def test_the_replay_matches_the_shuffle_loop_anywhere_in_a_block(rows, pos):
     for seed in range(6):
         check_replay(rows, seed, pos)
 
 
-@pytest.mark.parametrize("rewind", REWINDS)
-def test_a_short_look_ahead_reads_more_words(rewind, monkeypatch):
-    # seed 1208's first 2 * 2000 + 4 * isqrt(2000) + 32 = 4208 words hold only
-    # 1984 below 2 << 30, short of the 2000 rows
-    if REWINDS[rewind]:
-        monkeypatch.setattr(ohb.chains, "REWIND_WORDS", REWINDS[rewind])
-    words = random.Random(1208).getrandbits(32 * 4208).to_bytes(4 * 4208, "little")
-    assert np.count_nonzero(np.frombuffer(words, dtype="<u4") < 2 << 30) == 1984
+def test_a_short_look_ahead_reads_more_words():
+    # seed 1208's first 2 * 2000 + 4 * isqrt(2000) + 32 = 4208 words from a
+    # block end hold only 1977 below 2 << 30, short of the 2000 rows
+    words = at_position(1208, MT_BLOCK).getrandbits(32 * 4208).to_bytes(4 * 4208, "little")
+    assert np.count_nonzero(np.frombuffer(words, dtype="<u4") < 2 << 30) == 1977
     check_replay(2000, 1208, MT_BLOCK)
 
 
