@@ -247,12 +247,13 @@ def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
 
 def chain_order(q, chain_pi) -> int:
     """Number of triangular symmetries: prod over levels of
-    (q^{k_j}!)^(q^{k_{j+1}+...+k_n})."""
+    (q^{k_j}!)^(q^{k_{j+1}+...+k_n}).  A level of more block values than
+    the points cap is refused first: its factorial multiplies each one."""
     q, chain_pi = _check_dims(q, chain_pi)
-    total = 1
-    for tails, sz in level_shapes(q, chain_pi):
-        total *= math.factorial(sz) ** tails
-    return total
+    shapes = level_shapes(q, chain_pi)
+    for j, (_, sz) in enumerate(shapes):
+        check_cap(f"level {j + 1}", sz, "block values", CAPS["points"], "its factorial would multiply each of them")
+    return math.prod(math.factorial(sz) ** tails for tails, sz in shapes)
 
 
 def chain_order_log10(q, chain_pi) -> Fraction:

@@ -104,10 +104,12 @@ def _load_map(path, size) -> list:
         raise UsageError(f"{path}: empty map file")
     if stripped.startswith("["):
         try:
-            entries = json.loads(stripped)
+            table = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: bad JSON array: {exc}") from exc
-        table = [int_arg(x, f"{path}: map entry") for x in entries]
+        if set(map(type, table)) != {int}:  # one type scan; int_arg words the refusal
+            for x in table:
+                int_arg(x, f"{path}: map entry")
     elif "->" in stripped:
         pairs = {}  # a table is built only once every rank has an image
         for lineno, line in enumerate(stripped.splitlines(), start=1):

@@ -363,17 +363,16 @@ def distance_witness(q: int, pi, f: np.ndarray, anchors=()):
     non-isometry can go unwitnessed.
     """
     S = len(f)
-    ranks = np.arange(S)
     if S <= CAPS["witness_matrix"]:
         step = max(1, (1 << 16) // S)
-        blocks, first = (ranks[i:i + step] for i in range(0, S, step)), S
+        blocks, first = (np.arange(i, min(i + step, S)) for i in range(0, S, step)), S
     else:
         blocks, first = ([u] for u in dict.fromkeys([*anchors, *range(min(S, WITNESS_ANCHORS))])), 1 << 13
     for us in blocks:
         us = np.asarray(us, dtype=np.int64)[:, None]
         lo, width = 0, first
         while lo < S:
-            cols = ranks[lo:lo + width]
+            cols = np.arange(lo, min(lo + width, S))
             bad = np.flatnonzero(rank_distance(q, pi, us, cols, np.int8)
                                  != rank_distance(q, pi, f[us], f[lo:lo + width], np.int8))
             if len(bad):

@@ -37,6 +37,7 @@ from .chains import (
     refuse_large_chains,
 )
 from .errors import (
+    CAPS,
     NotIsometryError,
     StructureError,
     UsageError,
@@ -55,9 +56,6 @@ from .space import (
     rank_array,
     sub_ranks,
 )
-
-
-RUN_ENTRIES = 1 << 12  # the most joint digits of a run of several chains in Symmetry.apply
 
 
 def _admissible(sigma: tuple, config: SpaceConfig) -> bool:
@@ -147,7 +145,7 @@ class Symmetry:
     chains[sigma[i]].  chains[k] acts on chain k of the input.
     """
 
-    __slots__ = ("config", "sigma", "chains", "_runs")
+    __slots__ = ("config", "sigma", "chains", "_images")
 
     def __init__(self, config: SpaceConfig, sigma, chains):
         sigma = int_tuple(sigma, "sigma entry")
@@ -165,28 +163,26 @@ class Symmetry:
         self.config = config
         self.sigma = sigma
         self.chains = chains
-        self._runs = None  # what apply reads, per run of input chains
+        self._images = None  # what apply reads: a memoryview of _image_table
 
     def apply(self, v: BlockVector) -> BlockVector:
-        """The image T(v): the sum, over runs of adjacent input chains, of the
-        run's _run_table at v's joint digit there.  The first call cuts runs
-        of at most RUN_ENTRIES joint digits (a wider chain is a run of its
-        own) and keeps a memoryview of each table."""
+        """The image T(v).  Within the points cap, the first call keeps a
+        memoryview of _image_table, and each call reads v's entry there.
+        Past it, the image is the sum over output chains i of chain
+        sigma[i]'s table entry at v's digit there, placed at i, in exact
+        Python ints, and nothing is kept."""
         cfg = self.config
         if v.config is not cfg and v.config != cfg:
             raise UsageError("vector does not belong to this symmetry's space")
-        runs = self._runs
-        if runs is None:
-            inv, cuts = inverse(self.sigma), [0]
-            for k in range(1, cfg.m):
-                if cfg.chain_place[k] // cfg.chain_place[cuts[-1]] * cfg.chain_size[k] > RUN_ENTRIES:
-                    cuts.append(k)
-            tables = [_run_table(self, inv, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.m])]
-            runs = self._runs = [(t.tolist() if t.dtype == object else memoryview(t), cfg.chain_place[lo], len(t))
-                                 for lo, t in zip(cuts, tables)]
-        r, out = v._rank, 0
-        for table, place, size in runs:
-            out += table[r // place % size]
+        r, images = v._rank, self._images
+        if images is None and cfg.size <= CAPS["points"]:
+            images = self._images = memoryview(_image_table(self))
+        if images is not None:
+            out = images[r]
+        else:
+            place, size, out = cfg.chain_place, cfg.chain_size, 0
+            for i, k in enumerate(self.sigma):
+                out += self.chains[k]._table.item(r // place[k] % size[k]) * place[i]
         image = BlockVector.__new__(BlockVector)
         image.config, image._rank, image._blocks = cfg, out, None
         return image
@@ -280,25 +276,23 @@ def all_symmetries(config: SpaceConfig):
 
 
 def as_rank_table(T: Symmetry) -> np.ndarray:
-    """Dense action of T on every vector rank, a fresh array; a space over
-    the points cap is refused."""
+    """Dense action of T on every vector rank, a fresh int64 array; a space
+    over the points cap is refused."""
     T.config.check_materialize()
-    out = _run_table(T, inverse(T.sigma), 0, T.config.m)
-    return out if out.flags.writeable else out.astype(np.int64)
+    return _image_table(T).astype(np.int64)
 
 
-def _run_table(T: Symmetry, inv, lo, hi) -> np.ndarray:
-    """The images of adjacent input chains lo..hi-1 by their joint digit: the
-    sum of each chain k's rank table scaled to the place of output chain
-    inv[k], in int64, or in exact Python ints past 2^63 points, where int64
-    overflows.  A lone chain feeding output chain 1 gives its narrow
-    read-only table itself."""
+def _image_table(T: Symmetry) -> np.ndarray:
+    """The image of every rank: the sum of each input chain k's rank table
+    placed at output chain inv[k], in the narrowest unsigned type that
+    holds a rank.  Every partial sum is a rank, so that type is exact.  A
+    lone chain gives its own read-only table."""
     cfg = T.config
-    out = None
-    for k in range(lo, hi):  # chain k's digit is the outer axis, above lo..k-1
-        table, to = T.chains[k]._table, cfg.chain_place[inv[k]]
-        if to != 1 or hi - lo > 1:
-            table = table.astype(object if cfg.size > 1 << 63 else np.int64) * to
+    if cfg.m == 1:
+        return T.chains[0]._table
+    inv, dtype, out = inverse(T.sigma), np.min_scalar_type(cfg.size - 1), None
+    for k, ch in enumerate(T.chains):  # chain k's digit is the outer axis, above 0..k-1
+        table = ch._table.astype(dtype) * dtype.type(cfg.chain_place[inv[k]])
         out = table if out is None else (table[:, None] + out).ravel()
     return out
 
@@ -406,7 +400,7 @@ def decompose_full(config: SpaceConfig, table) -> Symmetry:
         chain_map(failed, digits[start[failed]:start[failed] + size[failed], tau[failed]])  # raises
 
     cand = Symmetry(config, inverse(tau.tolist()), chains)
-    rt = _run_table(cand, tau, 0, m)
+    rt = _image_table(cand)
     bad = np.flatnonzero(rt != f)
     if len(bad):
         # f equals the bijection rt off bad, so is one iff f[bad] permutes rt[bad]

@@ -24,6 +24,7 @@ from ohb import (
     all_symmetries,
     as_rank_table,
     chain_from_pairs,
+    chain_order,
     enumerate_automorphisms,
     enumerate_isometries,
     equivalent,
@@ -72,6 +73,10 @@ CASES = {
     "chain_from_pairs": (
         "points", 4, lambda: chain_from_pairs(2, (1, 1), [1], [2]),
         "chain has 4 points, over the cap 3; a map of it built from word pairs would hold 6 table entries",
+    ),
+    "chain_order": (
+        "points", 4, lambda: chain_order(2, (2,)),
+        "level 1 has 4 block values, over the cap 3; its factorial would multiply each of them",
     ),
     "enumerate_automorphisms": (
         "aut_points", 4, lambda: enumerate_automorphisms(CHAIN2), SPACE_OVER,

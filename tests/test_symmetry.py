@@ -34,6 +34,7 @@ from ohb import (
     full_order,
     identity_chain,
     identity_symmetry,
+    invert_chain,
     invert_symmetry,
     make_translation,
     random_chain,
@@ -295,18 +296,18 @@ def test_wide_blocks_are_coded_without_a_table():
 @pytest.mark.parametrize(
     "cfg, sigma",
     [
-        # runs of chains (1, 2, 3) and (4); sigma moves chains across them
+        # chains of 8, 8, 8 and 64 points; sigma moves chains 1 and 3
         (make_config(2, 4, 2, [[1, 2], [2, 1], [1, 2], [3, 3]]), (2, 1, 0, 3)),
-        # a chain of 2^13 points is a run of its own between two runs
+        # a chain of 2^13 points between chains of 4, in uint32 images
         (make_config(2, 4, 2, [[1, 1], [1, 1], [6, 7], [1, 1]]), (3, 1, 2, 0)),
         (make_config(3, 3, 2, [[1, 2], [2, 1], [1, 2]]), (2, 1, 0)),
     ],
-    ids=["q2-runs", "q2-wide-middle", "gf3-one-run"],
+    ids=["q2-mixed-widths", "q2-wide-middle", "gf3-mixed-widths"],
 )
 def test_apply_matches_as_rank_table_at_every_point(cfg, sigma):
-    # apply sums one kept table per run of adjacent input chains; with
-    # sigma moving chains and mixed widths, every point's image must be
-    # the rank table's entry
+    # apply reads one kept image table built from the chain maps placed
+    # at their output chains; with sigma moving chains and mixed widths,
+    # every point's image must be the rank table's entry
     rng = random.Random(44)
     T = Symmetry(cfg, sigma, [random_chain(cfg.q, row, rng.randrange(1 << 32)) for row in cfg.pi])
     table = as_rank_table(T)
@@ -315,9 +316,10 @@ def test_apply_matches_as_rank_table_at_every_point(cfg, sigma):
 
 
 def test_apply_is_exact_at_and_past_2_to_the_63_points():
-    # 2^63 points is the most whose images int64 run tables hold; 2^64
-    # points keep Python ints.  The image of each point is the sum, over
-    # output chains i, of chain sigma[i]'s image of its digit, placed at i
+    # past the points cap apply keeps no table and sums Python ints, so it
+    # stays exact past 2^63 points, where int64 overflows.  The image of
+    # each point is the sum, over output chains i, of chain sigma[i]'s
+    # image of its digit, placed at i
     rng = random.Random(45)
     for cfg in (make_config(2, 7, 9, [[1] * 9] * 7), make_config(2, 8, 8, [[1] * 8] * 8)):
         sigma = tuple(rng.sample(range(cfg.m), cfg.m))
@@ -400,6 +402,52 @@ def test_apply_keeps_one_image_per_chain(n):
     assert kept <= 4 << 10 and again <= kept + (4 << 10)
     assert chain_arrays(ch)[0] is image
     assert full.dtype == np.int64 and full.flags.writeable and np.array_equal(full, table)
+
+
+def test_apply_keeps_one_narrow_image_table():
+    # GF(4), m=4, n=2 has 65536 points: after applying, the symmetry holds
+    # one uint16 table of every point's image, and as_rank_table widens it
+    # into a fresh int64 array that shares no memory with it
+    cfg = make_config(2, 4, 2, [[1, 1]] * 4, e=2)
+    T = random_symmetry(cfg, 33)
+    want = model.geometry(cfg.q, cfg.pi).apply(T.to_json(), np.arange(cfg.size))
+    rng = random.Random(33)
+    pairs = [(r, int(want[r])) for r in (rng.randrange(cfg.size) for _ in range(1024))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert all(T.apply(cfg.unrank(r)).rank() == image for r, image in pairs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 2 * cfg.size <= kept <= 2 * cfg.size + (4 << 10)
+    [held] = [np.asarray(v) for v in (getattr(T, name) for name in Symmetry.__slots__) if isinstance(v, memoryview)]
+    assert held.dtype == np.uint16 and np.array_equal(held, want)
+    full = as_rank_table(T)
+    assert full.dtype == np.int64 and full.flags.writeable and np.array_equal(full, want)
+    assert not np.shares_memory(full, held)
+
+
+def test_apply_past_the_points_cap_reads_the_chain_maps_and_keeps_nothing():
+    # q=2, two chains of 2^20 points (2^40 in all), sigma swapping them:
+    # the image is the chain-by-chain sum, and no table of the space, nor a
+    # scaled copy of a chain's table, is kept
+    cfg = make_config(2, 2, 2, [[10, 10], [10, 10]])
+    ch = random_chain(2, (10, 10), 34)
+    T = Symmetry(cfg, (1, 0), [ch, invert_chain(ch)])
+    rng = random.Random(34)
+    pairs = []
+    for r in [0, cfg.size - 1, *(rng.randrange(cfg.size) for _ in range(200))]:
+        rows = [T.chains[k].apply((d % 1024, d // 1024)) for k, d in enumerate(divmod(r, 1 << 20)[::-1])]
+        pairs.append((r, sum((lo + 1024 * hi) * cfg.chain_place[i] for i, (lo, hi) in enumerate(rows[::-1]))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert all(T.apply(cfg.unrank(r)).rank() == image for r, image in pairs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
 
 
 def test_kept_maps_hold_one_narrow_table():
