@@ -18,52 +18,29 @@ import math
 
 import numpy as np
 
-from .chains import log10_factorial
+from .chains import order
 from .errors import CAPS, DomainError, check_cap, int_arg
 from .oracle import stabilizer_orbits
 from .space import SpaceConfig, add_ranks, rank_array, scale_ranks, weight_array
-from .symmetry import s_pi_order, width_classes
+from .symmetry import _s_pi_factors
 
 
 def gl_order(q: int, k: int) -> int:
     """Number of invertible k x k matrices over F_q."""
-    q = int_arg(q, "field size", 2)
-    k = int_arg(k, "block width", 1)
-    total = 1
-    for t in range(k):
-        total *= q ** k - q ** t
-    return total
-
-
-def _single_level(config: SpaceConfig):
-    if config.n != 1:
-        raise DomainError(
-            f"closed form requires a single level, this space has n = {config.n}; "
-            "use enumeration instead"
-        )
+    return order([("GL", int_arg(q, "field size", 2), int_arg(k, "block width", 1))])
 
 
 def aut_order_antichain(config: SpaceConfig) -> int:
     """Closed-form automorphism count for n = 1: each block carries an
     independent GL factor and equal-width chains may be permuted."""
-    _single_level(config)
-    total = s_pi_order(config)
-    for row in config.pi:
-        total *= gl_order(config.q, row[0])
-    return total
+    return order(_aut_factors(config))
 
 
-def aut_order_antichain_log10(config: SpaceConfig) -> float:
-    """log10 of aut_order_antichain(config) without building it, so that a
-    caller can refuse an order too large to print first.  A block of width
-    k gives |GL(k, q)| = q^(k^2) * prod_{j=1..k} (1 - q^-j), whose factors
-    past j = 64 round to 1 in a float."""
-    _single_level(config)
-    total = sum(log10_factorial(len(c)) for c in width_classes(config))
-    for (k,) in config.pi:
-        tail = sum(math.log10(1 - config.q ** -j) for j in range(1, min(k, 64) + 1))
-        total += k * k * math.log10(config.q) + tail
-    return total
+def _aut_factors(config: SpaceConfig):
+    if config.n != 1:
+        raise DomainError(f"closed form requires a single level, this space has n = {config.n}; "
+                          "use enumeration instead")
+    return _s_pi_factors(config) + [("GL", config.q, k) for (k,) in config.pi]
 
 
 def is_linear(config: SpaceConfig, table) -> bool:

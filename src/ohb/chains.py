@@ -10,7 +10,9 @@ where each F_j may read the tail (the levels above j) but must be a
 bijection of the level-j block for every fixed tail.  This module
 stores such a map as its rank table, and provides application,
 composition, inversion, decomposition of a raw bijection table, uniform
-sampling, and the group order.
+sampling, and the group order.  Every group order in ohb is a list of
+factors, which `order` multiplies out, refusing one too long to build,
+and `order_log10` reads as a log10 without building any.
 
 A row is given by its rank or, to `apply`, as a tuple of block ranks,
 one per level.  Row ranks are mixed radix with level 1 least
@@ -42,11 +44,11 @@ from .errors import (
     UsageError,
     ValidationError,
     check_cap,
-    check_group_cap,
     int_arg,
     int_array,
     int_text,
     int_tuple,
+    print_limit,
     seq,
 )
 from .space import bijection_array, distance_witness
@@ -247,19 +249,50 @@ def invert_chain(A: ChainSymmetry) -> ChainSymmetry:
 
 def chain_order(q, chain_pi) -> int:
     """Number of triangular symmetries: prod over levels of
-    (q^{k_j}!)^(q^{k_{j+1}+...+k_n}).  A level of more block values than
-    the points cap is refused first: its factorial multiplies each one."""
-    q, chain_pi = _check_dims(q, chain_pi)
-    shapes = level_shapes(q, chain_pi)
-    for j, (_, sz) in enumerate(shapes):
-        check_cap(f"level {j + 1}", sz, "block values", CAPS["points"], "its factorial would multiply each of them")
-    return math.prod(math.factorial(sz) ** tails for tails, sz in shapes)
+    (q^{k_j}!)^(q^{k_{j+1}+...+k_n})."""
+    return order(_chain_factors(*_check_dims(q, chain_pi)))
 
 
-def chain_order_log10(q, chain_pi) -> Fraction:
-    """log10 of chain_order(q, chain_pi), summed from log10_factorial
-    without building a factorial."""
-    return sum(tails * log10_factorial(sz) for tails, sz in level_shapes(q, chain_pi))
+def _chain_factors(q, chain_pi):
+    return [("!", sz, tails) for tails, sz in level_shapes(q, chain_pi)]
+
+
+def order(factors) -> int:
+    """The exact product of a closed form's factors, each (kind, a, b):
+    ("!", x, e) is (x!)^e and ("GL", q, k) is |GL(k, q)|.  An order of more decimal digits than
+    the points cap's factorial is refused from order_log10 before anything
+    is multiplied; one the factors bound below 2^(cap - 1) <= cap! needs
+    no log10, as x! <= 2^(x * bits(x)) and |GL(k, q)| < 2^(k^2 * bits(q))."""
+    cap = CAPS["points"]
+    if sum(b * (a if kind == "!" else b) * a.bit_length() for kind, a, b in factors) >= cap:
+        check_cap("group order", math.floor(order_log10(factors)) + 1, "decimal digits",
+                  math.floor(log10_factorial(cap)) + 1,
+                  f"an order is built only up to the digits of {int_text(cap)}!, the points cap's factorial")
+    return math.prod(math.factorial(a) ** b if kind == "!" else math.prod(a ** b - a ** t for t in range(b))
+                     for kind, a, b in factors)
+
+
+def order_log10(factors) -> Fraction:
+    """log10 of order(factors), built from no factor: log10_factorial, and
+    |GL(k, q)| = q^(k^2) * prod_{j=1..k} (1 - q^-j), whose terms past
+    j = 64 round to 1 in a float."""
+    return sum(b * log10_factorial(a) if kind == "!" else b * b * Fraction(math.log10(a))
+               + Fraction(sum(math.log10(1 - 1 / a ** j) for j in range(1, min(b, 64) + 1)))
+               for kind, a, b in factors)
+
+
+def check_group_cap(subject, factors):
+    """check_cap of a group of order(factors) elements against the group
+    cap, read from order_log10 first: an order past both the cap's bit
+    count and the digits Python prints (print_limit) is over the cap, and
+    is refused by its digit count, as int_text shows it, before it is
+    built.  Returns the order."""
+    log10 = order_log10(factors)
+    if log10 > max(print_limit(), CAPS["group"].bit_length()):
+        check_cap(subject, math.inf, "elements", CAPS["group"], shown=f"<{math.floor(log10) + 1}-digit number>")
+    value = order(factors)
+    check_cap(subject, value, "elements", CAPS["group"])
+    return value
 
 
 def log10_factorial(x: int) -> Fraction:
@@ -270,7 +303,7 @@ def log10_factorial(x: int) -> Fraction:
     if x < 1 << 20:
         return Fraction(math.lgamma(x + 1) / math.log(10))
     lg = math.log10(x)
-    return x * Fraction(lg - LOG10_E) + Fraction((lg + LOG10_2PI) / 2) + Fraction(LOG10_E / 12) / x
+    return x * Fraction(lg - LOG10_E) + Fraction((lg + LOG10_2PI) / 2) + Fraction(LOG10_E * (1 / (12 * x)))
 
 
 def alt_chain_order_unit(q, n) -> int:
@@ -281,8 +314,12 @@ def alt_chain_order_unit(q, n) -> int:
     factor of q!; kept so reports can state both values and flag the
     mismatch instead of silently picking one.
     """
-    q, n = int_arg(q, "field size", 2), int_arg(n, "chain length", 1)
-    return math.factorial(q) ** ((q ** n - 1) // (q - 1) + 1)
+    return order(_alt_factors(int_arg(q, "field size", 2), 1, int_arg(n, "chain length", 1)))
+
+
+def _alt_factors(q, m, n):
+    """alt_full_order_unit's factors, which are alt_chain_order_unit's at m = 1."""
+    return [("!", q, m * ((q ** n - 1) // (q - 1)) + m), ("!", m, 1)]
 
 
 def refuse_large_chains(q, chain_pis):
@@ -393,12 +430,12 @@ def all_chain_symmetries(q, chain_pi):
     ascending.  The rank tables are built 4096 maps at a time: each slot's
     pick is an unravelled index into its level's array of permutations."""
     q, chain_pi = _check_dims(q, chain_pi)
-    order = check_group_cap("chain group", chain_order_log10(q, chain_pi), lambda: chain_order(q, chain_pi))
+    size = check_group_cap("chain group", _chain_factors(q, chain_pi))
     shapes = level_shapes(q, chain_pi)
     perms = [np.array(list(permutations(range(sz)))) for _, sz in shapes]
     radix = [len(p) for p, (tails, _) in zip(perms, shapes) for _ in range(tails)]
-    for start in range(0, order, 1 << 12):
-        picks = iter(np.unravel_index(np.arange(start, min(start + (1 << 12), order)), radix))
+    for start in range(0, size, 1 << 12):
+        picks = iter(np.unravel_index(np.arange(start, min(start + (1 << 12), size)), radix))
         table = _chain_table([np.stack([p[next(picks)] for _ in range(tails)], axis=1)
                               for p, (tails, _) in zip(perms, shapes)])
         for row in table:

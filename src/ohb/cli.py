@@ -19,18 +19,18 @@ import math
 import os
 import sys
 
-from .automorphisms import AutReport, aut_order_antichain, aut_order_antichain_log10, aut_report
-from .chains import chain_order
+from .automorphisms import AutReport, _aut_factors, aut_order_antichain, aut_report
+from .chains import chain_order, order_log10
 from .codes import DEFAULT_BUDGET, equivalent, parse_code_json, parse_code_text
 from .errors import CAPS, DomainError, NotIsometryError, StructureError, UsageError, check_cap, int_arg, print_limit
 from .oracle import enumerate_isometries
 from .space import SpaceConfig, distance, format_vector, parse_vector, weight
 from .symmetry import (
     Symmetry,
+    _full_factors,
     compose_symmetry,
     decompose_full,
     full_order,
-    full_order_log10,
     invert_symmetry,
     random_symmetry,
     s_pi_order,
@@ -156,12 +156,12 @@ def _load_symmetry(cfg, path) -> Symmetry:
     return Symmetry.from_json(_read_json(path), cfg)
 
 
-def _check_printable(subject, log10_value):
-    """Refuse, in the one cap format, a number with more decimal digits
-    than Python converts to text (print_limit), given the log10 of the
-    number so it need not be built.  With the limit off (0), Python's
+def _check_printable(subject, factors):
+    """Refuse, in the one cap format, an order with more decimal digits
+    than Python converts to text (print_limit), counted from the log10 of
+    its factors so it need not be built.  With the limit off (0), Python's
     default limit still bounds the work of building it."""
-    check_cap(subject, math.floor(log10_value) + 1, "decimal digits", print_limit(),
+    check_cap(subject, math.floor(order_log10(factors)) + 1, "decimal digits", print_limit(),
               "Python prints no integer that long")
 
 
@@ -266,7 +266,7 @@ def _alternates(rep):
 
 def _cmd_order(cfg, args):
     if args.mode != "oracle":
-        _check_printable("group order", full_order_log10(cfg))
+        _check_printable("group order", _full_factors(cfg))
     doc = {"op": "order", "mode": args.mode}
     if args.mode == "formula":
         doc["formula_order"] = full_order(cfg)
@@ -286,7 +286,7 @@ def _cmd_order(cfg, args):
 
 def _cmd_aut(cfg, args):
     if args.mode == "formula":
-        _check_printable("automorphism group order", aut_order_antichain_log10(cfg))
+        _check_printable("automorphism group order", _aut_factors(cfg))
         rep = AutReport(cfg, aut_order_antichain(cfg), None)
     else:
         rep = aut_report(cfg, cap=args.cap)
@@ -315,7 +315,7 @@ def _cmd_equiv(cfg, args):
 
 def _cmd_report(cfg, args):
     cap = args.cap if args.cap is not None else CAPS["oracle_count"]
-    _check_printable("group order", full_order_log10(cfg))
+    _check_printable("group order", _full_factors(cfg))
     doc = {
         "op": "report",
         "space": cfg.to_json(),

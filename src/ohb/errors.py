@@ -65,9 +65,10 @@ class CapExceeded(DomainError):
     listing of group elements or a brute-force search."""
 
 
-# Group orders are exact closed forms at any size; only work that visits
-# points or group elements one by one is capped.  Entries are read when
-# each check runs, so patching one entry moves every check that reads it.
+# Work that visits points or group elements one by one is capped, and so
+# are group orders, exact closed forms built only up to the digits of the
+# points cap's factorial.  Entries are read when each check runs, so
+# patching one entry moves every check that reads it.
 CAPS = {
     "points": 1 << 20,  # dense tables over a space, over one chain or over a field (q^2 entries)
     "group": 1 << 20,  # group elements listed one by one, search listings included
@@ -90,19 +91,6 @@ def check_cap(subject, value, unit, cap, detail=None, symbol=None, shown=None):
         raise CapExceeded(f"{subject} has {shown} {unit}, over the cap {int_text(cap)}{tail}")
 
 
-def check_group_cap(subject, log10_order, order):
-    """check_cap of a group of order() elements against the group cap, read
-    from log10_order first: an order past both the cap's bit count and the
-    digits Python prints (print_limit) is over the cap, and is refused by
-    its digit count, as int_text shows it, before order() builds it.
-    Returns order()."""
-    if log10_order > max(print_limit(), CAPS["group"].bit_length()):
-        check_cap(subject, math.inf, "elements", CAPS["group"], shown=f"<{math.floor(log10_order) + 1}-digit number>")
-    value = order()
-    check_cap(subject, value, "elements", CAPS["group"])
-    return value
-
-
 def print_limit():
     """The most decimal digits Python converts to text:
     sys.get_int_max_str_digits(), or with that limit off (0), its default."""
@@ -117,8 +105,9 @@ def int_text(value):
         return str(value)
     except ValueError:
         digits = max(int(value.bit_length() * LOG10_2) - 1, 1)
-        while 10 ** digits <= value:
-            digits += 1
+        power = 10 ** digits
+        while power <= value:
+            digits, power = digits + 1, power * 10
         return f"<{digits}-digit number>"
 
 

@@ -12,7 +12,6 @@ form uses the 1-based image sequence.
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from itertools import permutations, product
@@ -21,18 +20,19 @@ import numpy as np
 
 from .chains import (
     ChainSymmetry,
+    _alt_factors,
+    _chain_factors,
     _chain_table,
     _decompose_bijection,
     _levels,
     all_chain_symmetries,
-    chain_order,
-    chain_order_log10,
     chain_ranks,
+    check_group_cap,
     compose_chain,
     identity_chain,
     invert_chain,
     level_shapes,
-    log10_factorial,
+    order,
     random_levels,
     refuse_large_chains,
 )
@@ -42,7 +42,6 @@ from .errors import (
     StructureError,
     UsageError,
     ValidationError,
-    check_group_cap,
     int_arg,
     int_tuple,
     seq,
@@ -106,24 +105,21 @@ def admissible_permutations(config: SpaceConfig):
 
 
 def s_pi_order(config: SpaceConfig) -> int:
-    return math.prod(math.factorial(len(c)) for c in width_classes(config))
+    return order(_s_pi_factors(config))
+
+
+def _s_pi_factors(config):
+    return [("!", len(c), 1) for c in width_classes(config)]
 
 
 def full_order(config: SpaceConfig) -> int:
     """Order of the symmetry group: product of the chain group orders
     times the number of admissible permutations."""
-    total = s_pi_order(config)
-    for row in config.pi:
-        total *= chain_order(config.q, row)
-    return total
+    return order(_full_factors(config))
 
 
-def full_order_log10(config: SpaceConfig):
-    """log10 of full_order(config), summed from log10_factorial without
-    computing a factorial, so that a caller can refuse an order too
-    large to print before building it."""
-    return (sum(log10_factorial(len(c)) for c in width_classes(config))
-            + sum(chain_order_log10(config.q, row) for row in config.pi))
+def _full_factors(config):
+    return _s_pi_factors(config) + [f for row in config.pi for f in _chain_factors(config.q, row)]
 
 
 def alt_full_order_unit(q, m, n) -> int:
@@ -134,8 +130,7 @@ def alt_full_order_unit(q, m, n) -> int:
     and disagrees with full_order and with enumeration; reported next
     to the enumerated count so the mismatch is visible.
     """
-    q, m, n = int_arg(q, "field size", 2), int_arg(m, "m", 1), int_arg(n, "n", 1)
-    return math.factorial(q) ** (m * ((q ** n - 1) // (q - 1)) + m) * math.factorial(m)
+    return order(_alt_factors(int_arg(q, "field size", 2), int_arg(m, "m", 1), int_arg(n, "n", 1)))
 
 
 class Symmetry:
@@ -268,7 +263,7 @@ def random_symmetry(config: SpaceConfig, seed) -> Symmetry:
 
 def all_symmetries(config: SpaceConfig):
     """Yield the whole symmetry group in canonical form, up to the group cap."""
-    check_group_cap("symmetry group", full_order_log10(config), lambda: full_order(config))
+    check_group_cap("symmetry group", _full_factors(config))
     chain_groups = [list(all_chain_symmetries(config.q, row)) for row in config.pi]
     for sigma in admissible_permutations(config):
         for chains in product(*chain_groups):

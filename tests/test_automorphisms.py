@@ -1,5 +1,6 @@
 """Linear symmetries: GL orders, the antichain closed form, enumeration."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -11,16 +12,22 @@ from ohb import (
     AutReport,
     DomainError,
     UsageError,
+    alt_chain_order_unit,
+    alt_full_order_unit,
     aut_order_antichain,
     aut_report,
     enumerate_automorphisms,
+    full_order,
     gl_order,
     is_linear,
     make_translation,
     as_rank_table,
     decompose_full,
 )
+from ohb.automorphisms import _aut_factors
+from ohb.chains import _alt_factors, order_log10
 from ohb.oracle import enumerate_isometries
+from ohb.symmetry import _full_factors
 from ohb.space import add_ranks
 
 
@@ -57,20 +64,37 @@ def test_enumeration_matches_formula():
         assert count == aut_order_antichain(cfg)
 
 
-def test_every_space_of_at_most_128_points_counts_its_closed_form():
-    # every pi over q in {2, 3, 4} with q^N <= 128, chains in every order:
-    # 334 spaces, plus two of unequal widths that once ran for minutes
-    # because a basis vector of the narrower block could only be refused
-    # as the image of one of the wider block by walking its whole subtree
-    spaces = [(q, [list(flat[i * n:(i + 1) * n]) for i in range(m)])
+# every pi over q in {2, 3, 4} with q^N <= 128, chains in every order
+SPACES_128 = [(q, [list(flat[i * n:(i + 1) * n]) for i in range(m)])
               for q in (2, 3, 4) for N in range(1, 8) if q ** N <= 128
               for m in range(1, N + 1) for n in range(1, N // m + 1)
               for flat in product(range(1, N + 1), repeat=m * n) if sum(flat) == N]
-    assert len(spaces) == 334
-    spaces += [(2, [[3], [5]]), (2, [[4], [5]])]
-    for q, pi in spaces:
-        cfg = make_config(3 if q == 3 else 2, len(pi), len(pi[0]), pi, e=2 if q == 4 else 1)
-        assert enumerate_automorphisms(cfg)[0] == model.automorphism_order(q, pi)
+
+
+def space(q, pi):
+    return make_config(3 if q == 3 else 2, len(pi), len(pi[0]), pi, e=2 if q == 4 else 1)
+
+
+def test_every_space_of_at_most_128_points_counts_its_closed_form():
+    # 334 spaces, plus two of unequal widths that once ran for minutes
+    # because a basis vector of the narrower block could only be refused
+    # as the image of one of the wider block by walking its whole subtree
+    assert len(SPACES_128) == 334
+    for q, pi in SPACES_128 + [(2, [[3], [5]]), (2, [[4], [5]])]:
+        assert enumerate_automorphisms(space(q, pi))[0] == model.automorphism_order(q, pi)
+
+
+def test_every_order_of_the_sweep_reads_its_digit_count_from_its_log10():
+    # the full order, the n = 1 automorphism order and both alternative
+    # forms: floor(log10) + 1 of the factors is the built order's length
+    for q, pi in SPACES_128:
+        cfg, m, n = space(q, pi), len(pi), len(pi[0])
+        forms = [(_full_factors(cfg), full_order(cfg)), (_alt_factors(q, 1, n), alt_chain_order_unit(q, n)),
+                 (_alt_factors(q, m, n), alt_full_order_unit(q, m, n))]
+        if n == 1:
+            forms.append((_aut_factors(cfg), aut_order_antichain(cfg)))
+        for factors, value in forms:
+            assert math.floor(order_log10(factors)) + 1 == len(str(value)), (q, pi, factors)
 
 
 def test_enumerated_maps_are_linear_isometries():

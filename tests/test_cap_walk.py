@@ -3,8 +3,10 @@
 The walk calls each callable of `ohb.__all__` that takes a space config, a
 field size or a chain shape, and `Symmetry.apply`, on two spaces past the
 points cap: q=2 with one chain of one level of width 40 (2^40 points, a
-chain past the cap), and q=2 with three chains of seven unit levels (2^21
-points, chains of 128 points).  Each call builds its arguments from the
+chain past the cap), q=2 with one chain of 40 unit levels (2^40 points
+again, and a group order of 2^40 bits built from levels of two block
+values), and q=2 with three chains of seven unit levels (2^21 points,
+chains of 128 points).  Each call builds its arguments from the
 space and must answer or raise an OhbError; a refusal must peak under a
 few MB (tracemalloc), so that it refuses before it allocates.  The walk
 runs under an address-space limit, so that an allocation the kernel would
@@ -71,6 +73,7 @@ from ohb import (
 
 SPACES = {
     "k40": make_config(2, 1, 1, [[40]]),
+    "n40": make_config(2, 1, 40, [[1] * 40]),
     "m3-n7": make_config(2, 3, 7, [[1] * 7] * 3),
 }
 REFUSAL_PEAK = 4 << 20  # bytes a refusal may allocate on its way

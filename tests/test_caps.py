@@ -76,7 +76,8 @@ CASES = {
     ),
     "chain_order": (
         "points", 4, lambda: chain_order(2, (2,)),
-        "level 1 has 4 block values, over the cap 3; its factorial would multiply each of them",
+        "group order has 2 decimal digits, over the cap 1; an order is built only up to the digits of 3!, "
+        "the points cap's factorial",
     ),
     "enumerate_automorphisms": (
         "aut_points", 4, lambda: enumerate_automorphisms(CHAIN2), SPACE_OVER,
@@ -178,12 +179,26 @@ def test_a_group_too_long_to_print_is_refused_before_its_order_is_built(monkeypa
     def unbuilt(*args):
         raise AssertionError("the order was built before the group cap was checked")
 
-    monkeypatch.setattr(ohb.chains, "chain_order", unbuilt)
-    monkeypatch.setattr(ohb.symmetry, "full_order", unbuilt)
+    monkeypatch.setattr(ohb.chains, "order", unbuilt)
+    monkeypatch.setattr(ohb.symmetry, "order", unbuilt)
     cfg = make_config(2, 1, 1, [[40]])
     for listing in (lambda: next(all_symmetries(cfg)), lambda: next(all_chain_symmetries(2, (40,)))):
         with pytest.raises(CapExceeded, match=r"group has <12761927388952-digit number> elements, over the cap 1048576$"):
             listing()
+
+
+def test_an_order_past_the_points_cap_factorial_is_refused_before_it_is_built():
+    # |GL(10^6, 2)| is an integer of about 10^12 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            gl_order(2, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(exc.value) == ("group order has 301029995664 decimal digits, over the cap 5857670; an order is "
+                              "built only up to the digits of 1048576!, the points cap's factorial")
 
 
 @pytest.mark.parametrize("pi", [[[6, 1, 3]] * 3, [[3, 1, 7]] * 3, [[10], [10]], [[11]]])
